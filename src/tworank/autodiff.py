@@ -23,9 +23,6 @@ __all__ = [
     "gradcheck",
     "GradcheckReport",
     "no_grad",
-    "set_default_dtype",
-    "get_default_dtype",
-    "tensor",
     "PRIMITIVES",
 ]
 
@@ -53,23 +50,6 @@ class no_grad:
         return False
 
 
-_default_dtype = np.float64
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the dtype new tensors are created with (float64 for tests,
-    float32 allowed for training speed)."""
-    global _default_dtype
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dtype}")
-    _default_dtype = dtype.type
-
-
-def get_default_dtype():
-    return _default_dtype
-
-
 class ShapeError(ValueError):
     """Raised when primitive inputs do not conform."""
 
@@ -90,7 +70,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(_default_dtype)
+            arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self._inputs: tuple[Tensor, ...] = ()
@@ -137,10 +117,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other))
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
 
 
 def _as_tensor(x) -> Tensor:

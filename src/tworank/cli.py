@@ -9,9 +9,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .config import ConfigError, EvalConfig, RunConfig, config_as_dict, load_config
+from .dataset import serving_histories
 from .model import ModelParams, init_params
 from .pipeline import (ABLATION_CELLS, ablation_runner, build_bundle,
                        calibration_report, eval_metrics)
@@ -19,7 +18,6 @@ from .serving import EmbeddingTable, export_embeddings, score
 from .synth import generate_world, read_logs, simulate_logs, write_logs
 from .text import Vocab, build_vocab
 from .train import continuous_finetune, finetune_run, pretrain_run
-from .types import UserHistory
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -126,17 +124,9 @@ def _best_checkpoint(out_dir: str) -> str:
 def cmd_export(cfg: RunConfig, ec: EvalConfig, args) -> int:
     bundle = _bundle(cfg, args.out)
     params = ModelParams.load(args.checkpoint or _best_checkpoint(args.out))
-    # serving histories: everything up to the export day minus the delay
-    cutoff = cfg.world.days - cfg.data.delay
-    histories = {}
-    from .synth import EventRecord
-    per_user: dict[int, list] = {u: [] for u in range(cfg.world.n_users)}
-    for rec in bundle.records:
-        if isinstance(rec, EventRecord) and rec.event.day <= cutoff:
-            if bundle.include_web or rec.event.item_id is not None:
-                per_user[rec.user_id].append(rec.event)
-    for u, events in per_user.items():
-        histories[u] = UserHistory(u, events[-cfg.model.max_history:])
+    histories = serving_histories(bundle.records, range(cfg.world.n_users),
+                                  cfg.world.days, cfg.data.delay,
+                                  cfg.model.max_history, bundle.include_web)
     users, items = export_embeddings(params, histories, bundle.titles,
                                      bundle.tokenize_fn)
     upath = _artifact(args.out, "users.emb")
@@ -150,6 +140,9 @@ def cmd_export(cfg: RunConfig, ec: EvalConfig, args) -> int:
 def cmd_score(cfg: RunConfig, ec: EvalConfig, args) -> int:
     users = EmbeddingTable.load(_artifact(args.out, "users.emb", must_exist=True))
     items = EmbeddingTable.load(_artifact(args.out, "items.emb", must_exist=True))
+    if args.user not in users:
+        print(f"unknown user id {args.user}", file=sys.stderr)
+        return EXIT_INVARIANT
     item_ids = [int(line.strip()) for line in sys.stdin if line.strip()]
     results = score(args.user, item_ids, users, items)
     for item_id, value, err in results:

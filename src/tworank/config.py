@@ -30,7 +30,6 @@ class DataConfig:
 class EvalConfig:
     seeds: str = "0,1,2"
     cells: str = ""  # empty -> full ablation matrix
-    graded: bool = False
 
     def seed_list(self) -> list[int]:
         return [int(s) for s in self.seeds.split(",") if s.strip() != ""]
@@ -97,11 +96,6 @@ def _set_key(obj, key: str, value: str, section: str) -> None:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
 
-@dataclass
-class _Extras:
-    eval: EvalConfig = field(default_factory=EvalConfig)
-
-
 def load_config(path: str | None = None, overrides: list[str] | None = None,
                 seed: int | None = None) -> tuple[RunConfig, EvalConfig]:
     """Parse a config file plus `section.key=value` overrides."""
@@ -109,6 +103,12 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
     ec = EvalConfig()
     sections = dict(_SECTIONS)
     sections["eval"] = lambda _rc: ec
+    model_keys: set[str] = set()
+
+    def assign(section: str, key: str, value: str) -> None:
+        _set_key(sections[section](rc), key, value, section)
+        if section == "model":
+            model_keys.add(key)
 
     if path is not None:
         parser = configparser.ConfigParser()
@@ -118,9 +118,8 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
         for section in parser.sections():
             if section not in sections:
                 raise ConfigError(f"unknown section [{section}]")
-            obj = sections[section](rc)
             for key, value in parser.items(section):
-                _set_key(obj, key, value, section)
+                assign(section, key, value)
 
     for ov in overrides or []:
         if "=" not in ov or "." not in ov.split("=", 1)[0]:
@@ -129,11 +128,17 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
         section, key = dotted.split(".", 1)
         if section not in sections:
             raise ConfigError(f"unknown section {section!r} in override {ov!r}")
-        _set_key(sections[section](rc), key, value, section)
+        assign(section, key, value)
+
+    # TowerConfig derives user_ffn_hidden, item_hidden and max_positions from
+    # d and max_history when it is built, so build it from the keys that were set
+    try:
+        rc.model = TowerConfig(**{k: getattr(rc.model, k) for k in model_keys})
+    except ValueError as exc:
+        raise ConfigError(f"[model] {exc}") from exc
 
     if seed is not None:
         rc.apply_seed(seed)
-    # keep model and data history bounds consistent
     return rc, ec
 
 

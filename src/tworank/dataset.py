@@ -105,6 +105,15 @@ def attach_history(group: ImpressionGroup, records: list[LogRecord],
     return group
 
 
+def serving_histories(records: list[LogRecord], user_ids, day: int, delay: int,
+                      max_history: int, include_web: bool) -> dict[int, UserHistory]:
+    """Each user's delayed history as of `day` (the serving rule); users
+    without events get an empty history."""
+    events_by_user = _user_events(records, include_web)
+    return {u: _delayed_history(events_by_user.get(u, []), u, day, delay, max_history)
+            for u in user_ids}
+
+
 def time_split(items, boundary_day: int):
     """(train, test) with test = records on day >= boundary_day."""
     days = [x.day for x in items]

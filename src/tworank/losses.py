@@ -50,7 +50,9 @@ def pretrain_loss(r_up: Tensor, r_un: Tensor, tau: Tensor) -> Tensor:
     return lse - zp
 
 
-def _click_logit(r_ui: Tensor, r_ctx: Tensor, params: ModelParams) -> Tensor:
+def click_logit(r_ui: Tensor, r_ctx: Tensor, params: ModelParams) -> Tensor:
+    """alpha_cl * r + alpha_ctx * r_ctx + beta_cl, the logit of the click
+    probability."""
     return (ad.mul(params["loss_params.alpha_cl"], r_ui)
             + ad.mul(params["loss_params.alpha_ctx"], r_ctx)
             + params["loss_params.beta_cl"])
@@ -59,7 +61,7 @@ def _click_logit(r_ui: Tensor, r_ctx: Tensor, params: ModelParams) -> Tensor:
 def bce_click(r_ui: Tensor, r_ctx: Tensor, y, params: ModelParams) -> Tensor:
     """Pointwise click loss on f = sigmoid(alpha_cl*r + alpha_ctx*r_ctx +
     beta_cl), computed stably from logits: softplus(z) - y*z."""
-    z = _click_logit(r_ui, r_ctx, params)
+    z = click_logit(r_ui, r_ctx, params)
     y_t = Tensor(np.asarray(y, dtype=np.float64))
     per = ad.softplus(z) - ad.mul(y_t, z)
     return ad.tmean(per) if per.data.ndim else per

@@ -340,14 +340,6 @@ def user_tower_forward(history: UserHistory, params: ModelParams,
     return ad.reshape(out, (params.config.d,))
 
 
-def encode_events(history: UserHistory, params: ModelParams,
-                  tokenize_fn: Callable[[str], list[int]]):
-    """Single-history event encoding: ((T+1, d) tensor, (T+1,) mask)."""
-    batch = batch_histories([history], tokenize_fn, params.config)
-    seq, mask = encode_events_batch(batch, params)
-    return ad.reshape(seq, (seq.shape[1], params.config.d)), mask[0]
-
-
 # ---------------------------------------------------------------------------
 # context tower & similarity
 # ---------------------------------------------------------------------------

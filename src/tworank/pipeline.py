@@ -9,18 +9,19 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import no_grad
+from .autodiff import Tensor, no_grad
 from .dataset import (attach_history, build_finetune_groups,
                       build_pretrain_samples, time_split)
 from .evaluate import EvalReport, discovery_subset, mean_ndcg
-from .losses import temperature
-from .model import ModelParams, TowerConfig, batch_histories, init_params, user_tower_forward_batch
+from .losses import click_logit, temperature
+from .model import (ModelParams, TowerConfig, batch_histories, context_score,
+                    init_params, user_tower_forward_batch)
 from .synth import (EventRecord, SynthConfig, SynthWorld, generate_world,
                     make_balanced_eval_groups, simulate_logs)
 from .text import Vocab, build_vocab, tokenize
 from .train import (TitleEmbedder, TrainConfig, finetune_run,
                     item_embeddings_for, pretrain_run)
-from .types import ImpressionGroup
+from .types import ContextFeatures, ImpressionGroup
 
 TEST_DAYS = 10
 REGIMES = ("pretrain_only", "finetune_only", "both")
@@ -167,19 +168,20 @@ def calibration_report(bundle: Bundle, params: ModelParams, groups,
                        use_context: bool = True) -> dict[str, float]:
     """Mean predicted click probability vs empirical click rate on
     held-out impression groups."""
+    if not groups:
+        raise ValueError("calibration report needs at least one impression group")
     scores = score_table(bundle, params, groups)
-    a_cl = float(params["loss_params.alpha_cl"].data)
-    a_ctx = float(params["loss_params.alpha_ctx"].data)
-    b_cl = float(params["loss_params.beta_cl"].data)
-    surf = params["loss_params.ctx_surface"].data[:, 0]
-    dev = params["loss_params.ctx_device"].data[:, 0]
-    preds, ys = [], []
-    for g in groups:
-        r = scores[id(g)]
-        r_ctx = float(surf[g.surface_id] + dev[g.device_id]) if use_context else 0.0
-        z = a_cl * r + a_ctx * r_ctx + b_cl
-        preds.extend(1.0 / (1.0 + np.exp(-z)))
-        ys.extend(g.labels["click"])
+    with no_grad():
+        # one context score per distinct (surface, device) pair, not per group
+        ctx = {(g.surface_id, g.device_id): 0.0 for g in groups}
+        if use_context:
+            ctx = {k: context_score(ContextFeatures(*k), params).data for k in ctx}
+        r_ctx = [ctx[g.surface_id, g.device_id] for g in groups]
+        z = click_logit(Tensor(np.concatenate([scores[id(g)] for g in groups])),
+                        Tensor(np.repeat(r_ctx, [len(g.item_ids) for g in groups])),
+                        params).data
+    preds = 1.0 / (1.0 + np.exp(-z))
+    ys = np.concatenate([g.labels["click"] for g in groups])
     return {"mean_predicted": float(np.mean(preds)),
             "empirical_rate": float(np.mean(ys)),
             "temperature": float(temperature(params).data)}

@@ -167,33 +167,28 @@ def item_embeddings_for(item_ids, embedder: TitleEmbedder, params: ModelParams) 
 
 
 def _num_steps(n_records: int, config: TrainConfig) -> int:
-    per_epoch = max(n_records // config.batch_size, 1)
-    total = per_epoch * config.epochs
+    total = (n_records // config.batch_size) * config.epochs
     if config.max_steps:
         total = min(total, config.max_steps)
-    return max(total, 1)
+    return total
 
 
 def pretrain_run(samples: list[PretrainSample], config: TrainConfig,
                  tower_config: TowerConfig, tokenize_fn, titles: dict[int, str],
                  init: ModelParams | None = None) -> ModelParams:
     """Retrieval pre-training: each sample's in-batch negatives are the
-    other samples' positive items; sampled softmax over cosine scores."""
-    if not samples:
-        raise ValueError("empty pretrain sample stream")
+    other samples' positive items; sampled softmax over cosine scores.
+
+    `tokenize_fn` is called for every history event of every step, so it
+    should cache (as `Bundle.tokenize_fn` does)."""
+    if len(samples) < config.batch_size:
+        raise ValueError(f"{len(samples)} pretrain samples fill no batch of "
+                         f"batch_size {config.batch_size}")
     params = init.copy() if init is not None else init_params(tower_config, seed=config.seed)
-    schedule = Schedule(config.warmup_steps, _num_steps(len(samples), config),
-                        config.schedule_mode)
+    n_steps = _num_steps(len(samples), config)
+    schedule = Schedule(min(config.warmup_steps, n_steps), n_steps, config.schedule_mode)
     opt = AdamOptimizer(params, config, schedule)
     embedder = TitleEmbedder(titles, tokenize_fn)
-    tok_cache: dict[str, list[int]] = {}
-
-    def cached_tokenize(text):
-        out = tok_cache.get(text)
-        if out is None:
-            out = tok_cache[text] = tokenize_fn(text)
-        return out
-
     rng = np.random.default_rng(config.seed)
     order = np.arange(len(samples))
     step = 0
@@ -202,7 +197,7 @@ def pretrain_run(samples: list[PretrainSample], config: TrainConfig,
         rng.shuffle(order)
         for lo in range(0, len(samples) - config.batch_size + 1, config.batch_size):
             batch = [samples[i] for i in order[lo: lo + config.batch_size]]
-            hb = batch_histories([s.history for s in batch], cached_tokenize, tower_config)
+            hb = batch_histories([s.history for s in batch], tokenize_fn, tower_config)
             users = user_tower_forward_batch(hb, params)
             items = item_embeddings_for([s.item_id for s in batch], embedder, params)
             scores = similarity_matrix(users, items)
@@ -219,14 +214,14 @@ def pretrain_run(samples: list[PretrainSample], config: TrainConfig,
 
 def _finetune_epoch(groups: list[ImpressionGroup], params: ModelParams,
                     opt: AdamOptimizer, config: TrainConfig, tower_config: TowerConfig,
-                    cached_tokenize, embedder: TitleEmbedder, rng, max_steps: int,
+                    tokenize_fn, embedder: TitleEmbedder, rng, max_steps: int,
                     group_batch: int = 16) -> int:
     order = np.arange(len(groups))
     rng.shuffle(order)
     steps = 0
     for lo in range(0, len(groups), group_batch):
         batch = [groups[i] for i in order[lo: lo + group_batch]]
-        hb = batch_histories([g.history for g in batch], cached_tokenize, tower_config)
+        hb = batch_histories([g.history for g in batch], tokenize_fn, tower_config)
         users = user_tower_forward_batch(hb, params)
         all_items = [i for g in batch for i in g.item_ids]
         item_embs = item_embeddings_for(all_items, embedder, params)
@@ -267,18 +262,10 @@ def finetune_run(groups: list[ImpressionGroup], init: ModelParams,
     schedule = Schedule(min(config.warmup_steps, n_steps), n_steps, config.schedule_mode)
     opt = AdamOptimizer(params, config, schedule, frozen_prefixes=frozen_prefixes)
     embedder = TitleEmbedder(titles, tokenize_fn)
-    tok_cache: dict[str, list[int]] = {}
-
-    def cached_tokenize(text):
-        out = tok_cache.get(text)
-        if out is None:
-            out = tok_cache[text] = tokenize_fn(text)
-        return out
-
     rng = np.random.default_rng(config.seed + 7)
     tower_config = params.config
     for _epoch in range(config.epochs):
-        _finetune_epoch(groups, params, opt, config, tower_config, cached_tokenize,
+        _finetune_epoch(groups, params, opt, config, tower_config, tokenize_fn,
                         embedder, rng, n_steps, group_batch)
         if opt.step_count >= n_steps:
             break

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from tworank.cli import EXIT_CONFIG, EXIT_MISSING, EXIT_OK, main
+from tworank.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_MISSING, EXIT_OK, main
 
 FAST = [
     "world.n_items=120", "world.n_users=30", "world.days=10",
@@ -64,6 +64,14 @@ def test_score_reads_stdin(workspace, monkeypatch, capsys):
     assert lines[0].split("\t")[0] == "3"
     assert "ERROR" in lines[1]  # item 999 does not exist
     float(lines[2].split("\t")[1])  # parses as a score
+
+
+def test_score_unknown_user(workspace, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("3\n"))
+    assert run("score", workspace, "--user", "999") == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "unknown user id 999"
 
 
 def test_missing_artifact_exit_code(tmp_path):

@@ -24,6 +24,7 @@ def test_file_parsing(tmp_path):
     rc, ec = load_config(str(path))
     assert rc.world.n_items == 120
     assert rc.model.d == 16
+    assert rc.model.item_hidden == 16  # derived from the file's d
     assert rc.pretrain.max_steps == 50
     assert rc.pretrain.lrs["loss_params"] == 0.05
     assert ec.seed_list() == [0, 1]
@@ -77,3 +78,21 @@ def test_seed_propagates():
     assert rc.world.seed == 7
     assert rc.pretrain.seed == 7
     assert rc.finetune.seed == 7
+
+
+def test_model_derived_fields_follow_overrides():
+    rc, _ = load_config(None, overrides=["model.d=16"])
+    assert rc.model.item_hidden == 16
+    assert rc.model.user_ffn_hidden == 64
+    rc, _ = load_config(None, overrides=["model.max_history=128"])
+    assert rc.model.max_positions == 129
+
+
+def test_model_invariant_violation_is_config_error():
+    with pytest.raises(ConfigError, match="item_hidden"):
+        load_config(None, overrides=["model.d=16", "model.item_hidden=8"])
+
+
+def test_eval_graded_key_removed():
+    with pytest.raises(ConfigError):
+        load_config(None, overrides=["eval.graded=true"])

@@ -5,9 +5,9 @@ import pytest
 
 from tworank.dataset import (attach_history, build_finetune_groups,
                              build_pretrain_samples, close_funnel_labels,
-                             time_split)
+                             serving_histories, time_split)
 from tworank.synth import EventRecord
-from tworank.types import Event, EventType, ImpressionGroup
+from tworank.types import Event, EventType, ImpressionGroup, UserHistory
 
 
 def test_pretrain_samples_obey_delay(small_logs):
@@ -93,6 +93,28 @@ def test_attach_history_delay():
                             labels={s: [1, 0] for s in ("click", "cart", "fvrt", "prch")})
     attach_history(group, events, delay=2, max_history=10)
     assert [e.day for e in group.history.events] == [0, 1, 2]
+
+
+def _export_loop_histories(records, user_ids, cutoff, max_history, include_web):
+    """The history rule `tworank export` used to spell out on its own."""
+    per_user = {u: [] for u in user_ids}
+    for rec in records:
+        if isinstance(rec, EventRecord) and rec.event.day <= cutoff:
+            if include_web or rec.event.item_id is not None:
+                per_user[rec.user_id].append(rec.event)
+    return {u: UserHistory(u, ev[-max_history:]) for u, ev in per_user.items()}
+
+
+@pytest.mark.parametrize("include_web", [True, False])
+def test_serving_histories_match_export_loop(small_world, small_logs, include_web):
+    cfg = small_world.config
+    users = range(cfg.n_users + 1)  # the last id has no events
+    got = serving_histories(small_logs, users, cfg.days, 1, 5, include_web)
+    assert got == _export_loop_histories(small_logs, users, cfg.days - 1, 5, include_web)
+    assert got[cfg.n_users] == UserHistory(cfg.n_users, [])
+    assert any(len(h.events) == 5 for h in got.values())
+    has_web = any(e.event_type is EventType.WEB_QUERY for h in got.values() for e in h.events)
+    assert has_web == include_web
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import pytest
 from tworank.evaluate import (discovery_subset, fit_logistic, group_relevance,
                               mean_ndcg, ndcg, predict_logistic, recall_at_k,
                               relative_gain_harness)
+from tworank.model import TowerConfig, init_params
+from tworank.pipeline import build_bundle, calibration_report, score_table
 from tworank.types import ImpressionGroup
 
 SIGNALS = ("click", "cart", "fvrt", "prch")
@@ -186,3 +188,42 @@ def test_harness_oracle_feature_gains(rng):
     report = relative_gain_harness(groups[:40], groups[40:], base, oracle)
     assert report.relative_gain > 0.05
     assert report.metric == "ndcg_gain"
+
+
+# ---------------------------------------------------------------------------
+# calibration report
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("use_context", [True, False])
+def test_calibration_report_values(small_world, small_logs, use_context):
+    tower = TowerConfig(d=8, user_layers=1, user_heads=2, item_layers=1,
+                        max_history=6, vocab_size=64, n_surfaces=4, n_devices=2)
+    bundle = build_bundle(small_world.config, vocab_size=64, max_history=6,
+                          test_days=3, world=small_world, records=small_logs)
+    groups = bundle.finetune_test
+    assert groups
+    params = init_params(tower, seed=0)
+    draw = np.random.default_rng(5)
+    for name in ("alpha_cl", "alpha_ctx", "beta_cl", "tau_raw", "ctx_surface", "ctx_device"):
+        t = params[f"loss_params.{name}"]
+        t.data = draw.normal(size=t.data.shape)
+
+    # the formula the report applies, written out
+    scores = score_table(bundle, params, groups)
+    a_cl, a_ctx, b_cl, tau_raw = (float(params[f"loss_params.{n}"].data)
+                                  for n in ("alpha_cl", "alpha_ctx", "beta_cl", "tau_raw"))
+    surf = params["loss_params.ctx_surface"].data[:, 0]
+    dev = params["loss_params.ctx_device"].data[:, 0]
+    preds, ys = [], []
+    for g in groups:
+        r_ctx = surf[g.surface_id] + dev[g.device_id] if use_context else 0.0
+        preds.extend(1.0 / (1.0 + np.exp(-(a_cl * scores[id(g)] + a_ctx * r_ctx + b_cl))))
+        ys.extend(g.labels["click"])
+
+    got = calibration_report(bundle, params, groups, use_context=use_context)
+    assert abs(got["mean_predicted"] - np.mean(preds)) <= 1e-12
+    assert abs(got["empirical_rate"] - np.mean(ys)) <= 1e-12
+    assert abs(got["temperature"] - np.log1p(np.exp(tau_raw))) <= 1e-12
+    with pytest.raises(ValueError, match="at least one impression group"):
+        calibration_report(bundle, params, [], use_context=use_context)

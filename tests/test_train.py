@@ -217,8 +217,22 @@ def test_continuous_freezes_calibration_scalars(training_data, word_tokenizer):
 
 
 def test_empty_streams_rejected(training_data, word_tokenizer):
-    _, _, titles = training_data
+    samples, _, titles = training_data
     with pytest.raises(ValueError):
         pretrain_run([], _run_cfg(), TINY, word_tokenizer, titles)
+    # fewer samples than one batch would train zero steps
+    with pytest.raises(ValueError, match="10 pretrain samples.*batch_size 16"):
+        pretrain_run(samples[:10], _run_cfg(), TINY, word_tokenizer, titles)
     with pytest.raises(ValueError):
         finetune_run([], init_params(TINY, seed=0), _run_cfg(), word_tokenizer, titles)
+
+
+def test_warmup_longer_than_run_is_clamped(training_data, word_tokenizer):
+    samples, groups, titles = training_data
+    cfg = _run_cfg(max_steps=1, warmup_steps=100)
+    init = init_params(TINY, seed=0)
+    for out in (pretrain_run(samples, cfg, TINY, word_tokenizer, titles),
+                finetune_run(groups, init, cfg, word_tokenizer, titles)):
+        # one step at the clamped warmup's end: lr reaches its base value
+        assert not np.array_equal(out["embeddings.content"].data,
+                                  init["embeddings.content"].data)
