@@ -1,12 +1,13 @@
 """Command-line entry point wiring the pipeline stages into reproducible
 runs. Exit codes: 0 ok, 2 config error, 3 missing input artifact,
-4 invariant violation."""
+4 invariant violation (including a corrupt artifact)."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import struct
 import sys
 
 from .config import ConfigError, EvalConfig, RunConfig, config_as_dict, load_config
@@ -254,7 +255,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (AssertionError, ValueError) as exc:
+    except (AssertionError, ValueError, struct.error) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

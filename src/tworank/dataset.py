@@ -8,6 +8,7 @@ closure). Splits are strictly temporal.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 
 from .synth import EventRecord, LogRecord
@@ -17,46 +18,49 @@ from .types import (Event, EventType, ImpressionGroup, PretrainSample,
 DEFAULT_DELAY = 1
 
 
-def _user_events(records: list[LogRecord], include_web: bool) -> dict[int, list[Event]]:
-    """Per-user chronological event lists (input order is already
-    day-ordered; same-day order preserved)."""
-    out: dict[int, list[Event]] = defaultdict(list)
+def _delayed_histories(records: list[LogRecord], requests, delay: int,
+                       max_history: int, include_web: bool) -> list[UserHistory]:
+    """The delayed-history rule, one pass over `records`: for each
+    (user_id, day) request, the user's events on or before day - delay,
+    the most recent `max_history` of them, web queries only with
+    `include_web`. Each user's events must come in day order."""
+    if delay < 0:
+        raise ValueError("delay must be >= 0")
+    if max_history < 1:
+        raise ValueError("max_history must be >= 1")
+    last_day: dict[int, int] = {}
+    days: dict[int, list[int]] = defaultdict(list)
+    events: dict[int, list[Event]] = defaultdict(list)
     for rec in records:
-        if isinstance(rec, EventRecord):
-            if rec.event.event_type is EventType.WEB_QUERY and not include_web:
-                continue
-            out[rec.user_id].append(rec.event)
+        if not isinstance(rec, EventRecord):
+            continue
+        ev = rec.event
+        if ev.day < last_day.get(rec.user_id, ev.day):
+            raise ValueError(f"user {rec.user_id}'s events go back from day "
+                             f"{last_day[rec.user_id]} to day {ev.day}; logs must be "
+                             "in day order per user")
+        last_day[rec.user_id] = ev.day
+        if include_web or ev.event_type is not EventType.WEB_QUERY:
+            days[rec.user_id].append(ev.day)
+            events[rec.user_id].append(ev)
+    out = []
+    for user, day in requests:
+        end = bisect_right(days.get(user, ()), day - delay)
+        out.append(UserHistory(user, events.get(user, [])[max(end - max_history, 0):end]))
     return out
-
-
-def _delayed_history(events: list[Event], user_id: int, target_day: int,
-                     delay: int, max_history: int) -> UserHistory:
-    cutoff = target_day - delay
-    kept = [e for e in events if e.day <= cutoff]
-    return UserHistory(user_id, kept[-max_history:])
 
 
 def build_pretrain_samples(records: list[LogRecord], delay: int = DEFAULT_DELAY,
                            max_history: int = 64, include_web: bool = True):
     """One sample per positive interaction (organic and impressed alike),
     each with the user's history older than target_day - delay."""
-    if delay < 0:
-        raise ValueError("delay must be >= 0")
-    events_by_user = _user_events(records, include_web)
-    samples: list[PretrainSample] = []
-    for rec in records:
-        if not isinstance(rec, EventRecord):
-            continue
-        ev = rec.event
-        signal = signal_of(ev.event_type)
-        if signal is None:
-            continue
-        history = _delayed_history(events_by_user[rec.user_id], rec.user_id,
-                                   ev.day, delay, max_history)
-        samples.append(PretrainSample(
-            user_id=rec.user_id, day=ev.day, item_id=ev.item_id,
-            signal=signal, history=history))
-    return samples
+    positives = [rec for rec in records
+                 if isinstance(rec, EventRecord) and signal_of(rec.event.event_type)]
+    histories = _delayed_histories(records, [(r.user_id, r.event.day) for r in positives],
+                                   delay, max_history, include_web)
+    return [PretrainSample(user_id=r.user_id, day=r.event.day, item_id=r.event.item_id,
+                           signal=signal_of(r.event.event_type), history=h)
+            for r, h in zip(positives, histories)]
 
 
 def close_funnel_labels(labels: dict[str, list[int]]) -> dict[str, list[int]]:
@@ -73,45 +77,37 @@ def close_funnel_labels(labels: dict[str, list[int]]) -> dict[str, list[int]]:
 
 
 def build_finetune_groups(records: list[LogRecord], delay: int = DEFAULT_DELAY,
-                          max_history: int = 64, include_web: bool = True,
-                          funnel_closure: bool = True) -> list[ImpressionGroup]:
+                          max_history: int = 64,
+                          include_web: bool = True) -> list[ImpressionGroup]:
     """Impression groups with delayed histories attached; groups with no
     positive signal are dropped."""
-    events_by_user = _user_events(records, include_web)
-    groups: list[ImpressionGroup] = []
-    for rec in records:
-        if not isinstance(rec, ImpressionGroup):
-            continue
-        labels = close_funnel_labels(rec.labels) if funnel_closure else rec.labels
-        group = ImpressionGroup(
-            user_id=rec.user_id, day=rec.day, surface_id=rec.surface_id,
-            device_id=rec.device_id, item_ids=list(rec.item_ids), labels=labels)
-        if not group.has_positive():
-            continue
-        group.history = _delayed_history(events_by_user[rec.user_id], rec.user_id,
-                                         rec.day, delay, max_history)
-        groups.append(group)
-    return groups
+    groups = [ImpressionGroup(user_id=rec.user_id, day=rec.day, surface_id=rec.surface_id,
+                              device_id=rec.device_id, item_ids=list(rec.item_ids),
+                              labels=close_funnel_labels(rec.labels))
+              for rec in records if isinstance(rec, ImpressionGroup)]
+    return attach_history([g for g in groups if g.has_positive()], records, delay,
+                          max_history, include_web)
 
 
-def attach_history(group: ImpressionGroup, records: list[LogRecord],
+def attach_history(groups: list[ImpressionGroup], records: list[LogRecord],
                    delay: int = DEFAULT_DELAY, max_history: int = 64,
-                   include_web: bool = True) -> ImpressionGroup:
-    """Attach a delayed history to an externally built group (used for
-    evaluation sets that are not part of the logs)."""
-    events_by_user = _user_events(records, include_web)
-    group.history = _delayed_history(events_by_user.get(group.user_id, []),
-                                     group.user_id, group.day, delay, max_history)
-    return group
+                   include_web: bool = True) -> list[ImpressionGroup]:
+    """Attach each group's delayed history (also used for evaluation sets
+    that are not part of the logs); returns `groups`."""
+    histories = _delayed_histories(records, [(g.user_id, g.day) for g in groups],
+                                   delay, max_history, include_web)
+    for g, h in zip(groups, histories):
+        g.history = h
+    return groups
 
 
 def serving_histories(records: list[LogRecord], user_ids, day: int, delay: int,
                       max_history: int, include_web: bool) -> dict[int, UserHistory]:
     """Each user's delayed history as of `day` (the serving rule); users
     without events get an empty history."""
-    events_by_user = _user_events(records, include_web)
-    return {u: _delayed_history(events_by_user.get(u, []), u, day, delay, max_history)
-            for u in user_ids}
+    user_ids = list(user_ids)
+    return dict(zip(user_ids, _delayed_histories(records, [(u, day) for u in user_ids],
+                                                 delay, max_history, include_web)))
 
 
 def time_split(items, boundary_day: int):

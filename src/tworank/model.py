@@ -123,7 +123,7 @@ class ModelParams:
             fh.write(buf.getvalue())
 
     @classmethod
-    def load(cls, path, dtype=np.float64) -> "ModelParams":
+    def load(cls, path) -> "ModelParams":
         with open(path, "rb") as fh:
             raw = fh.read()
         buf = io.BytesIO(raw)
@@ -143,11 +143,11 @@ class ModelParams:
             shape = tuple(struct.unpack("<I", buf.read(4))[0] for _ in range(ndim))
             n = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(buf.read(4 * n), dtype="<f4").reshape(shape)
-            params.tensors[name] = Tensor(data.astype(dtype), requires_grad=True)
+            params.tensors[name] = Tensor(data.astype(np.float64), requires_grad=True)
         return params
 
 
-def init_params(config: TowerConfig, seed: int = 0, dtype=np.float64) -> ModelParams:
+def init_params(config: TowerConfig, seed: int = 0) -> ModelParams:
     """Normal(0, 0.02) embeddings and linears, identity layer norms,
     identity-like calibration scalars."""
     rng = np.random.default_rng(seed)
@@ -155,7 +155,7 @@ def init_params(config: TowerConfig, seed: int = 0, dtype=np.float64) -> ModelPa
     d = config.d
 
     def par(name, value):
-        p.tensors[name] = Tensor(np.asarray(value, dtype=dtype), requires_grad=True)
+        p.tensors[name] = Tensor(np.asarray(value, dtype=np.float64), requires_grad=True)
 
     def normal(*shape):
         return rng.normal(0.0, 0.02, size=shape)
@@ -368,7 +368,3 @@ def similarity_matrix(users: Tensor, items: Tensor) -> Tensor:
     """(B_u, d) x (B_i, d) -> (B_u, B_i) cosine similarities."""
     return ad.matmul(users, ad.transpose(items, (1, 0)))
 
-
-def similarity_rows(users: Tensor, items: Tensor) -> Tensor:
-    """Row-aligned similarities: (B, d), (B, d) -> (B,)."""
-    return ad.tsum(ad.mul(users, items), axis=1)

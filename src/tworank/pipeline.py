@@ -82,9 +82,8 @@ def build_bundle(world_cfg: SynthConfig, vocab_size: int = 2048,
     eval_groups = make_balanced_eval_groups(world, boundary, world_cfg.days,
                                             seed=world_cfg.seed + 17,
                                             groups_per_user=eval_groups_per_user)
-    for g in eval_groups:
-        attach_history(g, records, delay=delay, max_history=max_history,
-                       include_web=include_web)
+    attach_history(eval_groups, records, delay=delay, max_history=max_history,
+                   include_web=include_web)
 
     interacted = defaultdict(list)
     for rec in records:

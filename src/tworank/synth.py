@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import Event, EventType, ImpressionGroup
+from .types import SIGNALS, Event, EventType, ImpressionGroup
 
 _ADJECTIVES = [
     "alpha", "bravo", "cobalt", "delta", "ember", "frost", "glint", "harbor",
@@ -80,8 +80,7 @@ class SynthWorld:
     bias_table: np.ndarray            # (n_surfaces, n_devices)
 
     def user_latent(self, user: int, day: int) -> np.ndarray:
-        cat = self.user_primary[user] if day < self.user_switch_day[user] else self.user_secondary[user]
-        z = self.category_centers[cat] + self.user_base[user]
+        z = self.category_centers[self.user_category(user, day)] + self.user_base[user]
         return z / np.linalg.norm(z)
 
     def user_category(self, user: int, day: int) -> int:
@@ -202,6 +201,18 @@ def _items_of_category(world: SynthWorld, cat: int) -> np.ndarray:
     return np.nonzero(world.item_categories == cat)[0]
 
 
+def _slate(world: SynthWorld, cat: int, rng) -> tuple[list[int], dict[str, list[int]]]:
+    """An impression group's items (up to group_size - 2 distinct ones from
+    category `cat`, the rest uniform over the catalog) and all-zero labels."""
+    cfg = world.config
+    in_cat = _items_of_category(world, cat)
+    k_rel = max(cfg.group_size - 2, 1)
+    rel = rng.choice(in_cat, size=min(k_rel, len(in_cat)), replace=False)
+    rest = rng.integers(0, cfg.n_items, size=cfg.group_size - len(rel))
+    items = [int(i) for i in np.concatenate([rel, rest])]
+    return items, {s: [0] * len(items) for s in SIGNALS}
+
+
 def _funnel_events(user: int, day: int, item: int, title: str, surface, rng,
                    p_cart=0.3, p_prch=0.35, p_fvrt=0.12):
     """Click plus optional deeper funnel steps, in funnel order."""
@@ -219,7 +230,7 @@ def _funnel_events(user: int, day: int, item: int, title: str, surface, rng,
     return events, signals
 
 
-def simulate_logs(world: SynthWorld, days: int | None = None,
+def simulate_logs(world: SynthWorld,
                   bias_override: float | None = None) -> list[LogRecord]:
     """Day-ordered stream of organic events, web queries, and impressions.
 
@@ -227,9 +238,7 @@ def simulate_logs(world: SynthWorld, days: int | None = None,
     context-balanced logs, used for fair evaluation sets).
     """
     cfg = world.config
-    if days is None:
-        days = cfg.days
-    if days < 2:
+    if cfg.days < 2:
         raise ValueError("need days >= 2")
     rng = np.random.default_rng(cfg.seed + 1)
     if bias_override is None:
@@ -239,7 +248,7 @@ def simulate_logs(world: SynthWorld, days: int | None = None,
     else:
         bias = world.bias_table * (bias_override / cfg.bias_strength)
     records: list[LogRecord] = []
-    for day in range(days):
+    for day in range(cfg.days):
         for user in range(cfg.n_users):
             z_u = world.user_latent(user, day)
             cat = world.user_category(user, day)
@@ -272,12 +281,7 @@ def simulate_logs(world: SynthWorld, days: int | None = None,
                 else:
                     surface = int(rng.integers(0, cfg.n_surfaces))
                 b_ctx = float(bias[surface, device])
-                in_cat = _items_of_category(world, cat)
-                k_rel = max(cfg.group_size - 2, 1)
-                rel = rng.choice(in_cat, size=min(k_rel, len(in_cat)), replace=False)
-                rest = rng.integers(0, cfg.n_items, size=cfg.group_size - len(rel))
-                items = [int(i) for i in np.concatenate([rel, rest])]
-                labels = {s: [0] * len(items) for s in ("click", "cart", "fvrt", "prch")}
+                items, labels = _slate(world, cat, rng)
                 for pos, item in enumerate(items):
                     p_click = _sigmoid(cfg.relevance_scale * float(z_u @ world.item_latents[item])
                                        + b_ctx + cfg.click_offset)
@@ -313,12 +317,7 @@ def make_balanced_eval_groups(world: SynthWorld, start_day: int, end_day: int,
             cat = world.user_category(user, day)
             surface = (user + g) % cfg.n_surfaces
             device = int(world.user_device[user])
-            in_cat = _items_of_category(world, cat)
-            k_rel = max(cfg.group_size - 2, 1)
-            rel = rng.choice(in_cat, size=min(k_rel, len(in_cat)), replace=False)
-            rest = rng.integers(0, cfg.n_items, size=cfg.group_size - len(rel))
-            items = [int(i) for i in np.concatenate([rel, rest])]
-            labels = {s: [0] * len(items) for s in ("click", "cart", "fvrt", "prch")}
+            items, labels = _slate(world, cat, rng)
             for pos, item in enumerate(items):
                 p = _sigmoid(cfg.relevance_scale * float(z_u @ world.item_latents[item])
                              + cfg.click_offset)

@@ -74,6 +74,21 @@ def test_score_unknown_user(workspace, monkeypatch, capsys):
     assert captured.err.strip() == "unknown user id 999"
 
 
+@pytest.mark.parametrize("command, artifact", [("score", "users.emb"),
+                                               ("evaluate", "finetune.ckpt")])
+def test_truncated_artifact_exit_code(workspace, tmp_path, monkeypatch, capsys,
+                                      command, artifact):
+    out = tmp_path / "corrupt"
+    out.mkdir()
+    for name in ("logs.ndjson", "vocab.txt", "users.emb", "items.emb"):
+        (out / name).write_bytes((workspace / name).read_bytes())
+    (out / artifact).write_bytes((workspace / artifact).read_bytes()[:10])
+    monkeypatch.setattr("sys.stdin", io.StringIO("3\n"))
+    extra = ["--user", "1"] if command == "score" else ["--checkpoint", str(out / artifact)]
+    assert run(command, out, *extra) == EXIT_INVARIANT
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_missing_artifact_exit_code(tmp_path):
     assert run("pretrain", tmp_path / "empty") == EXIT_MISSING
     assert run("export", tmp_path / "empty2") == EXIT_MISSING

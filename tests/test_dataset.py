@@ -6,8 +6,23 @@ import pytest
 from tworank.dataset import (attach_history, build_finetune_groups,
                              build_pretrain_samples, close_funnel_labels,
                              serving_histories, time_split)
-from tworank.synth import EventRecord
-from tworank.types import Event, EventType, ImpressionGroup, UserHistory
+from tworank.synth import EventRecord, make_balanced_eval_groups
+from tworank.types import SIGNALS, Event, EventType, ImpressionGroup, UserHistory
+
+
+def _group(user_id, day):
+    return ImpressionGroup(user_id=user_id, day=day, surface_id=0, device_id=0,
+                           item_ids=[1, 2], labels={s: [1, 0] for s in SIGNALS})
+
+
+def _serving(records, delay=1, max_history=64):
+    return serving_histories(records, [7], 3, delay, max_history, True)
+
+
+# every function that builds delayed histories, called with records and options
+HISTORY_FNS = (build_pretrain_samples, build_finetune_groups,
+            lambda records, **kw: attach_history([_group(7, 3)], records, **kw),
+            _serving)
 
 
 def test_pretrain_samples_obey_delay(small_logs):
@@ -40,8 +55,52 @@ def test_pretrain_history_truncated(small_logs):
 
 
 def test_negative_delay_rejected(small_logs):
-    with pytest.raises(ValueError):
-        build_pretrain_samples(small_logs, delay=-1)
+    for build in HISTORY_FNS:
+        with pytest.raises(ValueError, match="delay"):
+            build(small_logs, delay=-1)
+        with pytest.raises(ValueError, match="max_history"):
+            build(small_logs, max_history=0)
+
+
+def test_events_out_of_day_order_rejected():
+    # the cutoff of every request drops the day-4 event, so only the order
+    # check sees that user 7 goes back from day 4 to day 1
+    records = [EventRecord(7, Event(4, EventType.CLICK, "thing", 1)),
+               EventRecord(7, Event(1, EventType.CLICK, "thing", 1)),
+               _group(7, 3)]
+    for build in HISTORY_FNS:
+        with pytest.raises(ValueError, match="day order"):
+            build(records)
+
+
+def _scan_histories(records, user_ids, cutoff, max_history, include_web):
+    """The delayed-history rule as one plain scan over the logs, for one
+    cutoff day (the loop `tworank export` once spelled out on its own)."""
+    per_user = {u: [] for u in user_ids}
+    for rec in records:
+        if isinstance(rec, EventRecord) and rec.event.day <= cutoff:
+            if include_web or rec.event.item_id is not None:
+                per_user[rec.user_id].append(rec.event)
+    return {u: UserHistory(u, ev[-max_history:]) for u, ev in per_user.items()}
+
+
+@pytest.mark.parametrize("delay, max_history, include_web",
+                         [(1, 5, True), (0, 3, False), (2, 64, True)])
+def test_histories_match_scan_rule(small_world, small_logs, delay, max_history,
+                                   include_web):
+    cfg = small_world.config
+    users = range(cfg.n_users)
+    want = {day: _scan_histories(small_logs, users, day - delay, max_history, include_web)
+            for day in range(cfg.days)}
+    kw = dict(delay=delay, max_history=max_history, include_web=include_web)
+    samples = build_pretrain_samples(small_logs, **kw)
+    groups = build_finetune_groups(small_logs, **kw)
+    eval_groups = attach_history(make_balanced_eval_groups(small_world, 6, cfg.days),
+                                 small_logs, **kw)
+    assert samples and groups and eval_groups
+    for x in samples + groups + eval_groups:
+        assert x.history == want[x.day][x.user_id]
+    assert any(len(x.history.events) == max_history for x in samples)
 
 
 # ---------------------------------------------------------------------------
@@ -88,21 +147,20 @@ def test_positive_free_group_dropped():
 
 def test_attach_history_delay():
     events = [EventRecord(7, Event(d, EventType.CLICK, "thing", 1)) for d in range(6)]
-    group = ImpressionGroup(user_id=7, day=4, surface_id=0, device_id=0,
-                            item_ids=[1, 2],
-                            labels={s: [1, 0] for s in ("click", "cart", "fvrt", "prch")})
-    attach_history(group, events, delay=2, max_history=10)
-    assert [e.day for e in group.history.events] == [0, 1, 2]
+    groups = [_group(7, 4)]
+    assert attach_history(groups, events, delay=2, max_history=10) is groups
+    assert [e.day for e in groups[0].history.events] == [0, 1, 2]
 
 
-def _export_loop_histories(records, user_ids, cutoff, max_history, include_web):
-    """The history rule `tworank export` used to spell out on its own."""
-    per_user = {u: [] for u in user_ids}
-    for rec in records:
-        if isinstance(rec, EventRecord) and rec.event.day <= cutoff:
-            if include_web or rec.event.item_id is not None:
-                per_user[rec.user_id].append(rec.event)
-    return {u: UserHistory(u, ev[-max_history:]) for u, ev in per_user.items()}
+def test_attach_history_to_several_groups():
+    events = [EventRecord(u, Event(d, EventType.CLICK, f"thing {u}", 1))
+              for d in range(6) for u in (7, 8)]
+    groups = [_group(7, 4), _group(9, 4), _group(8, 6), _group(7, 1)]
+    attach_history(groups, events, delay=1, max_history=2)
+    assert [[(e.day, e.text) for e in g.history.events] for g in groups] == [
+        [(2, "thing 7"), (3, "thing 7")], [], [(4, "thing 8"), (5, "thing 8")],
+        [(0, "thing 7")]]
+    assert [g.history.user_id for g in groups] == [7, 9, 8, 7]
 
 
 @pytest.mark.parametrize("include_web", [True, False])
@@ -110,7 +168,7 @@ def test_serving_histories_match_export_loop(small_world, small_logs, include_we
     cfg = small_world.config
     users = range(cfg.n_users + 1)  # the last id has no events
     got = serving_histories(small_logs, users, cfg.days, 1, 5, include_web)
-    assert got == _export_loop_histories(small_logs, users, cfg.days - 1, 5, include_web)
+    assert got == _scan_histories(small_logs, users, cfg.days - 1, 5, include_web)
     assert got[cfg.n_users] == UserHistory(cfg.n_users, [])
     assert any(len(h.events) == 5 for h in got.values())
     has_web = any(e.event_type is EventType.WEB_QUERY for h in got.values() for e in h.events)
