@@ -23,7 +23,8 @@ def _delayed_histories(records: list[LogRecord], requests, delay: int,
     """The delayed-history rule, one pass over `records`: for each
     (user_id, day) request, the user's events on or before day - delay,
     the most recent `max_history` of them, web queries only with
-    `include_web`. Each user's events must come in day order."""
+    `include_web`. Each user's events must come in day order. Requests
+    that cut a user's events at the same place share one history."""
     if delay < 0:
         raise ValueError("delay must be >= 0")
     if max_history < 1:
@@ -43,11 +44,10 @@ def _delayed_histories(records: list[LogRecord], requests, delay: int,
         if include_web or ev.event_type is not EventType.WEB_QUERY:
             days[rec.user_id].append(ev.day)
             events[rec.user_id].append(ev)
-    out = []
-    for user, day in requests:
-        end = bisect_right(days.get(user, ()), day - delay)
-        out.append(UserHistory(user, events.get(user, [])[max(end - max_history, 0):end]))
-    return out
+    cuts = [(user, bisect_right(days.get(user, ()), day - delay)) for user, day in requests]
+    built = {(user, end): UserHistory(user, events.get(user, [])[max(end - max_history, 0):end])
+             for user, end in dict.fromkeys(cuts)}
+    return [built[cut] for cut in cuts]
 
 
 def build_pretrain_samples(records: list[LogRecord], delay: int = DEFAULT_DELAY,

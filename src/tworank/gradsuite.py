@@ -7,9 +7,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradcheckReport, Tensor, gradcheck
-from .model import (ModelParams, TowerConfig, batch_histories, init_params,
-                    item_tower_forward_batch, similarity,
-                    user_tower_forward_batch)
+from .model import (ModelParams, TowerConfig, batch_histories, content_embed_batch,
+                    init_params, item_tower_forward_batch, user_tower_forward_batch)
 from .types import Event, EventType, UserHistory
 
 
@@ -83,16 +82,12 @@ def end_to_end_gradcheck(tol: float = 1e-4) -> GradcheckReport:
         return [token_map[w] for w in text.split()]
 
     hb = batch_histories([history], tok, cfg)
-    title_ids = np.array([[7, 8, 9]])
-    title_mask = np.ones((1, 3))
     names = params.names()
 
     def forward(*tensors):
         p = ModelParams(cfg, dict(zip(names, tensors)))
         user = user_tower_forward_batch(hb, p)
-        rows = ad.gather(p["embeddings.content"], title_ids.reshape(-1))
-        content = ad.tsum(ad.mul(ad.reshape(rows, (1, 3, cfg.d)),
-                                 Tensor(title_mask[..., None])), axis=1)
+        content = content_embed_batch(np.array([[7, 8, 9]]), np.ones((1, 3)), p)
         item = item_tower_forward_batch(content, p)
         return ad.tsum(ad.mul(user, item))
 

@@ -1,4 +1,4 @@
-"""Two-tower model: item tower, user tower, context tower, similarity.
+"""Two-tower model: featurization, item tower, user tower, context tower, similarity.
 
 Parameters live in a flat name -> Tensor map partitioned into four named
 groups (embeddings, transformer, candidate_tower, loss_params). Forward
@@ -207,6 +207,73 @@ def init_params(config: TowerConfig, seed: int = 0) -> ModelParams:
 
 
 # ---------------------------------------------------------------------------
+# featurization
+# ---------------------------------------------------------------------------
+
+
+def pad_tokens(token_lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Token id lists -> (N, L) int64 ids, PAD=0 padded, and their float
+    mask (1 for real tokens); L is the longest list, at least 1."""
+    lengths = np.array([len(t) for t in token_lists], dtype=np.int64)
+    real = np.arange(max(lengths.max(initial=0), 1)) < lengths[:, None]
+    ids = np.zeros(real.shape, dtype=np.int64)
+    ids[real] = [tok for toks in token_lists for tok in toks]
+    return ids, real.astype(np.float64)
+
+
+def content_embed_batch(ids: np.ndarray, mask: np.ndarray, params: ModelParams) -> Tensor:
+    """(..., L) padded token ids -> (..., d) CBOW sums of content rows: the
+    one content representation of item titles and history events."""
+    rows = ad.gather(params["embeddings.content"], ids.reshape(-1))
+    rows = ad.reshape(rows, ids.shape + (params.config.d,))
+    rows = ad.mul(rows, Tensor(mask[..., None]))
+    return ad.tsum(rows, axis=ids.ndim - 1)
+
+
+class TitleEmbedder:
+    """Catalog titles tokenized once, padded per batch."""
+
+    def __init__(self, titles: dict[int, str], tokenize_fn):
+        self.token_ids = {i: tokenize_fn(t) for i, t in titles.items()}
+
+    def batch(self, item_ids) -> tuple[np.ndarray, np.ndarray]:
+        return pad_tokens([self.token_ids[i] for i in item_ids])
+
+
+@dataclass
+class HistoryBatch:
+    """Padded numpy feature arrays for a batch of user histories."""
+
+    token_ids: np.ndarray   # (B, T, L) int64, PAD=0 padded
+    token_mask: np.ndarray  # (B, T, L) float, 1 for real tokens
+    pos_ids: np.ndarray     # (B, T) int64, reversed chronology (latest = 0)
+    type_ids: np.ndarray    # (B, T) int64
+    event_mask: np.ndarray  # (B, T) float, 1 for real events
+
+
+def batch_histories(histories: list[UserHistory], tokenize_fn: Callable[[str], list[int]],
+                    config: TowerConfig) -> HistoryBatch:
+    """Tokenize and pad histories into dense arrays. Histories longer than
+    max_history are rejected; truncation is the caller's job."""
+    lengths = np.array([len(h.events) for h in histories], dtype=np.int64)
+    over = np.flatnonzero(lengths > config.max_history)
+    if over.size:
+        raise ValueError(f"history of user {histories[over[0]].user_id} has {lengths[over[0]]}"
+                         f" events > max_history {config.max_history}")
+    events = [e for h in histories for e in h.events]
+    ids, mask = pad_tokens([tokenize_fn(e.text) for e in events])
+    slots = np.arange(max(lengths.max(initial=0), 1))
+    real = slots < lengths[:, None]  # (B, T), events fill each row from the left
+    token_ids = np.zeros(real.shape + ids.shape[1:], dtype=np.int64)
+    token_mask = np.zeros(token_ids.shape)
+    token_ids[real], token_mask[real] = ids, mask
+    pos_ids = np.where(real, lengths[:, None] - 1 - slots, 0)  # latest event gets 0
+    type_ids = np.zeros(real.shape, dtype=np.int64)
+    type_ids[real] = [EVENT_TYPE_IDS[e.event_type] for e in events]
+    return HistoryBatch(token_ids, token_mask, pos_ids, type_ids, real.astype(np.float64))
+
+
+# ---------------------------------------------------------------------------
 # item tower
 # ---------------------------------------------------------------------------
 
@@ -232,65 +299,13 @@ def item_tower_forward(title_embedding: Tensor, params: ModelParams) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HistoryBatch:
-    """Padded numpy feature arrays for a batch of user histories."""
-
-    token_ids: np.ndarray   # (B, T, L) int64, PAD=0 padded
-    token_mask: np.ndarray  # (B, T, L) float, 1 for real tokens
-    pos_ids: np.ndarray     # (B, T) int64, reversed chronology (latest = 0)
-    type_ids: np.ndarray    # (B, T) int64
-    event_mask: np.ndarray  # (B, T) float, 1 for real events
-
-    @property
-    def batch_size(self):
-        return self.token_ids.shape[0]
-
-
-def batch_histories(histories: list[UserHistory], tokenize_fn: Callable[[str], list[int]],
-                    config: TowerConfig) -> HistoryBatch:
-    """Tokenize and pad histories into dense arrays. Histories longer than
-    max_history are rejected; truncation is the caller's job."""
-    for h in histories:
-        if len(h.events) > config.max_history:
-            raise ValueError(
-                f"history of user {h.user_id} has {len(h.events)} events"
-                f" > max_history {config.max_history}"
-            )
-    token_lists = [[tokenize_fn(e.text) for e in h.events] for h in histories]
-    B = len(histories)
-    T = max((len(h.events) for h in histories), default=0)
-    T = max(T, 1)
-    L = max((len(t) for lists in token_lists for t in lists), default=0)
-    L = max(L, 1)
-    token_ids = np.zeros((B, T, L), dtype=np.int64)
-    token_mask = np.zeros((B, T, L))
-    pos_ids = np.zeros((B, T), dtype=np.int64)
-    type_ids = np.zeros((B, T), dtype=np.int64)
-    event_mask = np.zeros((B, T))
-    for bi, h in enumerate(histories):
-        n = len(h.events)
-        for ei, ev in enumerate(h.events):
-            toks = token_lists[bi][ei]
-            token_ids[bi, ei, : len(toks)] = toks
-            token_mask[bi, ei, : len(toks)] = 1.0
-            pos_ids[bi, ei] = n - 1 - ei  # latest event gets position 0
-            type_ids[bi, ei] = EVENT_TYPE_IDS[ev.event_type]
-            event_mask[bi, ei] = 1.0
-    return HistoryBatch(token_ids, token_mask, pos_ids, type_ids, event_mask)
-
-
 def encode_events_batch(batch: HistoryBatch, params: ModelParams):
     """Per-event content + position + event-type embeddings, layer-normed;
     [CLS] (not layer-normed) prepended. Returns ((B, T+1, d) tensor,
     (B, T+1) key mask)."""
-    cfg = params.config
-    B, T, L = batch.token_ids.shape
-    d = cfg.d
-    content_rows = ad.gather(params["embeddings.content"], batch.token_ids.reshape(-1))
-    content = ad.reshape(content_rows, (B, T, L, d))
-    content = ad.mul(content, Tensor(batch.token_mask[..., None]))
-    content = ad.tsum(content, axis=2)  # (B, T, d) CBOW sums
+    B, T, _L = batch.token_ids.shape
+    d = params.config.d
+    content = content_embed_batch(batch.token_ids, batch.token_mask, params)  # (B, T, d)
     pos = ad.reshape(ad.gather(params["embeddings.position"], batch.pos_ids.reshape(-1)), (B, T, d))
     typ = ad.reshape(ad.gather(params["embeddings.event_type"], batch.type_ids.reshape(-1)), (B, T, d))
     ev = content + pos + typ
@@ -312,7 +327,7 @@ def user_tower_forward_batch(batch: HistoryBatch, params: ModelParams) -> Tensor
     contextualized [CLS] output, l2-normalized, is the user embedding."""
     cfg = params.config
     seq, mask = encode_events_batch(batch, params)
-    B = batch.batch_size
+    B = batch.token_ids.shape[0]
     S = seq.shape[1]
     H, dh = cfg.user_heads, cfg.d // cfg.user_heads
     x = seq

@@ -14,13 +14,12 @@ from .dataset import (attach_history, build_finetune_groups,
                       build_pretrain_samples, time_split)
 from .evaluate import EvalReport, discovery_subset, mean_ndcg
 from .losses import click_logit, temperature
-from .model import (ModelParams, TowerConfig, batch_histories, context_score,
-                    init_params, user_tower_forward_batch)
+from .model import (ModelParams, TitleEmbedder, TowerConfig, batch_histories,
+                    context_score, init_params, user_tower_forward_batch)
 from .synth import (EventRecord, SynthConfig, SynthWorld, generate_world,
                     make_balanced_eval_groups, simulate_logs)
 from .text import Vocab, build_vocab, tokenize
-from .train import (TitleEmbedder, TrainConfig, finetune_run,
-                    item_embeddings_for, pretrain_run)
+from .train import TrainConfig, finetune_run, item_embeddings_for, pretrain_run
 from .types import ContextFeatures, ImpressionGroup
 
 TEST_DAYS = 10

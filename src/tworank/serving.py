@@ -8,14 +8,14 @@ u32 dim, u64 count, then per record u64 id + dim float32 values.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
 
 from .autodiff import no_grad
-from .model import (ModelParams, batch_histories, item_tower_forward_batch,
-                    user_tower_forward_batch)
-from .train import TitleEmbedder, content_embed_batch
+from .model import (ModelParams, TitleEmbedder, batch_histories, content_embed_batch,
+                    item_tower_forward_batch, user_tower_forward_batch)
 from .types import UserHistory
 
 EMB_MAGIC = b"EMB1"
@@ -24,17 +24,21 @@ KIND_ITEM = 1
 _KIND_NAMES = {KIND_USER: "user", KIND_ITEM: "item"}
 
 
+def _record_dtype(dim: int) -> np.dtype:
+    return np.dtype([("id", "<u8"), ("vec", "<f4", (dim,))])
+
+
 class EmbeddingTable:
     """Immutable id -> unit-norm vector map backed by a hash table."""
 
     def __init__(self, kind: int, dim: int, ids: np.ndarray, vectors: np.ndarray):
-        if len(ids) != len(set(int(i) for i in ids)):
-            raise ValueError("duplicate ids in embedding table")
         self.kind = kind
         self.dim = dim
         self.ids = np.asarray(ids, dtype=np.uint64)
         self.vectors = np.asarray(vectors, dtype=np.float32)
-        self._index = {int(i): r for r, i in enumerate(self.ids)}
+        self._index = dict(zip(self.ids.tolist(), range(len(self.ids))))
+        if len(self._index) != len(self.ids):
+            raise ValueError("duplicate ids in embedding table")
 
     def __len__(self):
         return len(self.ids)
@@ -49,12 +53,12 @@ class EmbeddingTable:
         return self.vectors[row]
 
     def save(self, path) -> None:
+        records = np.empty(len(self.ids), dtype=_record_dtype(self.dim))
+        records["id"], records["vec"] = self.ids, self.vectors
         with open(path, "wb") as fh:
             fh.write(EMB_MAGIC)
             fh.write(struct.pack("<BIQ", self.kind, self.dim, len(self.ids)))
-            for i, row in zip(self.ids, self.vectors):
-                fh.write(struct.pack("<Q", int(i)))
-                fh.write(np.ascontiguousarray(row, dtype="<f4").tobytes())
+            records.tofile(fh)
 
     @classmethod
     def load(cls, path) -> "EmbeddingTable":
@@ -62,12 +66,12 @@ class EmbeddingTable:
             if fh.read(4) != EMB_MAGIC:
                 raise ValueError(f"{path}: not an embedding file (bad magic)")
             kind, dim, count = struct.unpack("<BIQ", fh.read(13))
-            ids = np.empty(count, dtype=np.uint64)
-            vectors = np.empty((count, dim), dtype=np.float32)
-            for r in range(count):
-                (ids[r],) = struct.unpack("<Q", fh.read(8))
-                vectors[r] = np.frombuffer(fh.read(4 * dim), dtype="<f4")
-        return cls(kind, dim, ids, vectors)
+            record = _record_dtype(dim)
+            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            if count * record.itemsize != size:
+                raise ValueError(f"{path}: {size} bytes hold no {count} records of dim {dim}")
+            records = np.fromfile(fh, dtype=record, count=count)
+        return cls(kind, dim, records["id"], records["vec"])
 
 
 def export_embeddings(params: ModelParams, user_histories: dict[int, UserHistory],
@@ -93,9 +97,8 @@ def export_embeddings(params: ModelParams, user_histories: dict[int, UserHistory
         item_vecs = np.empty((len(item_ids), cfg.d), dtype=np.float32)
         for lo in range(0, len(item_ids), batch_size):
             chunk = item_ids[lo: lo + batch_size]
-            ids, mask = embedder.batch(chunk)
-            emb = item_tower_forward_batch(content_embed_batch(ids, mask, params), params)
-            item_vecs[lo: lo + len(chunk)] = emb.data
+            content = content_embed_batch(*embedder.batch(chunk), params)
+            item_vecs[lo: lo + len(chunk)] = item_tower_forward_batch(content, params).data
 
     users = EmbeddingTable(KIND_USER, cfg.d, np.array(user_ids), user_vecs)
     items = EmbeddingTable(KIND_ITEM, cfg.d, np.array(item_ids), item_vecs)

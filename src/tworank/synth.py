@@ -360,24 +360,41 @@ def write_logs(world: SynthWorld, records: list[LogRecord], path) -> None:
                 }) + "\n")
 
 
+_OPT_INT = (int, type(None))
+# the JSON type of each field of each log line type, as write_logs writes them
+_LOG_FIELDS = {
+    "item": dict(id=int, title=str, category=int),
+    "event": dict(day=int, user=int, event=str, text=str, item=_OPT_INT, surface=_OPT_INT),
+    "impression": dict(day=int, user=int, surface=int, device=int, items=list, signals=dict),
+}
+
+
 def read_logs(path):
-    """Returns (catalog: {item_id: (title, category)}, records)."""
+    """Returns (catalog: {item_id: (title, category)}, records). A bad line
+    (not JSON, a missing or mistyped field) raises ValueError naming it."""
     catalog: dict[int, tuple[str, int]] = {}
     records: list[LogRecord] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            obj = json.loads(line)
-            kind = obj["type"]
-            if kind == "item":
-                catalog[obj["id"]] = (obj["title"], obj["category"])
-            elif kind == "event":
-                records.append(EventRecord(obj["user"], Event(
-                    obj["day"], EventType(obj["event"]), obj["text"],
-                    obj["item"], obj["surface"])))
-            elif kind == "impression":
-                records.append(ImpressionGroup(
-                    user_id=obj["user"], day=obj["day"], surface_id=obj["surface"],
-                    device_id=obj["device"], item_ids=obj["items"], labels=obj["signals"]))
-            else:
-                raise ValueError(f"unknown log record type {kind!r}")
+        for lineno, line in enumerate(fh, 1):
+            try:
+                obj = json.loads(line)
+                kind = obj.get("type") if isinstance(obj, dict) else None
+                if not isinstance(kind, str) or kind not in _LOG_FIELDS:
+                    raise ValueError(f"unknown log record type {kind!r}")
+                bad = [k for k, t in _LOG_FIELDS[kind].items() if k not in obj
+                       or not isinstance(obj[k], t) or isinstance(obj[k], bool)]
+                if bad:
+                    raise ValueError(f"{kind} line lacks or mistypes field(s) {bad}")
+                if kind == "item":
+                    catalog[obj["id"]] = (obj["title"], obj["category"])
+                elif kind == "event":
+                    records.append(EventRecord(obj["user"], Event(
+                        obj["day"], EventType(obj["event"]), obj["text"],
+                        obj["item"], obj["surface"])))
+                else:
+                    records.append(ImpressionGroup(
+                        user_id=obj["user"], day=obj["day"], surface_id=obj["surface"],
+                        device_id=obj["device"], item_ids=obj["items"], labels=obj["signals"]))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
     return catalog, records

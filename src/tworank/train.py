@@ -12,9 +12,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, backward
-from .model import (FROZEN_IN_CONTINUOUS, GROUP_NAMES, ModelParams, TowerConfig,
-                    batch_histories, context_score, init_params,
-                    item_tower_forward_batch, similarity_matrix,
+from .model import (FROZEN_IN_CONTINUOUS, GROUP_NAMES, ModelParams, TitleEmbedder,
+                    TowerConfig, batch_histories, content_embed_batch, context_score,
+                    init_params, item_tower_forward_batch, similarity_matrix,
                     user_tower_forward_batch)
 from .losses import finetune_objective, pretrain_loss_matrix, temperature
 from .types import ContextFeatures, ImpressionGroup, PretrainSample
@@ -133,44 +133,13 @@ def _grads_by_name(loss, params: ModelParams) -> dict[str, np.ndarray]:
             if np.any(tensor_grads[params.tensors[n]])}
 
 
-class TitleEmbedder:
-    """Precomputed token ids for catalog titles, padded per batch."""
-
-    def __init__(self, titles: dict[int, str], tokenize_fn):
-        self.token_ids = {i: tokenize_fn(t) for i, t in titles.items()}
-
-    def batch(self, item_ids):
-        toks = [self.token_ids[i] for i in item_ids]
-        L = max((len(t) for t in toks), default=1)
-        L = max(L, 1)
-        ids = np.zeros((len(toks), L), dtype=np.int64)
-        mask = np.zeros((len(toks), L))
-        for r, t in enumerate(toks):
-            ids[r, : len(t)] = t
-            mask[r, : len(t)] = 1.0
-        return ids, mask
-
-
-def content_embed_batch(ids: np.ndarray, mask: np.ndarray, params: ModelParams) -> Tensor:
-    """(B, L) padded token ids -> (B, d) CBOW sums."""
-    B, L = ids.shape
-    d = params.config.d
-    rows = ad.gather(params["embeddings.content"], ids.reshape(-1))
-    rows = ad.reshape(rows, (B, L, d))
-    rows = ad.mul(rows, Tensor(mask[..., None]))
-    return ad.tsum(rows, axis=1)
-
-
 def item_embeddings_for(item_ids, embedder: TitleEmbedder, params: ModelParams) -> Tensor:
-    ids, mask = embedder.batch(item_ids)
-    return item_tower_forward_batch(content_embed_batch(ids, mask, params), params)
+    return item_tower_forward_batch(content_embed_batch(*embedder.batch(item_ids), params), params)
 
 
-def _num_steps(n_records: int, config: TrainConfig) -> int:
-    total = (n_records // config.batch_size) * config.epochs
-    if config.max_steps:
-        total = min(total, config.max_steps)
-    return total
+def _num_steps(n_batches: int, config: TrainConfig) -> int:
+    total = n_batches * config.epochs
+    return min(total, config.max_steps) if config.max_steps else total
 
 
 def pretrain_run(samples: list[PretrainSample], config: TrainConfig,
@@ -185,7 +154,7 @@ def pretrain_run(samples: list[PretrainSample], config: TrainConfig,
         raise ValueError(f"{len(samples)} pretrain samples fill no batch of "
                          f"batch_size {config.batch_size}")
     params = init.copy() if init is not None else init_params(tower_config, seed=config.seed)
-    n_steps = _num_steps(len(samples), config)
+    n_steps = _num_steps(len(samples) // config.batch_size, config)
     schedule = Schedule(min(config.warmup_steps, n_steps), n_steps, config.schedule_mode)
     opt = AdamOptimizer(params, config, schedule)
     embedder = TitleEmbedder(titles, tokenize_fn)
@@ -256,9 +225,7 @@ def finetune_run(groups: list[ImpressionGroup], init: ModelParams,
     if not groups:
         raise ValueError("empty fine-tuning group stream")
     params = init.copy()  # never mutate the caller's checkpoint
-    n_steps = max((len(groups) + group_batch - 1) // group_batch, 1) * config.epochs
-    if config.max_steps:
-        n_steps = min(n_steps, config.max_steps)
+    n_steps = _num_steps((len(groups) + group_batch - 1) // group_batch, config)
     schedule = Schedule(min(config.warmup_steps, n_steps), n_steps, config.schedule_mode)
     opt = AdamOptimizer(params, config, schedule, frozen_prefixes=frozen_prefixes)
     embedder = TitleEmbedder(titles, tokenize_fn)

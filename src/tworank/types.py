@@ -53,7 +53,8 @@ class Event:
 
 @dataclass
 class UserHistory:
-    """Chronologically ascending events, truncated to the most recent."""
+    """Chronologically ascending events, truncated to the most recent.
+    Samples and groups may share one history object; no code mutates it."""
 
     user_id: int
     events: list[Event] = field(default_factory=list)

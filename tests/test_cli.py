@@ -2,6 +2,7 @@
 
 import io
 import json
+import struct
 
 import pytest
 
@@ -74,19 +75,37 @@ def test_score_unknown_user(workspace, monkeypatch, capsys):
     assert captured.err.strip() == "unknown user id 999"
 
 
-@pytest.mark.parametrize("command, artifact", [("score", "users.emb"),
-                                               ("evaluate", "finetune.ckpt")])
+@pytest.mark.parametrize("command, artifact, corrupt", [
+    pytest.param("score", "users.emb", lambda raw: raw[:10], id="score-users.emb"),
+    pytest.param("evaluate", "finetune.ckpt", lambda raw: raw[:10], id="evaluate-finetune.ckpt"),
+    # an EMB file whose size disagrees with its header's record count
+    pytest.param("score", "users.emb", lambda raw: raw[:-1], id="score-users.emb-short"),
+    pytest.param("score", "users.emb", lambda raw: raw + b"\x00", id="score-users.emb-long"),
+    pytest.param("score", "users.emb", lambda raw: raw[:9] + struct.pack("<Q", 1 << 62) + raw[17:],
+                 id="score-users.emb-huge-count"),
+])
 def test_truncated_artifact_exit_code(workspace, tmp_path, monkeypatch, capsys,
-                                      command, artifact):
+                                      command, artifact, corrupt):
     out = tmp_path / "corrupt"
     out.mkdir()
     for name in ("logs.ndjson", "vocab.txt", "users.emb", "items.emb"):
         (out / name).write_bytes((workspace / name).read_bytes())
-    (out / artifact).write_bytes((workspace / artifact).read_bytes()[:10])
+    (out / artifact).write_bytes(corrupt((workspace / artifact).read_bytes()))
     monkeypatch.setattr("sys.stdin", io.StringIO("3\n"))
     extra = ["--user", "1"] if command == "score" else ["--checkpoint", str(out / artifact)]
     assert run(command, out, *extra) == EXIT_INVARIANT
-    assert "Traceback" not in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["pretrain", "build-vocab"])
+def test_log_line_missing_field_exit_code(tmp_path, capsys, command):
+    (tmp_path / "logs.ndjson").write_text('{"type": "item", "id": 0, "title": "a b", '
+                                          '"category": 0}\n{"type": "event", "day": 1}\n')
+    assert run(command, tmp_path) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "logs.ndjson line 2" in err and "'user'" in err
+    assert "Traceback" not in err
 
 
 def test_missing_artifact_exit_code(tmp_path):

@@ -103,6 +103,21 @@ def test_histories_match_scan_rule(small_world, small_logs, delay, max_history,
     assert any(len(x.history.events) == max_history for x in samples)
 
 
+def test_samples_with_one_cut_share_one_history():
+    """Two positives of one user on one day see the same delayed history,
+    so they get one object; a later day that adds events gets another."""
+    records = [EventRecord(7, Event(1, EventType.CLICK, "old thing", 1)),
+               EventRecord(7, Event(3, EventType.CLICK, "first thing", 2)),
+               EventRecord(7, Event(3, EventType.PURCHASE, "second thing", 3)),
+               EventRecord(7, Event(5, EventType.CLICK, "late thing", 4))]
+    first, second, third, fourth = build_pretrain_samples(records, delay=1)
+    assert second.history is third.history
+    assert [e.item_id for e in second.history.events] == [1]
+    assert fourth.history is not second.history
+    assert [e.item_id for e in fourth.history.events] == [1, 2, 3]
+    assert first.history.events == []
+
+
 # ---------------------------------------------------------------------------
 # funnel closure
 # ---------------------------------------------------------------------------

@@ -1,17 +1,24 @@
-"""Tower forward passes, parameter bookkeeping, and checkpointing."""
+"""Featurization, tower forward passes, parameter bookkeeping, and
+checkpointing."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tworank import autodiff as ad
 from tworank.autodiff import Tensor
-from tworank.model import (FROZEN_IN_CONTINUOUS, GROUP_NAMES, ModelParams,
-                           TowerConfig, batch_histories, context_score,
+from tworank.model import (FROZEN_IN_CONTINUOUS, GROUP_NAMES, HistoryBatch, ModelParams,
+                           TitleEmbedder, TowerConfig, batch_histories,
+                           content_embed_batch, context_score,
                            context_unknown_ids, init_params,
                            item_tower_forward, item_tower_forward_batch,
                            similarity, similarity_matrix, user_tower_forward,
                            user_tower_forward_batch)
-from tworank.types import ContextFeatures, Event, EventType, UserHistory
+from tworank.text import content_embed
+from tworank.types import EVENT_TYPE_IDS, ContextFeatures, Event, EventType, UserHistory
 
 
 def _history(user=0, n=3):
@@ -200,6 +207,121 @@ def test_web_query_event_encodes(tiny_params, word_tokenizer):
     h = UserHistory(0, [Event(0, EventType.WEB_QUERY, "red anchor")])
     out = user_tower_forward(h, tiny_params, word_tokenizer)
     assert np.linalg.norm(out.data) == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# featurization against the per-row padding loops it replaced
+# ---------------------------------------------------------------------------
+
+ORACLE_CONFIG = TowerConfig(d=8, user_layers=1, user_heads=2, item_layers=1,
+                            max_history=4, vocab_size=32)
+ORACLE_PARAMS = init_params(ORACLE_CONFIG, seed=0)
+
+
+def _word_ids(text):
+    """The `word_tokenizer` fixture's rule: one id in [3, 32) per word."""
+    return [3 + (sum(map(ord, w)) % 29) for w in text.lower().split()]
+
+
+def _loop_batch_histories(histories, tokenize_fn):
+    """Per-event padding loops, the reference for `batch_histories`."""
+    token_lists = [[tokenize_fn(e.text) for e in h.events] for h in histories]
+    B = len(histories)
+    T = max(max((len(h.events) for h in histories), default=0), 1)
+    L = max(max((len(t) for lists in token_lists for t in lists), default=0), 1)
+    token_ids = np.zeros((B, T, L), dtype=np.int64)
+    token_mask = np.zeros((B, T, L))
+    pos_ids = np.zeros((B, T), dtype=np.int64)
+    type_ids = np.zeros((B, T), dtype=np.int64)
+    event_mask = np.zeros((B, T))
+    for bi, h in enumerate(histories):
+        n = len(h.events)
+        for ei, ev in enumerate(h.events):
+            toks = token_lists[bi][ei]
+            token_ids[bi, ei, : len(toks)] = toks
+            token_mask[bi, ei, : len(toks)] = 1.0
+            pos_ids[bi, ei] = n - 1 - ei
+            type_ids[bi, ei] = EVENT_TYPE_IDS[ev.event_type]
+            event_mask[bi, ei] = 1.0
+    return HistoryBatch(token_ids, token_mask, pos_ids, type_ids, event_mask)
+
+
+def _loop_pad_titles(token_lists):
+    """Per-row padding loop, the reference for `TitleEmbedder.batch`."""
+    L = max(max((len(t) for t in token_lists), default=1), 1)
+    ids = np.zeros((len(token_lists), L), dtype=np.int64)
+    mask = np.zeros((len(token_lists), L))
+    for r, t in enumerate(token_lists):
+        ids[r, : len(t)] = t
+        mask[r, : len(t)] = 1.0
+    return ids, mask
+
+
+def _assert_same_arrays(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+_WORDS = st.sampled_from(["red", "anchor", "cobalt", "drum", "new", "pro", "x"])
+_QUERY = st.lists(_WORDS, max_size=5).map(" ".join)  # may be empty: zero tokens
+_TITLE = st.lists(_WORDS, min_size=1, max_size=5).map(" ".join)
+
+
+@st.composite
+def _history_batches(draw):
+    """1-4 histories of 0..max_history day-ordered events of every type."""
+    batch = []
+    for user in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, ORACLE_CONFIG.max_history))
+        days = sorted(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
+        events = []
+        for day in days:
+            kind = draw(st.sampled_from(list(EventType)))
+            if kind is EventType.WEB_QUERY:
+                events.append(Event(day, kind, draw(_QUERY)))
+            else:
+                events.append(Event(day, kind, draw(_TITLE), item_id=day))
+        batch.append(UserHistory(user, events))
+    return batch
+
+
+@settings(max_examples=80, deadline=None)
+@given(_history_batches())
+@example([UserHistory(0, [])])
+@example([UserHistory(0, []), UserHistory(1, [Event(3, EventType.WEB_QUERY, "")])])
+@example([UserHistory(0, [Event(2, EventType.CLICK, "red anchor", 2)])])
+def test_batch_histories_matches_padding_loops(histories):
+    got = batch_histories(histories, _word_ids, ORACLE_CONFIG)
+    want = _loop_batch_histories(histories, _word_ids)
+    for f in fields(HistoryBatch):
+        _assert_same_arrays(getattr(got, f.name), getattr(want, f.name))
+    # CBOW over (B, T, L) ids: each real event's row sum, zero for padding
+    cbow = content_embed_batch(got.token_ids, got.token_mask, ORACLE_PARAMS).data
+    matrix = ORACLE_PARAMS["embeddings.content"]
+    for b, h in enumerate(histories):
+        for t in range(cbow.shape[1]):
+            toks = _word_ids(h.events[t].text) if t < len(h.events) else []
+            assert np.allclose(cbow[b, t], content_embed(toks, matrix).data,
+                               rtol=0.0, atol=1e-15)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_QUERY, max_size=5), st.randoms(use_true_random=False))
+@example([], None)
+@example([""], None)
+def test_title_embedder_matches_padding_loop(texts, random):
+    titles = dict(enumerate(texts))
+    order = list(titles)
+    if random is not None:
+        random.shuffle(order)  # batches need not follow catalog order
+    ids, mask = TitleEmbedder(titles, _word_ids).batch(order)
+    want_ids, want_mask = _loop_pad_titles([_word_ids(titles[i]) for i in order])
+    _assert_same_arrays(ids, want_ids)
+    _assert_same_arrays(mask, want_mask)
+    cbow = content_embed_batch(ids, mask, ORACLE_PARAMS).data
+    for r, i in enumerate(order):
+        want = content_embed(_word_ids(titles[i]), ORACLE_PARAMS["embeddings.content"]).data
+        assert np.allclose(cbow[r], want, rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Embedding export, the binary table format, and pair scoring."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from tworank.model import init_params, user_tower_forward
+from tworank.model import TitleEmbedder, init_params, user_tower_forward
 from tworank.serving import (EmbeddingTable, KIND_ITEM, KIND_USER,
                              export_embeddings, score)
-from tworank.train import TitleEmbedder, item_embeddings_for
+from tworank.train import item_embeddings_for
 from tworank.types import Event, EventType, UserHistory
 
 
@@ -74,6 +76,27 @@ def test_table_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.emb"
     path.write_bytes(b"XXXX" + b"\x00" * 13)
     with pytest.raises(ValueError):
+        EmbeddingTable.load(path)
+
+
+def _count_raised(raw: bytes, count: int) -> bytes:
+    """`raw` with the header's u64 record count replaced by `count`."""
+    return raw[:9] + struct.pack("<Q", count) + raw[17:]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda raw: raw[:-1],                            # one byte short
+    lambda raw: raw + b"\x00",                       # one byte long
+    lambda raw: _count_raised(raw, 8),               # one record more than stored
+    lambda raw: _count_raised(raw, 1 << 62),         # would ask for exabytes
+], ids=["short", "long", "count+1", "huge-count"])
+def test_table_rejects_size_mismatch(tables, tmp_path, corrupt):
+    _, _, _, users, _ = tables
+    path = tmp_path / "users.emb"
+    users.save(path)
+    assert len(users) == 7
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ValueError, match="bytes hold no"):
         EmbeddingTable.load(path)
 
 

@@ -204,3 +204,22 @@ def test_read_logs_rejects_unknown_record(tmp_path):
     path.write_text('{"type": "mystery"}\n')
     with pytest.raises(ValueError):
         read_logs(path)
+
+
+@pytest.mark.parametrize("line", [
+    '{"type": "impression", "day": 1, "user": 2, "surface": 0, "device": 0, "items": [1]}',
+    '{"type": "event", "day": "1", "user": 2, "event": "click", "text": "a", "item": 1,'
+    ' "surface": 0}',
+    '{"type": "event", "day": 1, "user": true, "event": "click", "text": "a", "item": 1,'
+    ' "surface": 0}',
+    '{"type": "item", "id": 0, "title": "a", "category": null}',
+    '["type", "item"]',
+    '{"type": ["event"]}',
+    '{"type": "event", "day": 1',
+], ids=["missing", "string-day", "bool-user", "null-category", "not-object", "list-type",
+        "not-json"])
+def test_read_logs_names_the_bad_line(tmp_path, line):
+    path = tmp_path / "bad.ndjson"
+    path.write_text('{"type": "item", "id": 0, "title": "a b", "category": 0}\n' + line + "\n")
+    with pytest.raises(ValueError, match=r"bad.ndjson line 2: "):
+        read_logs(path)
