@@ -13,8 +13,8 @@ import sys
 from .config import ConfigError, EvalConfig, RunConfig, config_as_dict, load_config
 from .dataset import serving_histories
 from .model import ModelParams, init_params
-from .pipeline import (ABLATION_CELLS, ablation_runner, build_bundle,
-                       calibration_report, eval_metrics)
+from .pipeline import (ABLATION_CELLS, build_bundle, calibration_report,
+                       eval_metrics, run_ablation_cell)
 from .serving import EmbeddingTable, export_embeddings, score
 from .synth import generate_world, read_logs, simulate_logs, write_logs
 from .text import Vocab, build_vocab
@@ -171,26 +171,23 @@ def cmd_evaluate(cfg: RunConfig, ec: EvalConfig, args) -> int:
 
 
 def cmd_ablate(cfg: RunConfig, ec: EvalConfig, args) -> int:
-    cells = ec.cell_list() or ABLATION_CELLS
-    rows = ablation_runner(cfg.world, cfg.model, cfg.pretrain, cfg.finetune,
-                           seeds=ec.seed_list(), cells=cells,
-                           vocab_size=cfg.data.vocab_size,
-                           test_days=cfg.data.test_days, delay=cfg.data.delay)
+    rows = []
+    for cell in ec.cell_list() or ABLATION_CELLS:
+        for seed in ec.seed_list():
+            metrics = run_ablation_cell(cell, cfg.world, cfg.model, cfg.pretrain,
+                                        cfg.finetune, seed,
+                                        vocab_size=cfg.data.vocab_size,
+                                        test_days=cfg.data.test_days, delay=cfg.data.delay)
+            rows += [{"metric": f"ndcg/{cell}", "surface": surface, "seed": seed,
+                      "value": value} for surface, value in metrics.items()]
     tsv = _artifact(args.out, "results.tsv")
-    seeds = ec.seed_list()
     with open(tsv, "w") as fh:
         fh.write("metric\tsurface_filter\tseed\tvalue\n")
-        i = 0
-        for cell in cells:
-            for seed in seeds:
-                for _ in range(2):  # retargeting + discovery rows per cell/seed
-                    r = rows[i]
-                    fh.write(f"{r.metric}\t{r.surface_filter}\t{seed}\t{r.value:.6f}\n")
-                    i += 1
+        for r in rows:
+            fh.write(f"{r['metric']}\t{r['surface']}\t{r['seed']}\t{r['value']:.6f}\n")
     jpath = _artifact(args.out, "results.json")
     with open(jpath, "w") as fh:
-        json.dump([{"metric": r.metric, "surface": r.surface_filter,
-                    "value": r.value} for r in rows], fh, indent=2)
+        json.dump(rows, fh, indent=2)
     print(f"ablate: {len(rows)} rows -> {tsv}")
     return EXIT_OK
 

@@ -59,12 +59,12 @@ def click_logit(r_ui: Tensor, r_ctx: Tensor, params: ModelParams) -> Tensor:
 
 
 def bce_click(r_ui: Tensor, r_ctx: Tensor, y, params: ModelParams) -> Tensor:
-    """Pointwise click loss on f = sigmoid(alpha_cl*r + alpha_ctx*r_ctx +
-    beta_cl), computed stably from logits: softplus(z) - y*z."""
+    """Per-item pointwise click loss on f = sigmoid(alpha_cl*r +
+    alpha_ctx*r_ctx + beta_cl), computed stably from logits: softplus(z) -
+    y*z. Not reduced; the caller weights the items."""
     z = click_logit(r_ui, r_ctx, params)
     y_t = Tensor(np.asarray(y, dtype=np.float64))
-    per = ad.softplus(z) - ad.mul(y_t, z)
-    return ad.tmean(per) if per.data.ndim else per
+    return ad.softplus(z) - ad.mul(y_t, z)
 
 
 def bpr_original(r_up: Tensor, r_un: Tensor, gamma_k: Tensor) -> Tensor:
@@ -88,33 +88,38 @@ def bpr_calibrated(r_up: Tensor, r_un: Tensor, r_ctx: Tensor, signal: str,
     return ad.log(f_up + f_un) - ad.log(f_up)
 
 
-def finetune_objective(r_items: Tensor, r_ctx: Tensor, labels: dict[str, np.ndarray],
+def finetune_objective(r_items: Tensor, r_ctx: Tensor, labels: list[dict],
                        params: ModelParams, pointwise_weight: float = 0.1) -> Tensor:
-    """Combined ranking objective for one impression group.
+    """Combined ranking objective, averaged over a batch of impression groups.
 
-    r_items: (n,) similarities of the group's items to the user. For each
-    signal, the mean calibrated BPR over all (positive, non-positive)
-    pairs; plus `pointwise_weight` times the mean click BCE over all
-    impressed items. Signals without a valid pair contribute zero.
+    r_items and r_ctx are (N,): each item's similarity to its group's user
+    and its group's context score, the groups' items concatenated in order;
+    `labels` holds one label dict per group. Per group: for each signal, the
+    mean calibrated BPR over all (positive, non-positive) pairs (zero without
+    a pair), plus `pointwise_weight` times the mean click BCE over its items.
     """
-    n = r_items.shape[0]
+    sizes = np.array([len(g["click"]) for g in labels])
+    owner = np.repeat(np.arange(len(labels)), sizes)
+    r_col = ad.reshape(r_items, (-1, 1))
+    ctx_col = ad.reshape(r_ctx, (-1, 1))
     total = Tensor(np.zeros(()))
     for signal in SIGNALS:
-        y = np.asarray(labels[signal])
-        pos = np.nonzero(y)[0]
-        neg = np.nonzero(y == 0)[0]
-        if pos.size == 0 or neg.size == 0:
+        y = np.concatenate([g[signal] for g in labels])
+        pos, neg = np.flatnonzero(y), np.flatnonzero(y == 0)
+        # every (positive, negative) pair within a group, group by group
+        pi, ni = np.nonzero(owner[pos, None] == owner[None, neg])
+        if pi.size == 0:
             continue
-        p_idx = np.repeat(pos, neg.size)
-        n_idx = np.tile(neg, pos.size)
-        r2 = ad.reshape(r_items, (n, 1))
-        r_p = ad.reshape(ad.gather(r2, p_idx), (-1,))
-        r_n = ad.reshape(ad.gather(r2, n_idx), (-1,))
-        pair_losses = bpr_calibrated(r_p, r_n, r_ctx, signal, params)
-        total = total + ad.tmean(pair_losses)
-    click_y = np.asarray(labels["click"], dtype=np.float64)
-    total = total + ad.scale(bce_click(r_items, r_ctx, click_y, params), pointwise_weight)
-    return total
+        p_idx, n_idx, pair_owner = pos[pi], neg[ni], owner[pos[pi]]
+        r_p = ad.reshape(ad.gather(r_col, p_idx), (-1,))
+        r_n = ad.reshape(ad.gather(r_col, n_idx), (-1,))
+        ctx = ad.reshape(ad.gather(ctx_col, p_idx), (-1,))
+        pair_losses = bpr_calibrated(r_p, r_n, ctx, signal, params)
+        weights = 1.0 / np.bincount(pair_owner)[pair_owner]  # 1 / pairs of the group
+        total = total + ad.tsum(ad.mul(pair_losses, Tensor(weights)))
+    bce = bce_click(r_items, r_ctx, np.concatenate([g["click"] for g in labels]), params)
+    total = total + ad.tsum(ad.mul(bce, Tensor(pointwise_weight / sizes[owner])))
+    return ad.scale(total, 1.0 / len(labels))
 
 
 def finetune_objective_bruteforce(r_items: np.ndarray, r_ctx: float,

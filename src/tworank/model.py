@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .types import EVENT_TYPE_IDS, ContextFeatures, UserHistory
+from .types import EVENT_TYPE_IDS, UserHistory
 
 CHECKPOINT_MAGIC = b"TT2R"
 CHECKPOINT_VERSION = 1
@@ -360,18 +360,16 @@ def user_tower_forward(history: UserHistory, params: ModelParams,
 # ---------------------------------------------------------------------------
 
 
-def context_unknown_ids(config: TowerConfig) -> ContextFeatures:
-    return ContextFeatures(surface_id=config.n_surfaces, device_id=config.n_devices)
-
-
-def context_score(ctx: ContextFeatures, params: ModelParams) -> Tensor:
-    """Sum of two learned scalars, one per surface and one per device."""
+def context_score(surface_ids, device_ids, params: ModelParams) -> Tensor:
+    """(N,) sums of two learned scalars, one per surface and one per device.
+    Ids are clamped into the tables, so an id past the known ones takes the
+    reserved last (unknown) row."""
     cfg = params.config
-    sid = min(max(ctx.surface_id, 0), cfg.n_surfaces)
-    did = min(max(ctx.device_id, 0), cfg.n_devices)
-    s = ad.gather(params["loss_params.ctx_surface"], np.array([sid]))
-    t = ad.gather(params["loss_params.ctx_device"], np.array([did]))
-    return ad.reshape(s + t, ())
+    sid = np.clip(np.asarray(surface_ids, dtype=np.int64), 0, cfg.n_surfaces)
+    did = np.clip(np.asarray(device_ids, dtype=np.int64), 0, cfg.n_devices)
+    s = ad.gather(params["loss_params.ctx_surface"], sid)
+    t = ad.gather(params["loss_params.ctx_device"], did)
+    return ad.reshape(s + t, (-1,))
 
 
 def similarity(v_u: Tensor, v_i: Tensor) -> Tensor:

@@ -12,7 +12,7 @@ import numpy as np
 from .autodiff import Tensor, no_grad
 from .dataset import (attach_history, build_finetune_groups,
                       build_pretrain_samples, time_split)
-from .evaluate import EvalReport, discovery_subset, mean_ndcg
+from .evaluate import discovery_subset, mean_ndcg
 from .losses import click_logit, temperature
 from .model import (ModelParams, TitleEmbedder, TowerConfig, batch_histories,
                     context_score, init_params, user_tower_forward_batch)
@@ -20,7 +20,7 @@ from .synth import (EventRecord, SynthConfig, SynthWorld, generate_world,
                     make_balanced_eval_groups, simulate_logs)
 from .text import Vocab, build_vocab, tokenize
 from .train import TrainConfig, finetune_run, item_embeddings_for, pretrain_run
-from .types import ContextFeatures, ImpressionGroup
+from .types import ImpressionGroup
 
 TEST_DAYS = 10
 REGIMES = ("pretrain_only", "finetune_only", "both")
@@ -67,6 +67,15 @@ def build_bundle(world_cfg: SynthConfig, vocab_size: int = 2048,
     if records is None:
         records = simulate_logs(world)
     titles = dict(enumerate(world.titles))
+    # every item id the logs name lies in the catalog, before any is looked up
+    events = [r for r in records if isinstance(r, EventRecord) and r.event.item_id is not None]
+    event_items = [r.event.item_id for r in events]
+    n_items = world.config.n_items
+    bad = [i for i in event_items if not 0 <= i < n_items]
+    bad += [i for r in records if isinstance(r, ImpressionGroup) for i in r.item_ids
+            if not 0 <= i < n_items]
+    if bad:
+        raise ValueError(f"the logs name item {bad[0]}, outside the catalog's {n_items} items")
     if vocab is None:
         vocab = build_vocab(world.title_corpus(), vocab_size)
     boundary = world_cfg.days - test_days
@@ -85,10 +94,8 @@ def build_bundle(world_cfg: SynthConfig, vocab_size: int = 2048,
                    include_web=include_web)
 
     interacted = defaultdict(list)
-    for rec in records:
-        if isinstance(rec, EventRecord) and rec.event.item_id is not None:
-            cat = int(world.item_categories[rec.event.item_id])
-            interacted[rec.user_id].append((rec.event.day, cat))
+    for rec, cat in zip(events, world.item_categories[event_items].tolist()):
+        interacted[rec.user_id].append((rec.event.day, cat))
 
     return Bundle(world=world, records=records, titles=titles, vocab=vocab,
                   boundary=boundary, pretrain_train=pre_train,
@@ -169,15 +176,15 @@ def calibration_report(bundle: Bundle, params: ModelParams, groups,
     if not groups:
         raise ValueError("calibration report needs at least one impression group")
     scores = score_table(bundle, params, groups)
+    sizes = [len(g.item_ids) for g in groups]
     with no_grad():
-        # one context score per distinct (surface, device) pair, not per group
-        ctx = {(g.surface_id, g.device_id): 0.0 for g in groups}
         if use_context:
-            ctx = {k: context_score(ContextFeatures(*k), params).data for k in ctx}
-        r_ctx = [ctx[g.surface_id, g.device_id] for g in groups]
+            r_ctx = context_score(np.repeat([g.surface_id for g in groups], sizes),
+                                  np.repeat([g.device_id for g in groups], sizes), params)
+        else:
+            r_ctx = Tensor(np.zeros(sum(sizes)))
         z = click_logit(Tensor(np.concatenate([scores[id(g)] for g in groups])),
-                        Tensor(np.repeat(r_ctx, [len(g.item_ids) for g in groups])),
-                        params).data
+                        r_ctx, params).data
     preds = 1.0 / (1.0 + np.exp(-z))
     ys = np.concatenate([g.labels["click"] for g in groups])
     return {"mean_predicted": float(np.mean(preds)),
@@ -223,20 +230,3 @@ def run_ablation_cell(cell: str, world_cfg: SynthConfig, tower_cfg: TowerConfig,
     params = train_regime(bundle, regime, tc, pc, fc)
     return eval_metrics(bundle, params)
 
-
-def ablation_runner(world_cfg: SynthConfig, tower_cfg: TowerConfig,
-                    pre_cfg: TrainConfig, ft_cfg: TrainConfig,
-                    seeds=(0, 1, 2), cells=ABLATION_CELLS,
-                    vocab_size: int = 2048, test_days: int = TEST_DAYS,
-                    delay: int = 1) -> list[EvalReport]:
-    """One EvalReport row per cell x seed x surface filter."""
-    rows = []
-    for cell in cells:
-        for seed in seeds:
-            metrics = run_ablation_cell(cell, world_cfg, tower_cfg, pre_cfg,
-                                        ft_cfg, seed, vocab_size=vocab_size,
-                                        test_days=test_days, delay=delay)
-            for surface, value in metrics.items():
-                rows.append(EvalReport(metric=f"ndcg/{cell}", surface_filter=surface,
-                                       value=value, seed_count=1))
-    return rows

@@ -369,6 +369,23 @@ _LOG_FIELDS = {
 }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_impression(items: list, signals: dict) -> None:
+    """Item ids are ints; `signals` holds one 0/1 int list per signal, as
+    long as `items`."""
+    if not all(_is_int(i) for i in items):
+        raise ValueError("impression items must be integer ids")
+    if set(signals) != set(SIGNALS):
+        raise ValueError(f"impression signals {sorted(signals)} are not {sorted(SIGNALS)}")
+    for name, ys in signals.items():
+        if (not isinstance(ys, list) or len(ys) != len(items)
+                or not all(_is_int(y) and y in (0, 1) for y in ys)):
+            raise ValueError(f"impression signal {name!r} must be {len(items)} 0/1 ints")
+
+
 def read_logs(path):
     """Returns (catalog: {item_id: (title, category)}, records). A bad line
     (not JSON, a missing or mistyped field) raises ValueError naming it."""
@@ -385,6 +402,8 @@ def read_logs(path):
                        or not isinstance(obj[k], t) or isinstance(obj[k], bool)]
                 if bad:
                     raise ValueError(f"{kind} line lacks or mistypes field(s) {bad}")
+                if kind == "impression":
+                    _check_impression(obj["items"], obj["signals"])
                 if kind == "item":
                     catalog[obj["id"]] = (obj["title"], obj["category"])
                 elif kind == "event":

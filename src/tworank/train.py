@@ -17,7 +17,7 @@ from .model import (FROZEN_IN_CONTINUOUS, GROUP_NAMES, ModelParams, TitleEmbedde
                     init_params, item_tower_forward_batch, similarity_matrix,
                     user_tower_forward_batch)
 from .losses import finetune_objective, pretrain_loss_matrix, temperature
-from .types import ContextFeatures, ImpressionGroup, PretrainSample
+from .types import ImpressionGroup, PretrainSample
 
 
 @dataclass
@@ -192,23 +192,16 @@ def _finetune_epoch(groups: list[ImpressionGroup], params: ModelParams,
         batch = [groups[i] for i in order[lo: lo + group_batch]]
         hb = batch_histories([g.history for g in batch], tokenize_fn, tower_config)
         users = user_tower_forward_batch(hb, params)
-        all_items = [i for g in batch for i in g.item_ids]
-        item_embs = item_embeddings_for(all_items, embedder, params)
-        total = Tensor(np.zeros(()))
-        offset = 0
-        for gi, g in enumerate(batch):
-            n = len(g.item_ids)
-            items_g = ad.gather(item_embs, np.arange(offset, offset + n))
-            user_g = ad.gather(users, np.array([gi]))
-            r_items = ad.tsum(ad.mul(items_g, user_g), axis=1)
-            if config.use_context:
-                r_ctx = context_score(ContextFeatures(g.surface_id, g.device_id), params)
-            else:
-                r_ctx = Tensor(np.zeros(()))
-            total = total + finetune_objective(r_items, r_ctx, g.labels, params,
-                                               config.pointwise_weight)
-            offset += n
-        loss = ad.scale(total, 1.0 / len(batch))
+        owner = np.repeat(np.arange(len(batch)), [len(g.item_ids) for g in batch])
+        item_embs = item_embeddings_for([i for g in batch for i in g.item_ids], embedder, params)
+        r_items = ad.tsum(ad.mul(item_embs, ad.gather(users, owner)), axis=1)
+        if config.use_context:
+            r_ctx = context_score(np.array([g.surface_id for g in batch])[owner],
+                                  np.array([g.device_id for g in batch])[owner], params)
+        else:
+            r_ctx = Tensor(np.zeros(owner.size))
+        loss = finetune_objective(r_items, r_ctx, [g.labels for g in batch], params,
+                                  config.pointwise_weight)
         opt.step(_grads_by_name(loss, params))
         steps += 1
         if opt.step_count >= max_steps:

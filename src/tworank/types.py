@@ -68,12 +68,6 @@ class UserHistory:
         return UserHistory(self.user_id, self.events[-max_history:])
 
 
-@dataclass(frozen=True)
-class ContextFeatures:
-    surface_id: int
-    device_id: int
-
-
 @dataclass
 class ImpressionGroup:
     """Co-impressed items on one surface with per-signal binary labels."""

@@ -283,8 +283,8 @@ def test_criterion_9_objective_vs_bruteforce():
         r_ctx = float(rng.normal())
         labels = {s: list(rng.integers(0, 2, size=n))
                   for s in ("click", "cart", "fvrt", "prch")}
-        a = float(finetune_objective(Tensor(r), Tensor(np.asarray(r_ctx)),
-                                     labels, params).data)
+        a = float(finetune_objective(Tensor(r), Tensor(np.full(n, r_ctx)),
+                                     [labels], params).data)
         b = finetune_objective_bruteforce(r, r_ctx, labels, params)
         worst = max(worst, abs(a - b))
     _verdict("criterion-9 objective oracle", worst <= 1e-12,

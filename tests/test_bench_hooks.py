@@ -51,4 +51,6 @@ def test_life_cycle_runs_untraced_and_traced(bench, tmp_path):
     assert unit["failed"] == 0 and tracing.failed_steps(unit, layers, tracer) == 0
     assert layers["train.steps.pretrain"] == 3 and layers["train.steps.finetune"] == 2
     assert layers["dataset.attach_history_calls"] == 1
+    # the whole group batch of a step goes through one objective call
+    assert layers["losses.finetune_objective_calls_per_step"] == 1.0
     probe.assert_pristine()

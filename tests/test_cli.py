@@ -7,6 +7,7 @@ import struct
 import pytest
 
 from tworank.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_MISSING, EXIT_OK, main
+from tworank.types import SIGNALS
 
 FAST = [
     "world.n_items=120", "world.n_users=30", "world.days=10",
@@ -108,6 +109,36 @@ def test_log_line_missing_field_exit_code(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+def _event_line(item):
+    return json.dumps({"type": "event", "day": 9, "user": 0, "event": "click",
+                       "text": "a b", "item": item, "surface": 0})
+
+
+def _impression_line(items, labels=(0, 1), signals=SIGNALS):
+    return json.dumps({"type": "impression", "day": 9, "user": 0, "surface": 0,
+                       "device": 0, "items": items,
+                       "signals": {s: list(labels) for s in signals}})
+
+
+@pytest.mark.parametrize("line", [
+    pytest.param(_event_line(99999), id="event-item-past-catalog"),
+    pytest.param(_event_line(-1), id="event-item-negative"),
+    pytest.param(_impression_line([3, 99999]), id="impression-item-past-catalog"),
+    pytest.param(_impression_line([3, "4"]), id="impression-item-string"),
+    pytest.param(_impression_line([3, 4], signals=SIGNALS[:3]), id="impression-signal-missing"),
+    pytest.param(_impression_line([3, 4], labels=(1,)), id="impression-signal-short"),
+])
+def test_bad_log_record_exit_code(workspace, tmp_path, capsys, line):
+    out = tmp_path / "bad"
+    out.mkdir()
+    (out / "vocab.txt").write_bytes((workspace / "vocab.txt").read_bytes())
+    (out / "logs.ndjson").write_text((workspace / "logs.ndjson").read_text() + line + "\n")
+    assert run("pretrain", out) == EXIT_INVARIANT
+    assert run("finetune", out, "--init", "fresh") == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert err.count("invariant violation") == 2 and "Traceback" not in err
+
+
 def test_missing_artifact_exit_code(tmp_path):
     assert run("pretrain", tmp_path / "empty") == EXIT_MISSING
     assert run("export", tmp_path / "empty2") == EXIT_MISSING
@@ -140,6 +171,20 @@ def test_ablate_single_cell(workspace, tmp_path):
     assert len(tsv) == 3  # header + retargeting + discovery
     rows = json.loads((out / "results.json").read_text())
     assert {r["surface"] for r in rows} == {"retargeting", "discovery"}
+
+
+def test_ablate_rows_carry_their_seed(workspace, tmp_path):
+    out = tmp_path / "ablate2"
+    code = run("ablate", out, "--set", "eval.seeds=3,1", "--set", "eval.cells=pretrain_only")
+    assert code == EXIT_OK
+    tsv = [line.split("\t") for line in
+           (out / "results.tsv").read_text().strip().splitlines()[1:]]
+    assert [(r[1], r[2]) for r in tsv] == [("retargeting", "3"), ("discovery", "3"),
+                                            ("retargeting", "1"), ("discovery", "1")]
+    rows = json.loads((out / "results.json").read_text())
+    assert [(r["surface"], r["seed"]) for r in rows] == [(r[1], int(r[2])) for r in tsv]
+    # each seed trains its own world, so its retargeting value is its own
+    assert tsv[0][3] != tsv[2][3]
 
 
 def test_finetune_fresh_init(workspace, tmp_path):

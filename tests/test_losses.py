@@ -4,7 +4,7 @@ oracle."""
 import numpy as np
 import pytest
 
-from tworank.autodiff import Tensor, backward
+from tworank.autodiff import Tensor, backward, gradcheck
 from tworank.losses import (bce_click, bpr_calibrated, bpr_original,
                             finetune_objective, finetune_objective_bruteforce,
                             pretrain_loss, pretrain_loss_matrix, temperature)
@@ -110,9 +110,10 @@ def test_bce_matches_direct_formula(params):
     a_ctx = float(params["loss_params.alpha_ctx"].data)
     z = a_cl * r + a_ctx * r_ctx
     f = _sigmoid(z)
-    expect = float(np.mean(-y * np.log(f) - (1 - y) * np.log(1 - f)))
+    expect = -y * np.log(f) - (1 - y) * np.log(1 - f)
     loss = bce_click(Tensor(r), Tensor(np.asarray(r_ctx)), y, params)
-    assert float(loss.data) == pytest.approx(expect, abs=1e-9)
+    assert loss.shape == (3,)  # per item, not reduced
+    assert np.allclose(loss.data, expect, rtol=0.0, atol=1e-9)
 
 
 def test_bce_stable_at_extreme_logits(params):
@@ -176,6 +177,13 @@ def _random_group(rng, n):
     return labels
 
 
+def _one_group(r, r_ctx, labels, params, **kw):
+    """The objective of a one-group batch: the group's own objective."""
+    return finetune_objective(Tensor(np.asarray(r, dtype=np.float64)),
+                              Tensor(np.full(len(labels["click"]), r_ctx)),
+                              [labels], params, **kw)
+
+
 def test_objective_matches_bruteforce(params):
     rng = np.random.default_rng(4)
     for _ in range(50):
@@ -183,39 +191,98 @@ def test_objective_matches_bruteforce(params):
         r = rng.normal(size=n)
         r_ctx = float(rng.normal())
         labels = _random_group(rng, n)
-        a = float(finetune_objective(Tensor(r), Tensor(np.asarray(r_ctx)),
-                                     labels, params).data)
+        a = float(_one_group(r, r_ctx, labels, params).data)
         b = finetune_objective_bruteforce(r, r_ctx, labels, params)
         assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_objective_skips_signals_without_pairs(params):
-    r = Tensor(np.array([0.0, 0.0]))
-    zero = Tensor(np.asarray(0.0))
     labels = {"click": [1, 0], "cart": [0, 0], "fvrt": [1, 1], "prch": [0, 0]}
     # only click has a (pos, neg) pair -> ln2; plus 0.1 * mean BCE at z=0
-    loss = float(finetune_objective(r, zero, labels, params, pointwise_weight=0.1).data)
+    loss = float(_one_group([0.0, 0.0], 0.0, labels, params, pointwise_weight=0.1).data)
     assert loss == pytest.approx(LN2 + 0.1 * LN2, abs=1e-9)
 
 
 def test_objective_pointwise_weight_scales_bce(params):
-    r = Tensor(np.array([0.0, 0.0]))
-    zero = Tensor(np.asarray(0.0))
     labels = {"click": [1, 0], "cart": [0, 0], "fvrt": [0, 0], "prch": [0, 0]}
-    l1 = float(finetune_objective(r, zero, labels, params, pointwise_weight=0.0).data)
-    l2 = float(finetune_objective(r, zero, labels, params, pointwise_weight=1.0).data)
+    l1 = float(_one_group([0.0, 0.0], 0.0, labels, params, pointwise_weight=0.0).data)
+    l2 = float(_one_group([0.0, 0.0], 0.0, labels, params, pointwise_weight=1.0).data)
     assert l2 - l1 == pytest.approx(LN2, abs=1e-9)
 
 
 def test_objective_gradients_reach_calibration_scalars(params):
     rng = np.random.default_rng(5)
     r = Tensor(rng.normal(size=4), requires_grad=True)
-    r_ctx = Tensor(np.asarray(0.3))
+    r_ctx = Tensor(np.full(4, 0.3))
     labels = {"click": [1, 0, 1, 0], "cart": [1, 0, 0, 0],
               "fvrt": [0, 0, 0, 0], "prch": [0, 0, 0, 0]}
-    loss = finetune_objective(r, r_ctx, labels, params)
+    loss = finetune_objective(r, r_ctx, [labels], params)
     grads = backward(loss, params.parameters())
     for name in ("loss_params.gamma.click", "loss_params.beta.click",
                  "loss_params.gamma_ctx.click", "loss_params.alpha_cl",
                  "loss_params.alpha_ctx", "loss_params.beta_cl"):
         assert np.any(grads[params[name]]), name
+
+
+def _perturbed(params, rng):
+    """Calibration scalars moved off their identity init, so that every
+    one of them matters."""
+    for n in params.names():
+        if n.startswith("loss_params.") and params[n].data.ndim == 0:
+            params[n].data = params[n].data + rng.normal(scale=0.3)
+    return params
+
+
+def _random_batch(rng, n_groups):
+    """Concatenated item scores of `n_groups` groups, one context score per
+    group, the group sizes and their label dicts. Some signals are
+    all-positive or all-negative in a group, so they have no pair there."""
+    sizes = rng.integers(1, 7, size=n_groups)
+    labels = []
+    for n in sizes:
+        group = _random_group(rng, n)
+        for s, mode in zip(("cart", "prch"), rng.integers(0, 3, size=2)):
+            if mode == 1:
+                group[s] = [1] * n
+            elif mode == 2:
+                group[s] = [0] * n
+        labels.append(group)
+    r = rng.normal(size=sizes.sum())
+    group_ctx = rng.normal(size=n_groups)
+    return r, group_ctx, sizes, labels
+
+
+def test_batched_objective_is_mean_of_group_oracles(params):
+    rng = np.random.default_rng(11)
+    params = _perturbed(params, rng)
+    worst = 0.0
+    for _ in range(200):
+        r, group_ctx, sizes, labels = _random_batch(rng, int(rng.integers(1, 17)))
+        got = float(finetune_objective(Tensor(r), Tensor(np.repeat(group_ctx, sizes)),
+                                       labels, params, pointwise_weight=0.3).data)
+        bounds = np.cumsum(sizes)[:-1]
+        want = np.mean([finetune_objective_bruteforce(r_g, c, lab, params, pointwise_weight=0.3)
+                        for r_g, c, lab in zip(np.split(r, bounds), group_ctx, labels)])
+        worst = max(worst, abs(got - want))
+    assert worst <= 1e-12
+
+
+def test_batched_objective_gradcheck(params):
+    """Gradients with respect to the item scores, the context scores and
+    the calibration scalars match central finite differences."""
+    rng = np.random.default_rng(12)
+    params = _perturbed(params, rng)
+    r, group_ctx, sizes, labels = _random_batch(rng, 5)
+    scalars = [n for n in params.names()
+               if n.startswith("loss_params.") and n != "loss_params.tau_raw"
+               and params[n].data.ndim == 0]
+
+    def objective(r_items, r_ctx, *values):
+        p = params.copy()
+        for name, value in zip(scalars, values):
+            p.tensors[name] = value
+        return finetune_objective(r_items, r_ctx, labels, p)
+
+    report = gradcheck(objective, [r, np.repeat(group_ctx, sizes)]
+                       + [params[n].data for n in scalars])
+    assert report.passed, report

@@ -12,13 +12,12 @@ from tworank import autodiff as ad
 from tworank.autodiff import Tensor
 from tworank.model import (FROZEN_IN_CONTINUOUS, GROUP_NAMES, HistoryBatch, ModelParams,
                            TitleEmbedder, TowerConfig, batch_histories,
-                           content_embed_batch, context_score,
-                           context_unknown_ids, init_params,
+                           content_embed_batch, context_score, init_params,
                            item_tower_forward, item_tower_forward_batch,
                            similarity, similarity_matrix, user_tower_forward,
                            user_tower_forward_batch)
 from tworank.text import content_embed
-from tworank.types import EVENT_TYPE_IDS, ContextFeatures, Event, EventType, UserHistory
+from tworank.types import EVENT_TYPE_IDS, Event, EventType, UserHistory
 
 
 def _history(user=0, n=3):
@@ -330,19 +329,20 @@ def test_title_embedder_matches_padding_loop(texts, random):
 
 
 def test_context_score_is_table_sum(tiny_params):
-    tiny_params["loss_params.ctx_surface"].data[1, 0] = 0.7
-    tiny_params["loss_params.ctx_device"].data[0, 0] = -0.2
-    out = context_score(ContextFeatures(1, 0), tiny_params)
-    assert float(out.data) == pytest.approx(0.5, abs=1e-12)
+    tiny_params["loss_params.ctx_surface"].data[:, 0] = [0.7, 0.1, 0.0, 0.0]
+    tiny_params["loss_params.ctx_device"].data[:, 0] = [-0.2, 0.3, 0.0]
+    out = context_score(np.array([1, 0, 1]), np.array([0, 1, 1]), tiny_params)
+    assert out.shape == (3,)
+    assert np.allclose(out.data, [-0.1, 1.0, 0.4], rtol=0.0, atol=1e-12)
 
 
 def test_context_unknown_ids_clamp(tiny_params, tiny_config):
-    unk = context_unknown_ids(tiny_config)
-    tiny_params["loss_params.ctx_surface"].data[unk.surface_id, 0] = 42.0
-    tiny_params["loss_params.ctx_device"].data[unk.device_id, 0] = 1.0
-    # out-of-range ids fall back to the reserved last row
-    out = context_score(ContextFeatures(999, 999), tiny_params)
-    assert float(out.data) == pytest.approx(43.0, abs=1e-12)
+    tiny_params["loss_params.ctx_surface"].data[tiny_config.n_surfaces, 0] = 42.0
+    tiny_params["loss_params.ctx_device"].data[tiny_config.n_devices, 0] = 1.0
+    tiny_params["loss_params.ctx_surface"].data[0, 0] = 5.0
+    # ids past the tables fall back to the reserved last row; negative ids clamp to 0
+    out = context_score([999, tiny_config.n_surfaces, -3], [999, 999, 0], tiny_params)
+    assert np.allclose(out.data, [43.0, 43.0, 5.0], rtol=0.0, atol=1e-12)
 
 
 def test_similarity_analytic_value():

@@ -1,13 +1,15 @@
 """Generative world: determinism, latent structure, bias injection, log
 serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
 from tworank.synth import (EventRecord, SynthConfig, generate_world,
                            make_balanced_eval_groups, read_logs, simulate_logs,
                            write_logs)
-from tworank.types import EventType, ImpressionGroup
+from tworank.types import SIGNALS, EventType, ImpressionGroup
 
 
 def test_world_generation_deterministic(small_world):
@@ -206,6 +208,16 @@ def test_read_logs_rejects_unknown_record(tmp_path):
         read_logs(path)
 
 
+def _impression(items, drop=None, extra=None, click=None):
+    signals = {s: [0] * len(items) for s in SIGNALS if s != drop}
+    if extra:
+        signals[extra] = [0] * len(items)
+    if click is not None:
+        signals["click"] = click
+    return json.dumps({"type": "impression", "day": 1, "user": 2, "surface": 0,
+                       "device": 0, "items": items, "signals": signals})
+
+
 @pytest.mark.parametrize("line", [
     '{"type": "impression", "day": 1, "user": 2, "surface": 0, "device": 0, "items": [1]}',
     '{"type": "event", "day": "1", "user": 2, "event": "click", "text": "a", "item": 1,'
@@ -216,8 +228,17 @@ def test_read_logs_rejects_unknown_record(tmp_path):
     '["type", "item"]',
     '{"type": ["event"]}',
     '{"type": "event", "day": 1',
+    _impression([1, "2"]),
+    _impression([1, True]),
+    _impression([1, 2], drop="prch"),
+    _impression([1, 2], extra="view"),
+    _impression([1, 2], click=[1]),
+    _impression([1, 2], click=[1, 2]),
+    _impression([1, 2], click=[1, True]),
+    _impression([1, 2], click="10"),
 ], ids=["missing", "string-day", "bool-user", "null-category", "not-object", "list-type",
-        "not-json"])
+        "not-json", "string-item", "bool-item", "signal-missing", "signal-extra",
+        "signal-short", "signal-not-binary", "signal-bool", "signal-not-list"])
 def test_read_logs_names_the_bad_line(tmp_path, line):
     path = tmp_path / "bad.ndjson"
     path.write_text('{"type": "item", "id": 0, "title": "a b", "category": 0}\n' + line + "\n")
