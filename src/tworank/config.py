@@ -67,6 +67,12 @@ _SECTIONS = {
 _DICT_KEYS = {f"lr_{g}": ("lrs", g) for g in GROUP_NAMES}
 _DICT_KEYS.update({f"clip_{g}": ("clips", g) for g in GROUP_NAMES})
 
+# TrainConfig fields that a stage never reads: fine-tuning takes
+# finetune_run's group batch, and only fine-tuning scores the context and
+# weighs the pointwise loss
+_UNREAD = {("finetune", "batch_size"), ("pretrain", "use_context"),
+           ("pretrain", "pointwise_weight")}
+
 
 def _coerce(value: str, target_type):
     if target_type is bool:
@@ -80,6 +86,8 @@ def _coerce(value: str, target_type):
 
 
 def _set_key(obj, key: str, value: str, section: str) -> None:
+    if (section, key) in _UNREAD:
+        raise ConfigError(f"key {key!r} in section [{section}] is never read by that stage")
     if isinstance(obj, TrainConfig) and key in _DICT_KEYS:
         attr, group = _DICT_KEYS[key]
         getattr(obj, attr)[group] = float(value)

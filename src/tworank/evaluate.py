@@ -1,8 +1,7 @@
-"""Offline evaluation: nDCG over impression groups, recall@K for
-retrieval sanity, a feature-gain harness with a logistic-regression
-combiner standing in for the downstream GBT ranker, and surface filters
-(retargeting-like = all items, discovery-like = previously-undiscovered
-categories only)."""
+"""Offline evaluation: nDCG over impression groups, a feature-gain harness
+with a logistic-regression combiner standing in for the downstream GBT
+ranker, and surface filters (retargeting-like = all items,
+discovery-like = previously-undiscovered categories only)."""
 
 from __future__ import annotations
 
@@ -12,16 +11,12 @@ import numpy as np
 
 from .types import ImpressionGroup, SIGNALS
 
-GRADED_GAINS = {"click": 1, "cart": 2, "fvrt": 2, "prch": 3}
-
-
 @dataclass
 class EvalReport:
     metric: str
     surface_filter: str
     value: float
     baseline: float | None = None
-    seed_count: int = 1
 
     @property
     def relative_gain(self) -> float | None:
@@ -30,16 +25,13 @@ class EvalReport:
         return (self.value - self.baseline) / self.baseline
 
 
-def group_relevance(group: ImpressionGroup, graded: bool = False) -> np.ndarray:
-    """Binary click-or-stronger relevance; graded variant uses
-    click=1, cart=2, fvrt=2, purchase=3 (max over signals)."""
-    n = len(group.item_ids)
-    rel = np.zeros(n)
+def group_relevance(group: ImpressionGroup) -> np.ndarray:
+    """Binary relevance: 1 for an item with any signal (click or stronger)."""
+    rel = np.zeros(len(group.item_ids))
     for s in SIGNALS:
-        gain = GRADED_GAINS[s] if graded else 1
         for i, y in enumerate(group.labels[s]):
             if y:
-                rel[i] = max(rel[i], gain)
+                rel[i] = 1.0
     return rel
 
 
@@ -64,11 +56,11 @@ def ndcg(scores, relevances, item_ids, k: int | None = None) -> float:
     return got / ideal
 
 
-def mean_ndcg(groups, score_fn, graded: bool = False, k: int | None = None) -> float:
+def mean_ndcg(groups, score_fn, k: int | None = None) -> float:
     """Average nDCG over groups; score_fn(group) -> array of item scores."""
     vals = []
     for g in groups:
-        rel = group_relevance(g, graded=graded)
+        rel = group_relevance(g)
         if not np.any(rel > 0):
             continue
         vals.append(ndcg(score_fn(g), rel, g.item_ids, k=k))
@@ -93,26 +85,6 @@ def discovery_subset(group: ImpressionGroup, known_categories: set[int],
         labels={s: [group.labels[s][i] for i in keep] for s in SIGNALS},
         history=group.history)
     return sub if sub.has_positive() else None
-
-
-def recall_at_k(user_vectors: np.ndarray, positive_items: list[int],
-                pool_ids: list[int], item_vectors: np.ndarray, k: int) -> float:
-    """Fraction of positives ranked in the top-K of their user's pool by
-    inner product. user_vectors[i] pairs with positive_items[i]."""
-    if k <= 0:
-        return 0.0
-    pool_index = {item: r for r, item in enumerate(pool_ids)}
-    hits = 0
-    for u_vec, pos in zip(user_vectors, positive_items):
-        scores = item_vectors @ u_vec
-        pos_row = pool_index[pos]
-        # rank with deterministic id tie-break
-        better = np.sum((scores > scores[pos_row])
-                        | ((scores == scores[pos_row])
-                           & (np.asarray(pool_ids) < pos)))
-        if better < k:
-            hits += 1
-    return hits / max(len(positive_items), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,7 @@ FROZEN_IN_CONTINUOUS = ("loss_params.alpha", "loss_params.beta", "loss_params.ga
 
 @dataclass
 class TowerConfig:
-    """Shape of both towers. Desk-scale defaults; the production-scale
-    reference configuration is available via `TowerConfig.paper()`."""
+    """Shape of both towers, with desk-scale defaults."""
 
     d: int = 32
     user_layers: int = 2
@@ -59,14 +58,6 @@ class TowerConfig:
             raise ValueError("item tower residual blocks require item_hidden == d")
         if self.max_positions < self.max_history + 1:
             raise ValueError("max_positions must be >= max_history + 1")
-
-    @classmethod
-    def paper(cls) -> "TowerConfig":
-        """Reference configuration at production scale: 4-layer encoder,
-        hidden size 256, 4 heads; 4-layer candidate tower; 1024-event
-        histories."""
-        return cls(d=256, user_layers=4, user_heads=4, item_layers=4,
-                   max_history=1024, vocab_size=103295)
 
 
 @dataclass
@@ -133,7 +124,10 @@ class ModelParams:
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         (cfg_len,) = struct.unpack("<I", buf.read(4))
-        cfg = TowerConfig(**json.loads(buf.read(cfg_len).decode("utf-8")))
+        try:
+            cfg = TowerConfig(**json.loads(buf.read(cfg_len).decode("utf-8")))
+        except TypeError as exc:  # unknown, missing or mistyped config keys
+            raise ValueError(f"{path}: bad model config block: {exc}") from None
         (count,) = struct.unpack("<I", buf.read(4))
         params = cls(cfg)
         for _ in range(count):
@@ -144,6 +138,15 @@ class ModelParams:
             n = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(buf.read(4 * n), dtype="<f4").reshape(shape)
             params.tensors[name] = Tensor(data.astype(np.float64), requires_grad=True)
+        layout = {n: t.shape for n, t in init_params(cfg).tensors.items()}
+        shapes = {n: t.shape for n, t in params.tensors.items()}
+        misfits = sorted(n for n in layout.keys() | shapes.keys() if layout.get(n) != shapes.get(n))
+        if misfits:
+            raise ValueError(f"{path}: tensors {misfits} are missing, unexpected or "
+                             "misshapen for the checkpoint's model config")
+        nonfinite = [n for n, t in params.tensors.items() if not np.isfinite(t.data).all()]
+        if nonfinite:
+            raise ValueError(f"{path}: non-finite values in {nonfinite}")
         return params
 
 
@@ -362,13 +365,15 @@ def user_tower_forward(history: UserHistory, params: ModelParams,
 
 def context_score(surface_ids, device_ids, params: ModelParams) -> Tensor:
     """(N,) sums of two learned scalars, one per surface and one per device.
-    Ids are clamped into the tables, so an id past the known ones takes the
-    reserved last (unknown) row."""
+    An id outside the known ones, negative ones included, takes the reserved
+    last (unknown) row."""
+    def rows(ids, n_known):
+        ids = np.asarray(ids, dtype=np.int64)
+        return np.where((ids >= 0) & (ids < n_known), ids, n_known)
+
     cfg = params.config
-    sid = np.clip(np.asarray(surface_ids, dtype=np.int64), 0, cfg.n_surfaces)
-    did = np.clip(np.asarray(device_ids, dtype=np.int64), 0, cfg.n_devices)
-    s = ad.gather(params["loss_params.ctx_surface"], sid)
-    t = ad.gather(params["loss_params.ctx_device"], did)
+    s = ad.gather(params["loss_params.ctx_surface"], rows(surface_ids, cfg.n_surfaces))
+    t = ad.gather(params["loss_params.ctx_device"], rows(device_ids, cfg.n_devices))
     return ad.reshape(s + t, (-1,))
 
 

@@ -95,8 +95,11 @@ def export_embeddings(params: ModelParams, user_histories: dict[int, UserHistory
         item_ids = sorted(titles)
         embedder = TitleEmbedder(titles, tokenize_fn)
         item_vecs = np.empty((len(item_ids), cfg.d), dtype=np.float32)
-        for lo in range(0, len(item_ids), batch_size):
-            chunk = item_ids[lo: lo + batch_size]
+        # a title is one event's text, so a batch of batch_size * max_history
+        # titles holds no more tokens than a full user batch
+        item_batch = batch_size * cfg.max_history
+        for lo in range(0, len(item_ids), item_batch):
+            chunk = item_ids[lo: lo + item_batch]
             content = content_embed_batch(*embedder.batch(chunk), params)
             item_vecs[lo: lo + len(chunk)] = item_tower_forward_batch(content, params).data
 

@@ -388,7 +388,8 @@ def _check_impression(items: list, signals: dict) -> None:
 
 def read_logs(path):
     """Returns (catalog: {item_id: (title, category)}, records). A bad line
-    (not JSON, a missing or mistyped field) raises ValueError naming it."""
+    (not JSON, a missing or mistyped field, a negative surface or device id)
+    raises ValueError naming it."""
     catalog: dict[int, tuple[str, int]] = {}
     records: list[LogRecord] = []
     with open(path, encoding="utf-8") as fh:
@@ -402,6 +403,9 @@ def read_logs(path):
                        or not isinstance(obj[k], t) or isinstance(obj[k], bool)]
                 if bad:
                     raise ValueError(f"{kind} line lacks or mistypes field(s) {bad}")
+                negative = [k for k in ("surface", "device") if (obj.get(k) or 0) < 0]
+                if negative:
+                    raise ValueError(f"{kind} line has negative context id(s) {negative}")
                 if kind == "impression":
                     _check_impression(obj["items"], obj["signals"])
                 if kind == "item":

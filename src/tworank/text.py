@@ -31,6 +31,9 @@ class Vocab:
         self.index = {t: i for i, t in enumerate(self.tokens)}
         if len(self.index) != len(self.tokens):
             raise ValueError("duplicate tokens in vocab")
+        # word -> piece ids, filled by `tokenize`: catalogs reuse a few
+        # hundred words across every title
+        self._word_ids: dict[str, list[int]] = {}
 
     def __len__(self):
         return len(self.tokens)
@@ -122,7 +125,10 @@ def tokenize(text: str, vocab: Vocab) -> list[int]:
     segmentation. A word with an uncoverable span becomes a single [UNK]."""
     ids: list[int] = []
     for word in text.lower().split():
-        ids.extend(_segment_word(word, vocab))
+        pieces = vocab._word_ids.get(word)
+        if pieces is None:
+            pieces = vocab._word_ids[word] = _segment_word(word, vocab)
+        ids.extend(pieces)
     return ids
 
 

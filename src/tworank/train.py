@@ -1,7 +1,7 @@
 """Two-stage training: retrieval pre-training with in-batch negatives,
 ranking fine-tuning, and continuous fine-tuning with frozen calibration
-scalars. Parameters update per named group with groupwise gradient norm
-clipping and a warmup + linear-decay schedule.
+scalars, all run by one step loop. Parameters update per named group with
+groupwise gradient norm clipping and a warmup + linear-decay schedule.
 """
 
 from __future__ import annotations
@@ -137,9 +137,32 @@ def item_embeddings_for(item_ids, embedder: TitleEmbedder, params: ModelParams) 
     return item_tower_forward_batch(content_embed_batch(*embedder.batch(item_ids), params), params)
 
 
-def _num_steps(n_batches: int, config: TrainConfig) -> int:
-    total = n_batches * config.epochs
-    return min(total, config.max_steps) if config.max_steps else total
+def _title_embedder(titles: dict[int, str], item_ids, tokenize_fn) -> TitleEmbedder:
+    """Titles of only the items a run names, tokenized once."""
+    return TitleEmbedder({i: titles[i] for i in sorted(set(item_ids))}, tokenize_fn)
+
+
+def _train(params: ModelParams, config: TrainConfig, n: int, batch_size: int,
+           n_batches: int, seed: int, batch_loss,
+           frozen_prefixes: tuple[str, ...] = ()) -> ModelParams:
+    """The step loop of both stages. Each epoch visits the n examples in a
+    fresh `rng.permutation(n)` of `default_rng(seed)`, cut into n_batches
+    slices of batch_size indices; `batch_loss(indices)` gives each slice's
+    loss, and Adam steps once per slice until min(n_batches * epochs,
+    max_steps) steps are spent."""
+    n_steps = n_batches * config.epochs
+    if config.max_steps:
+        n_steps = min(n_steps, config.max_steps)
+    schedule = Schedule(min(config.warmup_steps, n_steps), n_steps, config.schedule_mode)
+    opt = AdamOptimizer(params, config, schedule, frozen_prefixes=frozen_prefixes)
+    rng = np.random.default_rng(seed)
+    for step in range(n_steps):
+        k = step % n_batches
+        if k == 0:
+            order = rng.permutation(n)
+        loss = batch_loss(order[k * batch_size: (k + 1) * batch_size])
+        opt.step(_grads_by_name(loss, params))
+    return params
 
 
 def pretrain_run(samples: list[PretrainSample], config: TrainConfig,
@@ -147,6 +170,7 @@ def pretrain_run(samples: list[PretrainSample], config: TrainConfig,
                  init: ModelParams | None = None) -> ModelParams:
     """Retrieval pre-training: each sample's in-batch negatives are the
     other samples' positive items; sampled softmax over cosine scores.
+    Only full batches of `config.batch_size` samples are taken.
 
     `tokenize_fn` is called for every history event of every step, so it
     should cache (as `Bundle.tokenize_fn` does)."""
@@ -154,43 +178,33 @@ def pretrain_run(samples: list[PretrainSample], config: TrainConfig,
         raise ValueError(f"{len(samples)} pretrain samples fill no batch of "
                          f"batch_size {config.batch_size}")
     params = init.copy() if init is not None else init_params(tower_config, seed=config.seed)
-    n_steps = _num_steps(len(samples) // config.batch_size, config)
-    schedule = Schedule(min(config.warmup_steps, n_steps), n_steps, config.schedule_mode)
-    opt = AdamOptimizer(params, config, schedule)
-    embedder = TitleEmbedder(titles, tokenize_fn)
-    rng = np.random.default_rng(config.seed)
-    order = np.arange(len(samples))
-    step = 0
-    done = False
-    for _epoch in range(config.epochs):
-        rng.shuffle(order)
-        for lo in range(0, len(samples) - config.batch_size + 1, config.batch_size):
-            batch = [samples[i] for i in order[lo: lo + config.batch_size]]
-            hb = batch_histories([s.history for s in batch], tokenize_fn, tower_config)
-            users = user_tower_forward_batch(hb, params)
-            items = item_embeddings_for([s.item_id for s in batch], embedder, params)
-            scores = similarity_matrix(users, items)
-            loss = pretrain_loss_matrix(scores, temperature(params))
-            opt.step(_grads_by_name(loss, params))
-            step += 1
-            if step >= schedule.total_steps:
-                done = True
-                break
-        if done:
-            break
-    return params
+    embedder = _title_embedder(titles, [s.item_id for s in samples], tokenize_fn)
+
+    def batch_loss(indices):
+        batch = [samples[i] for i in indices]
+        hb = batch_histories([s.history for s in batch], tokenize_fn, tower_config)
+        users = user_tower_forward_batch(hb, params)
+        items = item_embeddings_for([s.item_id for s in batch], embedder, params)
+        return pretrain_loss_matrix(similarity_matrix(users, items), temperature(params))
+
+    return _train(params, config, len(samples), config.batch_size,
+                  len(samples) // config.batch_size, config.seed, batch_loss)
 
 
-def _finetune_epoch(groups: list[ImpressionGroup], params: ModelParams,
-                    opt: AdamOptimizer, config: TrainConfig, tower_config: TowerConfig,
-                    tokenize_fn, embedder: TitleEmbedder, rng, max_steps: int,
-                    group_batch: int = 16) -> int:
-    order = np.arange(len(groups))
-    rng.shuffle(order)
-    steps = 0
-    for lo in range(0, len(groups), group_batch):
-        batch = [groups[i] for i in order[lo: lo + group_batch]]
-        hb = batch_histories([g.history for g in batch], tokenize_fn, tower_config)
+def finetune_run(groups: list[ImpressionGroup], init: ModelParams,
+                 config: TrainConfig, tokenize_fn, titles: dict[int, str],
+                 group_batch: int = 16,
+                 frozen_prefixes: tuple[str, ...] = ()) -> ModelParams:
+    """Ranking fine-tuning on impression groups, `group_batch` groups a
+    step; the last batch of an epoch may be short."""
+    if not groups:
+        raise ValueError("empty fine-tuning group stream")
+    params = init.copy()  # never mutate the caller's checkpoint
+    embedder = _title_embedder(titles, [i for g in groups for i in g.item_ids], tokenize_fn)
+
+    def batch_loss(indices):
+        batch = [groups[i] for i in indices]
+        hb = batch_histories([g.history for g in batch], tokenize_fn, params.config)
         users = user_tower_forward_batch(hb, params)
         owner = np.repeat(np.arange(len(batch)), [len(g.item_ids) for g in batch])
         item_embs = item_embeddings_for([i for g in batch for i in g.item_ids], embedder, params)
@@ -200,36 +214,12 @@ def _finetune_epoch(groups: list[ImpressionGroup], params: ModelParams,
                                   np.array([g.device_id for g in batch])[owner], params)
         else:
             r_ctx = Tensor(np.zeros(owner.size))
-        loss = finetune_objective(r_items, r_ctx, [g.labels for g in batch], params,
+        return finetune_objective(r_items, r_ctx, [g.labels for g in batch], params,
                                   config.pointwise_weight)
-        opt.step(_grads_by_name(loss, params))
-        steps += 1
-        if opt.step_count >= max_steps:
-            break
-    return steps
 
-
-def finetune_run(groups: list[ImpressionGroup], init: ModelParams,
-                 config: TrainConfig, tokenize_fn, titles: dict[int, str],
-                 group_batch: int = 16,
-                 frozen_prefixes: tuple[str, ...] = ()) -> ModelParams:
-    """Ranking fine-tuning on impression groups (single epoch by default
-    at production scale; epochs configurable here)."""
-    if not groups:
-        raise ValueError("empty fine-tuning group stream")
-    params = init.copy()  # never mutate the caller's checkpoint
-    n_steps = _num_steps((len(groups) + group_batch - 1) // group_batch, config)
-    schedule = Schedule(min(config.warmup_steps, n_steps), n_steps, config.schedule_mode)
-    opt = AdamOptimizer(params, config, schedule, frozen_prefixes=frozen_prefixes)
-    embedder = TitleEmbedder(titles, tokenize_fn)
-    rng = np.random.default_rng(config.seed + 7)
-    tower_config = params.config
-    for _epoch in range(config.epochs):
-        _finetune_epoch(groups, params, opt, config, tower_config, tokenize_fn,
-                        embedder, rng, n_steps, group_batch)
-        if opt.step_count >= n_steps:
-            break
-    return params
+    n_batches = (len(groups) + group_batch - 1) // group_batch
+    return _train(params, config, len(groups), group_batch, n_batches, config.seed + 7,
+                  batch_loss, frozen_prefixes)
 
 
 def continuous_finetune(prev: ModelParams, new_groups: list[ImpressionGroup],

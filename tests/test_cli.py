@@ -4,9 +4,12 @@ import io
 import json
 import struct
 
+import numpy as np
 import pytest
 
+from tworank.autodiff import Tensor
 from tworank.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_MISSING, EXIT_OK, main
+from tworank.model import ModelParams
 from tworank.types import SIGNALS
 
 FAST = [
@@ -99,6 +102,45 @@ def test_truncated_artifact_exit_code(workspace, tmp_path, monkeypatch, capsys,
     assert captured.out == "" and "Traceback" not in captured.err
 
 
+def _corrupt(params, how):
+    tensors = params.tensors
+    cls = tensors["embeddings.cls"]
+    if how == "missing-tensor":
+        del tensors["embeddings.cls"]
+    elif how == "extra-tensor":
+        tensors["embeddings.extra"] = Tensor(np.zeros(3))
+    elif how == "wrong-shape":
+        tensors["embeddings.cls"] = Tensor(np.zeros(cls.shape[0] + 1))
+    else:
+        cls.data[0] = np.nan
+
+
+def _with_config_key(raw: bytes) -> bytes:
+    """The checkpoint with a key no TowerConfig has in its config block."""
+    (n,) = struct.unpack("<I", raw[8:12])
+    block = json.dumps(dict(json.loads(raw[12: 12 + n]), bogus=1)).encode()
+    return raw[:8] + struct.pack("<I", len(block)) + block + raw[12 + n:]
+
+
+@pytest.mark.parametrize("how", ["missing-tensor", "extra-tensor", "wrong-shape", "nan",
+                                 "config-key"])
+def test_bad_checkpoint_exit_code(workspace, tmp_path, capsys, how):
+    out = tmp_path / "badckpt"
+    out.mkdir()
+    for name in ("logs.ndjson", "vocab.txt"):
+        (out / name).write_bytes((workspace / name).read_bytes())
+    if how == "config-key":
+        (out / "bad.ckpt").write_bytes(_with_config_key((workspace / "finetune.ckpt").read_bytes()))
+    else:
+        params = ModelParams.load(workspace / "finetune.ckpt")
+        _corrupt(params, how)
+        params.save(out / "bad.ckpt")
+    assert run("evaluate", out, "--checkpoint", str(out / "bad.ckpt")) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "bad.ckpt" in captured.err and not (out / "metrics.json").exists()
+
+
 @pytest.mark.parametrize("command", ["pretrain", "build-vocab"])
 def test_log_line_missing_field_exit_code(tmp_path, capsys, command):
     (tmp_path / "logs.ndjson").write_text('{"type": "item", "id": 0, "title": "a b", '
@@ -109,14 +151,14 @@ def test_log_line_missing_field_exit_code(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
-def _event_line(item):
+def _event_line(item, surface=0):
     return json.dumps({"type": "event", "day": 9, "user": 0, "event": "click",
-                       "text": "a b", "item": item, "surface": 0})
+                       "text": "a b", "item": item, "surface": surface})
 
 
-def _impression_line(items, labels=(0, 1), signals=SIGNALS):
-    return json.dumps({"type": "impression", "day": 9, "user": 0, "surface": 0,
-                       "device": 0, "items": items,
+def _impression_line(items, labels=(0, 1), signals=SIGNALS, surface=0, device=0):
+    return json.dumps({"type": "impression", "day": 9, "user": 0, "surface": surface,
+                       "device": device, "items": items,
                        "signals": {s: list(labels) for s in signals}})
 
 
@@ -127,6 +169,9 @@ def _impression_line(items, labels=(0, 1), signals=SIGNALS):
     pytest.param(_impression_line([3, "4"]), id="impression-item-string"),
     pytest.param(_impression_line([3, 4], signals=SIGNALS[:3]), id="impression-signal-missing"),
     pytest.param(_impression_line([3, 4], labels=(1,)), id="impression-signal-short"),
+    pytest.param(_impression_line([3, 4], surface=-3), id="impression-surface-negative"),
+    pytest.param(_impression_line([3, 4], device=-1), id="impression-device-negative"),
+    pytest.param(_event_line(3, surface=-1), id="event-surface-negative"),
 ])
 def test_bad_log_record_exit_code(workspace, tmp_path, capsys, line):
     out = tmp_path / "bad"

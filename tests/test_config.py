@@ -2,6 +2,7 @@
 
 import pytest
 
+from tworank.cli import EXIT_CONFIG, main
 from tworank.config import ConfigError, load_config
 
 
@@ -96,3 +97,17 @@ def test_model_invariant_violation_is_config_error():
 def test_eval_graded_key_removed():
     with pytest.raises(ConfigError):
         load_config(None, overrides=["eval.graded=true"])
+
+
+@pytest.mark.parametrize("key", ["finetune.batch_size", "pretrain.use_context",
+                                 "pretrain.pointwise_weight"])
+def test_stage_keys_never_read_are_rejected(tmp_path, key):
+    value = "false" if key.endswith("use_context") else "3"
+    with pytest.raises(ConfigError, match=key.split(".")[1]):
+        load_config(None, overrides=[f"{key}={value}"])
+    section, name = key.split(".")
+    path = tmp_path / "run.ini"
+    path.write_text(f"[{section}]\n{name} = {value}\n")
+    with pytest.raises(ConfigError, match=name):
+        load_config(str(path))
+    assert main(["gen-data", "--out", str(tmp_path), "--set", f"{key}={value}"]) == EXIT_CONFIG

@@ -1,11 +1,11 @@
-"""Metrics: nDCG analytic values, discovery filtering, recall, and the
+"""Metrics: nDCG analytic values, discovery filtering, and the
 feature-gain harness."""
 
 import numpy as np
 import pytest
 
 from tworank.evaluate import (discovery_subset, fit_logistic, group_relevance,
-                              mean_ndcg, ndcg, predict_logistic, recall_at_k,
+                              mean_ndcg, ndcg, predict_logistic,
                               relative_gain_harness)
 from tworank.model import TowerConfig, init_params
 from tworank.pipeline import build_bundle, calibration_report, score_table
@@ -73,10 +73,9 @@ def test_ndcg_truncation():
     assert ndcg([3.0, 2.0, 1.0], [0, 0, 1], [1, 2, 3], k=2) == pytest.approx(0.0)
 
 
-def test_group_relevance_binary_and_graded():
+def test_group_relevance_is_binary():
     g = _group([1, 2, 3], [1, 0, 0], prch=[0, 0, 1])
     assert np.array_equal(group_relevance(g), [1, 0, 1])
-    assert np.array_equal(group_relevance(g, graded=True), [1, 0, 3])
 
 
 def test_mean_ndcg_averages():
@@ -113,30 +112,6 @@ def test_discovery_subset_requires_surviving_positive():
     g = _group([10, 11, 12], [1, 0, 0])
     category = {10: 0, 11: 1, 12: 1}.__getitem__
     assert discovery_subset(g, {0}, category) is None
-
-
-# ---------------------------------------------------------------------------
-# recall
-# ---------------------------------------------------------------------------
-
-
-def test_recall_at_full_pool_is_one(rng):
-    item_vecs = rng.normal(size=(8, 4))
-    user_vecs = rng.normal(size=(3, 4))
-    pool = list(range(8))
-    assert recall_at_k(user_vecs, [0, 3, 7], pool, item_vecs, k=8) == 1.0
-
-
-def test_recall_at_zero_is_zero(rng):
-    item_vecs = rng.normal(size=(4, 3))
-    assert recall_at_k(rng.normal(size=(1, 3)), [0], [0, 1, 2, 3], item_vecs, k=0) == 0.0
-
-
-def test_recall_exact_top_one():
-    item_vecs = np.eye(3)
-    users = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    # first user's positive is item 0 (its top hit); second's is item 2 (not)
-    assert recall_at_k(users, [0, 2], [0, 1, 2], item_vecs, k=1) == 0.5
 
 
 # ---------------------------------------------------------------------------

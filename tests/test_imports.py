@@ -1,5 +1,6 @@
-"""Import hygiene of the package: every imported name is used, and the
-serving path does not depend on the trainer."""
+"""Import hygiene of the package: every imported name is used, the
+serving path does not depend on the trainer, and every public function or
+class is named by the program or is a listed test oracle."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,21 @@ import tworank
 
 PACKAGE = Path(tworank.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# public names that only tests call, each the reference a test compares
+# the program's code against
+TEST_ORACLES = {
+    "content_embed": "one sequence's CBOW sum, the reference for content_embed_batch",
+    "item_tower_forward": "one item through the tower, the reference for the batched tower",
+    "user_tower_forward": "one history through the tower, the reference for the batched tower",
+    "similarity": "one pair's cosine, the reference for similarity_matrix",
+    "pretrain_loss": "one sample's sampled softmax, the reference for pretrain_loss_matrix",
+    "bpr_original": "the uncalibrated pairwise loss, the analytic check of the calibrated one",
+    "finetune_objective_bruteforce": "the per-group loop oracle of finetune_objective",
+    "pieces_of": "a word's piece strings, for the vocabulary round trip",
+    "relative_gain_harness": "the similarity-as-a-ranker-feature study, not yet run by a command",
+}
 
 
 def _bound_names(tree: ast.Module) -> dict[str, int]:
@@ -32,6 +48,24 @@ def _used_names(tree: ast.Module) -> set[str]:
     for node in exported:
         used |= {c.value for c in ast.walk(node) if isinstance(c, ast.Constant)}
     return used
+
+
+def _public_definitions(tree: ast.Module) -> set[str]:
+    return {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+            and not n.name.startswith("_")}
+
+
+def _named(tree: ast.Module) -> set[str]:
+    """Every name `tree` loads, reads as an attribute or imports."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+    return out
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:
@@ -71,3 +105,22 @@ def test_scanner_catches_an_unused_import_and_a_trainer_import():
     assert _imported_modules(tree) == {"train"}
     assert _imported_modules(ast.parse("from . import train")) == {"train"}
     assert _imported_modules(ast.parse("from tworank.train import x")) == {"train"}
+
+
+def test_every_public_name_is_used_or_an_oracle():
+    trees = [ast.parse(p.read_text(encoding="utf-8"))
+             for p in MODULES + sorted(PERFBENCH.glob("*.py"))]
+    defined = set().union(*(_public_definitions(t) for t in trees[:len(MODULES)]))
+    named = set().union(*(_named(t) for t in trees))
+    assert TEST_ORACLES.keys() <= defined, "a listed oracle no longer exists"
+    assert TEST_ORACLES.keys().isdisjoint(named), "a listed oracle is now used"
+    unused = sorted(defined - named - TEST_ORACLES.keys())
+    assert not unused, f"public names that nothing runs: {unused}"
+
+
+def test_scanner_catches_a_public_name_nothing_runs():
+    tree = ast.parse("def used(): pass\ndef unused(): pass\nclass _Private: pass\n"
+                     "x = used()\nfrom m import Imported\ny = obj.attr\n")
+    assert _public_definitions(tree) == {"used", "unused"}
+    assert _public_definitions(tree) - _named(tree) == {"unused"}
+    assert {"Imported", "attr"} <= _named(tree)

@@ -52,14 +52,6 @@ def test_config_rejects_short_positions():
         TowerConfig(d=16, max_history=64, max_positions=10)
 
 
-def test_reference_scale_config():
-    cfg = TowerConfig.paper()
-    assert cfg.d == 256
-    assert cfg.user_layers == 4
-    assert cfg.user_heads == 4
-    assert cfg.max_history == 1024
-
-
 # ---------------------------------------------------------------------------
 # parameters
 # ---------------------------------------------------------------------------
@@ -340,9 +332,9 @@ def test_context_unknown_ids_clamp(tiny_params, tiny_config):
     tiny_params["loss_params.ctx_surface"].data[tiny_config.n_surfaces, 0] = 42.0
     tiny_params["loss_params.ctx_device"].data[tiny_config.n_devices, 0] = 1.0
     tiny_params["loss_params.ctx_surface"].data[0, 0] = 5.0
-    # ids past the tables fall back to the reserved last row; negative ids clamp to 0
-    out = context_score([999, tiny_config.n_surfaces, -3], [999, 999, 0], tiny_params)
-    assert np.allclose(out.data, [43.0, 43.0, 5.0], rtol=0.0, atol=1e-12)
+    # ids outside the tables, negative ones included, take the reserved last row
+    out = context_score([999, tiny_config.n_surfaces, -3, 0], [999, 999, 0, -1], tiny_params)
+    assert np.allclose(out.data, [43.0, 43.0, 42.0, 6.0], rtol=0.0, atol=1e-12)
 
 
 def test_similarity_analytic_value():

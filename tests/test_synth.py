@@ -208,14 +208,14 @@ def test_read_logs_rejects_unknown_record(tmp_path):
         read_logs(path)
 
 
-def _impression(items, drop=None, extra=None, click=None):
+def _impression(items, drop=None, extra=None, click=None, surface=0, device=0):
     signals = {s: [0] * len(items) for s in SIGNALS if s != drop}
     if extra:
         signals[extra] = [0] * len(items)
     if click is not None:
         signals["click"] = click
-    return json.dumps({"type": "impression", "day": 1, "user": 2, "surface": 0,
-                       "device": 0, "items": items, "signals": signals})
+    return json.dumps({"type": "impression", "day": 1, "user": 2, "surface": surface,
+                       "device": device, "items": items, "signals": signals})
 
 
 @pytest.mark.parametrize("line", [
@@ -236,9 +236,14 @@ def _impression(items, drop=None, extra=None, click=None):
     _impression([1, 2], click=[1, 2]),
     _impression([1, 2], click=[1, True]),
     _impression([1, 2], click="10"),
+    _impression([1, 2], surface=-3),
+    _impression([1, 2], device=-1),
+    '{"type": "event", "day": 1, "user": 2, "event": "click", "text": "a", "item": 1,'
+    ' "surface": -2}',
 ], ids=["missing", "string-day", "bool-user", "null-category", "not-object", "list-type",
         "not-json", "string-item", "bool-item", "signal-missing", "signal-extra",
-        "signal-short", "signal-not-binary", "signal-bool", "signal-not-list"])
+        "signal-short", "signal-not-binary", "signal-bool", "signal-not-list",
+        "negative-surface", "negative-device", "negative-event-surface"])
 def test_read_logs_names_the_bad_line(tmp_path, line):
     path = tmp_path / "bad.ndjson"
     path.write_text('{"type": "item", "id": 0, "title": "a b", "category": 0}\n' + line + "\n")

@@ -1,14 +1,21 @@
 """Optimization: schedule values, groupwise clipping, Adam arithmetic,
 freezing, and run-level determinism."""
 
+import copy
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from tworank import train
 from tworank.dataset import build_finetune_groups, build_pretrain_samples
 from tworank.model import TowerConfig, init_params
 from tworank.train import (AdamOptimizer, Schedule, TrainConfig, clip_group,
                            continuous_finetune, finetune_run, lr_at,
                            pretrain_run)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 TINY = TowerConfig(d=8, user_layers=1, user_heads=2, user_ffn_hidden=16,
                    item_layers=1, max_history=4, vocab_size=32,
@@ -236,3 +243,87 @@ def test_warmup_longer_than_run_is_clamped(training_data, word_tokenizer):
         # one step at the clamped warmup's end: lr reaches its base value
         assert not np.array_equal(out["embeddings.content"].data,
                                   init["embeddings.content"].data)
+
+
+# ---------------------------------------------------------------------------
+# the step loop both stages share
+# ---------------------------------------------------------------------------
+
+
+def _recorded_batches(monkeypatch, examples, run):
+    """Call `run(examples)` and return each step's example indices, read off
+    the histories that reach `train.batch_histories`."""
+    # each example gets its own history object, so a batch's histories name it
+    examples = [replace(e, history=copy.copy(e.history)) for e in examples]
+    index = {id(e.history): i for i, e in enumerate(examples)}
+    batches = []
+    real = train.batch_histories
+
+    def spy(histories, *args):
+        batches.append([index[id(h)] for h in histories])
+        return real(histories, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(train, "batch_histories", spy)
+        run(examples)
+    return batches
+
+
+def _epochs(batches, per_epoch, seed, n):
+    """(indices visited in epoch k, the k-th permutation from default_rng(seed))."""
+    rng = np.random.default_rng(seed)
+    return [(sum(batches[k: k + per_epoch], []), rng.permutation(n))
+            for k in range(0, len(batches), per_epoch)]
+
+
+@pytest.mark.parametrize("max_steps", [0, 7], ids=["uncapped", "capped"])
+def test_stages_batch_fresh_permutations(training_data, word_tokenizer, monkeypatch,
+                                         max_steps):
+    """Each epoch visits the examples in the next permutation of the stage's
+    generator, so none twice; pre-training drops the short last batch and
+    fine-tuning keeps it; the step count is the one the benchmark plans."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import lifecycle
+
+    samples, groups, titles = training_data
+    cfg = _run_cfg(epochs=3, max_steps=max_steps)
+
+    # 90 samples: 5 full batches of 16 an epoch, 10 samples left over
+    batches = _recorded_batches(monkeypatch, samples[:90], lambda examples: pretrain_run(
+        examples, cfg, TINY, word_tokenizer, titles))
+    assert len(batches) == lifecycle.pretrain_steps(90, cfg) == (7 if max_steps else 15)
+    assert all(len(b) == 16 for b in batches)
+    for visited, order in _epochs(batches, 5, cfg.seed, 90):
+        assert visited == order[: len(visited)].tolist()
+
+    # 45 groups: batches of 16, 16 and 13 an epoch
+    batches = _recorded_batches(monkeypatch, groups[:45], lambda examples: finetune_run(
+        examples, init_params(TINY, seed=0), cfg, word_tokenizer, titles))
+    assert len(batches) == lifecycle.finetune_work(45, cfg)[0] == (7 if max_steps else 9)
+    epochs = _epochs(batches, 3, cfg.seed + 7, 45)
+    assert [len(b) for b in batches[:3]] == [16, 16, 13]
+    assert sorted(epochs[0][0]) == sorted(epochs[1][0]) == list(range(45))
+    for visited, order in epochs:
+        assert visited == order[: len(visited)].tolist()
+
+
+def test_runs_tokenize_only_their_own_titles(training_data, word_tokenizer):
+    """A run featurizes the titles of the items its examples name and the
+    texts of their histories, never the rest of the catalog."""
+    samples, groups, titles = training_data
+    samples, groups = samples[:32], groups[:16]
+
+    def only(item_ids, histories):
+        allowed = {titles[i] for i in item_ids} | {e.text for h in histories for e in h.events}
+        assert set(titles.values()) - allowed  # the catalog holds titles to skip
+
+        def tok(text):
+            assert text in allowed, f"tokenized {text!r}, which the run does not name"
+            return word_tokenizer(text)
+        return tok
+
+    pretrain_run(samples, _run_cfg(max_steps=2), TINY,
+                 only([s.item_id for s in samples], [s.history for s in samples]), titles)
+    finetune_run(groups, init_params(TINY, seed=0), _run_cfg(max_steps=1),
+                 only([i for g in groups for i in g.item_ids], [g.history for g in groups]),
+                 titles)
