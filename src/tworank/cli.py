@@ -40,14 +40,21 @@ def _artifact(out_dir: str, name: str, must_exist: bool = False) -> str:
 def _load_inputs(cfg: RunConfig, out_dir: str):
     world = generate_world(cfg.world)
     logs_path = _artifact(out_dir, "logs.ndjson", must_exist=True)
-    _catalog, records = read_logs(logs_path)
+    catalog, records = read_logs(logs_path)
+    # the towers read titles from the world, so the logs must come from it
+    world_catalog = dict(enumerate(zip(world.titles, world.item_categories.tolist())))
+    if catalog != world_catalog:
+        i = min(i for i in catalog.keys() | world_catalog.keys()
+                if catalog.get(i) != world_catalog.get(i))
+        raise ValueError(f"{logs_path}: logged item {i} is {catalog.get(i)}, but the [world] "
+                         f"config (seed {cfg.world.seed}) makes it {world_catalog.get(i)}")
     vocab = Vocab.load(_artifact(out_dir, "vocab.txt", must_exist=True))
     return world, records, vocab
 
 
 def _bundle(cfg: RunConfig, out_dir: str):
     world, records, vocab = _load_inputs(cfg, out_dir)
-    return build_bundle(cfg.world, vocab_size=cfg.data.vocab_size,
+    return build_bundle(cfg.world, vocab_size=cfg.model.vocab_size,
                         max_history=cfg.model.max_history,
                         include_web=cfg.data.include_web, delay=cfg.data.delay,
                         test_days=cfg.data.test_days,
@@ -70,7 +77,7 @@ def cmd_build_vocab(cfg: RunConfig, ec: EvalConfig, args) -> int:
     catalog, records = read_logs(logs_path)
     corpus = [title for title, _cat in catalog.values()]
     corpus += [r.event.text for r in records if hasattr(r, "event")]
-    vocab = build_vocab(corpus, cfg.data.vocab_size)
+    vocab = build_vocab(corpus, cfg.model.vocab_size)
     path = _artifact(args.out, "vocab.txt")
     vocab.save(path)
     print(f"build-vocab: {len(vocab)} pieces -> {path}")
@@ -175,9 +182,8 @@ def cmd_ablate(cfg: RunConfig, ec: EvalConfig, args) -> int:
     for cell in ec.cell_list() or ABLATION_CELLS:
         for seed in ec.seed_list():
             metrics = run_ablation_cell(cell, cfg.world, cfg.model, cfg.pretrain,
-                                        cfg.finetune, seed,
-                                        vocab_size=cfg.data.vocab_size,
-                                        test_days=cfg.data.test_days, delay=cfg.data.delay)
+                                        cfg.finetune, seed, test_days=cfg.data.test_days,
+                                        delay=cfg.data.delay)
             rows += [{"metric": f"ndcg/{cell}", "surface": surface, "seed": seed,
                       "value": value} for surface, value in metrics.items()]
     tsv = _artifact(args.out, "results.tsv")

@@ -19,7 +19,6 @@ class ConfigError(ValueError):
 
 @dataclass
 class DataConfig:
-    vocab_size: int = 2048
     delay: int = 1
     include_web: bool = True
     test_days: int = 10
@@ -67,11 +66,16 @@ _SECTIONS = {
 _DICT_KEYS = {f"lr_{g}": ("lrs", g) for g in GROUP_NAMES}
 _DICT_KEYS.update({f"clip_{g}": ("clips", g) for g in GROUP_NAMES})
 
-# TrainConfig fields that a stage never reads: fine-tuning takes
-# finetune_run's group batch, and only fine-tuning scores the context and
-# weighs the pointwise loss
-_UNREAD = {("finetune", "batch_size"), ("pretrain", "use_context"),
-           ("pretrain", "pointwise_weight")}
+# keys a section does not take, with the reason: the context tables are
+# sized by the world, fine-tuning takes finetune_run's group batch, and only
+# fine-tuning scores the context and weighs the pointwise loss
+_NOT_SETTABLE = {
+    ("model", "n_surfaces"): "comes from [world] n_surfaces",
+    ("model", "n_devices"): "comes from [world] n_devices",
+    ("finetune", "batch_size"): "is never read by that stage",
+    ("pretrain", "use_context"): "is never read by that stage",
+    ("pretrain", "pointwise_weight"): "is never read by that stage",
+}
 
 
 def _coerce(value: str, target_type):
@@ -86,8 +90,8 @@ def _coerce(value: str, target_type):
 
 
 def _set_key(obj, key: str, value: str, section: str) -> None:
-    if (section, key) in _UNREAD:
-        raise ConfigError(f"key {key!r} in section [{section}] is never read by that stage")
+    if (section, key) in _NOT_SETTABLE:
+        raise ConfigError(f"key {key!r} in section [{section}] {_NOT_SETTABLE[section, key]}")
     if isinstance(obj, TrainConfig) and key in _DICT_KEYS:
         attr, group = _DICT_KEYS[key]
         getattr(obj, attr)[group] = float(value)
@@ -95,7 +99,6 @@ def _set_key(obj, key: str, value: str, section: str) -> None:
     valid = {f.name: f for f in fields(obj)}
     if key not in valid or valid[key].type in ("dict",):
         raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    f = valid[key]
     current = getattr(obj, key)
     target = type(current) if current is not None else str
     try:
@@ -138,12 +141,19 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
             raise ConfigError(f"unknown section {section!r} in override {ov!r}")
         assign(section, key, value)
 
-    # TowerConfig derives user_ffn_hidden, item_hidden and max_positions from
-    # d and max_history when it is built, so build it from the keys that were set
+    # TowerConfig derives user_ffn_hidden from d when it is built, so build
+    # it from the keys that were set, and the context sizes of the world
     try:
-        rc.model = TowerConfig(**{k: getattr(rc.model, k) for k in model_keys})
+        rc.model = TowerConfig(**{k: getattr(rc.model, k) for k in model_keys},
+                               n_surfaces=rc.world.n_surfaces, n_devices=rc.world.n_devices)
     except ValueError as exc:
         raise ConfigError(f"[model] {exc}") from exc
+    for section in ("pretrain", "finetune"):
+        for group, clip in getattr(rc, section).clips.items():
+            if not clip > 0:
+                raise ConfigError(f"[{section}] clip_{group} must be > 0, got {clip}")
+    if rc.pretrain.batch_size < 2:
+        raise ConfigError("[pretrain] batch_size must be >= 2 to give in-batch negatives")
 
     if seed is not None:
         rc.apply_seed(seed)

@@ -31,16 +31,15 @@ FROZEN_IN_CONTINUOUS = ("loss_params.alpha", "loss_params.beta", "loss_params.ga
 
 @dataclass
 class TowerConfig:
-    """Shape of both towers, with desk-scale defaults."""
+    """Shape of both towers, with desk-scale defaults. The item tower is d
+    wide, and the user tower keeps max_history + 1 position rows."""
 
     d: int = 32
     user_layers: int = 2
     user_heads: int = 2
     user_ffn_hidden: int = 0  # 0 -> 4*d
     item_layers: int = 2
-    item_hidden: int = 0  # 0 -> d; residual blocks require width d
     max_history: int = 64
-    max_positions: int = 0  # 0 -> max_history + 1
     vocab_size: int = 2048
     n_surfaces: int = 4
     n_devices: int = 2
@@ -48,16 +47,8 @@ class TowerConfig:
     def __post_init__(self):
         if self.user_ffn_hidden == 0:
             self.user_ffn_hidden = 4 * self.d
-        if self.item_hidden == 0:
-            self.item_hidden = self.d
-        if self.max_positions == 0:
-            self.max_positions = self.max_history + 1
         if self.d % self.user_heads != 0:
             raise ValueError("d must be divisible by user_heads")
-        if self.item_hidden != self.d:
-            raise ValueError("item tower residual blocks require item_hidden == d")
-        if self.max_positions < self.max_history + 1:
-            raise ValueError("max_positions must be >= max_history + 1")
 
 
 @dataclass
@@ -125,8 +116,15 @@ class ModelParams:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         (cfg_len,) = struct.unpack("<I", buf.read(4))
         try:
-            cfg = TowerConfig(**json.loads(buf.read(cfg_len).decode("utf-8")))
-        except TypeError as exc:  # unknown, missing or mistyped config keys
+            block = dict(json.loads(buf.read(cfg_len).decode("utf-8")))
+            # blocks written before the item width and the position rows were
+            # derived name them too; each must hold the one value the tower takes
+            old = {k: block.pop(k) for k in ("item_hidden", "max_positions") if k in block}
+            cfg = TowerConfig(**block)
+            for key, value in (("item_hidden", cfg.d), ("max_positions", cfg.max_history + 1)):
+                if old.get(key, value) != value:
+                    raise ValueError(f"{key} = {old[key]!r}, but the tower takes {value}")
+        except (TypeError, ValueError) as exc:  # unknown, mistyped or misvalued keys
             raise ValueError(f"{path}: bad model config block: {exc}") from None
         (count,) = struct.unpack("<I", buf.read(4))
         params = cls(cfg)
@@ -138,7 +136,7 @@ class ModelParams:
             n = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(buf.read(4 * n), dtype="<f4").reshape(shape)
             params.tensors[name] = Tensor(data.astype(np.float64), requires_grad=True)
-        layout = {n: t.shape for n, t in init_params(cfg).tensors.items()}
+        layout = {n: shape for n, shape, _init in param_layout(cfg)}
         shapes = {n: t.shape for n, t in params.tensors.items()}
         misfits = sorted(n for n in layout.keys() | shapes.keys() if layout.get(n) != shapes.get(n))
         if misfits:
@@ -150,62 +148,57 @@ class ModelParams:
         return params
 
 
-def init_params(config: TowerConfig, seed: int = 0) -> ModelParams:
-    """Normal(0, 0.02) embeddings and linears, identity layer norms,
-    identity-like calibration scalars."""
-    rng = np.random.default_rng(seed)
-    p = ModelParams(config)
-    d = config.d
+NORMAL = "normal"  # a Normal(0, 0.02) draw; any other init is a constant fill
 
-    def par(name, value):
-        p.tensors[name] = Tensor(np.asarray(value, dtype=np.float64), requires_grad=True)
 
-    def normal(*shape):
-        return rng.normal(0.0, 0.02, size=shape)
-
-    par("embeddings.content", normal(config.vocab_size, d))
-    par("embeddings.position", normal(config.max_positions, d))
-    par("embeddings.event_type", normal(len(EVENT_TYPE_IDS), d))
-    par("embeddings.cls", normal(d))
-    par("embeddings.pre_ln_gain", np.ones(d))
-    par("embeddings.pre_ln_bias", np.zeros(d))
+def param_layout(config: TowerConfig) -> list[tuple[str, tuple[int, ...], float | str]]:
+    """Every parameter as (name, shape, init), in the order init_params
+    fills them: Normal(0, 0.02) embeddings and linears, identity layer
+    norms, identity-like calibration scalars."""
+    d, ffn = config.d, config.user_ffn_hidden
+    layout = [("embeddings.content", (config.vocab_size, d), NORMAL),
+              ("embeddings.position", (config.max_history + 1, d), NORMAL),
+              ("embeddings.event_type", (len(EVENT_TYPE_IDS), d), NORMAL),
+              ("embeddings.cls", (d,), NORMAL),
+              ("embeddings.pre_ln_gain", (d,), 1.0),
+              ("embeddings.pre_ln_bias", (d,), 0.0)]
 
     for i in range(config.user_layers):
         pre = f"transformer.L{i}."
-        for w in ("wq", "wk", "wv", "wo"):
-            par(pre + w, normal(d, d))
-        for b in ("bq", "bk", "bv", "bo"):
-            par(pre + b, np.zeros(d))
-        par(pre + "ln1_gain", np.ones(d))
-        par(pre + "ln1_bias", np.zeros(d))
-        par(pre + "ffn_w1", normal(d, config.user_ffn_hidden))
-        par(pre + "ffn_b1", np.zeros(config.user_ffn_hidden))
-        par(pre + "ffn_w2", normal(config.user_ffn_hidden, d))
-        par(pre + "ffn_b2", np.zeros(d))
-        par(pre + "ln2_gain", np.ones(d))
-        par(pre + "ln2_bias", np.zeros(d))
+        layout += [(pre + w, (d, d), NORMAL) for w in ("wq", "wk", "wv", "wo")]
+        layout += [(pre + b, (d,), 0.0) for b in ("bq", "bk", "bv", "bo")]
+        layout += [(pre + "ln1_gain", (d,), 1.0), (pre + "ln1_bias", (d,), 0.0),
+                   (pre + "ffn_w1", (d, ffn), NORMAL), (pre + "ffn_b1", (ffn,), 0.0),
+                   (pre + "ffn_w2", (ffn, d), NORMAL), (pre + "ffn_b2", (d,), 0.0),
+                   (pre + "ln2_gain", (d,), 1.0), (pre + "ln2_bias", (d,), 0.0)]
 
     for i in range(config.item_layers):
         pre = f"candidate_tower.L{i}."
-        par(pre + "w", normal(d, d))
-        par(pre + "b", np.zeros(d))
-        par(pre + "ln_gain", np.ones(d))
-        par(pre + "ln_bias", np.zeros(d))
+        layout += [(pre + "w", (d, d), NORMAL), (pre + "b", (d,), 0.0),
+                   (pre + "ln_gain", (d,), 1.0), (pre + "ln_bias", (d,), 0.0)]
 
     # softplus(tau_raw) = 10 at init
-    par("loss_params.tau_raw", np.log(np.expm1(10.0)))
+    layout.append(("loss_params.tau_raw", (), float(np.log(np.expm1(10.0)))))
     for k in ("click", "cart", "fvrt", "prch"):
-        par(f"loss_params.gamma.{k}", 1.0)
-        par(f"loss_params.gamma_ctx.{k}", 1.0)
-        par(f"loss_params.beta.{k}", 0.0)
-    par("loss_params.alpha_cl", 1.0)
+        layout += [(f"loss_params.gamma.{k}", (), 1.0), (f"loss_params.gamma_ctx.{k}", (), 1.0),
+                   (f"loss_params.beta.{k}", (), 0.0)]
     # context multipliers start at 1 with zero tables: initial predictions
     # are unchanged but gradients can reach the context tables
-    par("loss_params.alpha_ctx", 1.0)
-    par("loss_params.beta_cl", 0.0)
-    # +1 row: reserved UNKNOWN id (last)
-    par("loss_params.ctx_surface", np.zeros((config.n_surfaces + 1, 1)))
-    par("loss_params.ctx_device", np.zeros((config.n_devices + 1, 1)))
+    layout += [("loss_params.alpha_cl", (), 1.0), ("loss_params.alpha_ctx", (), 1.0),
+               ("loss_params.beta_cl", (), 0.0),
+               # +1 row: reserved UNKNOWN id (last)
+               ("loss_params.ctx_surface", (config.n_surfaces + 1, 1), 0.0),
+               ("loss_params.ctx_device", (config.n_devices + 1, 1), 0.0)]
+    return layout
+
+
+def init_params(config: TowerConfig, seed: int = 0) -> ModelParams:
+    """Fill param_layout(config) in order, drawing from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    p = ModelParams(config)
+    for name, shape, init in param_layout(config):
+        value = rng.normal(0.0, 0.02, size=shape) if init == NORMAL else np.full(shape, init)
+        p.tensors[name] = Tensor(value, requires_grad=True)
     return p
 
 

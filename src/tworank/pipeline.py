@@ -208,8 +208,7 @@ ABLATION_CELLS = (
 
 def run_ablation_cell(cell: str, world_cfg: SynthConfig, tower_cfg: TowerConfig,
                       pre_cfg: TrainConfig, ft_cfg: TrainConfig, seed: int,
-                      vocab_size: int = 2048, test_days: int = TEST_DAYS,
-                      delay: int = 1) -> dict[str, float]:
+                      test_days: int = TEST_DAYS, delay: int = 1) -> dict[str, float]:
     """Train one ablation cell on a fresh world for `seed` and return its
     test metrics."""
     wc = replace(world_cfg, seed=seed)
@@ -218,9 +217,8 @@ def run_ablation_cell(cell: str, world_cfg: SynthConfig, tower_cfg: TowerConfig,
     tc = tower_cfg
     if cell == "both_short_history":
         max_history = max(tower_cfg.max_history // 2, 4)
-        tc = replace(tower_cfg, max_history=max_history,
-                     max_positions=max_history + 1)
-    bundle = build_bundle(wc, vocab_size=vocab_size, max_history=max_history,
+        tc = replace(tower_cfg, max_history=max_history)
+    bundle = build_bundle(wc, vocab_size=tower_cfg.vocab_size, max_history=max_history,
                           include_web=include_web, delay=delay,
                           test_days=test_days)
     regime = cell if cell in REGIMES else "both"

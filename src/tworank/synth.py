@@ -230,23 +230,12 @@ def _funnel_events(user: int, day: int, item: int, title: str, surface, rng,
     return events, signals
 
 
-def simulate_logs(world: SynthWorld,
-                  bias_override: float | None = None) -> list[LogRecord]:
-    """Day-ordered stream of organic events, web queries, and impressions.
-
-    `bias_override` replaces the stored bias table scale (0.0 gives
-    context-balanced logs, used for fair evaluation sets).
-    """
+def simulate_logs(world: SynthWorld) -> list[LogRecord]:
+    """Day-ordered stream of organic events, web queries, and impressions."""
     cfg = world.config
     if cfg.days < 2:
         raise ValueError("need days >= 2")
     rng = np.random.default_rng(cfg.seed + 1)
-    if bias_override is None:
-        bias = world.bias_table
-    elif cfg.bias_strength == 0:
-        bias = np.zeros_like(world.bias_table)
-    else:
-        bias = world.bias_table * (bias_override / cfg.bias_strength)
     records: list[LogRecord] = []
     for day in range(cfg.days):
         for user in range(cfg.n_users):
@@ -280,7 +269,7 @@ def simulate_logs(world: SynthWorld,
                     surface = cat % cfg.n_surfaces
                 else:
                     surface = int(rng.integers(0, cfg.n_surfaces))
-                b_ctx = float(bias[surface, device])
+                b_ctx = float(world.bias_table[surface, device])
                 items, labels = _slate(world, cat, rng)
                 for pos, item in enumerate(items):
                     p_click = _sigmoid(cfg.relevance_scale * float(z_u @ world.item_latents[item])

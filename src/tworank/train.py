@@ -80,10 +80,12 @@ class TrainConfig:
     clips: dict = field(default_factory=_default_clips)
     pointwise_weight: float = 0.1
     use_context: bool = True
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
+
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class AdamOptimizer:
@@ -118,12 +120,12 @@ class AdamOptimizer:
             clipped = clip_group(group_grads, cfg.clips[group])
             lr = lr_at(t, self.schedule, cfg.lrs[group])
             for name, g in clipped.items():
-                m = self.m[name] = cfg.adam_beta1 * self.m[name] + (1 - cfg.adam_beta1) * g
-                v = self.v[name] = cfg.adam_beta2 * self.v[name] + (1 - cfg.adam_beta2) * g * g
-                mhat = m / (1 - cfg.adam_beta1 ** self.step_count)
-                vhat = v / (1 - cfg.adam_beta2 ** self.step_count)
+                m = self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
+                v = self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
+                mhat = m / (1 - ADAM_BETA1 ** self.step_count)
+                vhat = v / (1 - ADAM_BETA2 ** self.step_count)
                 p = self.params.tensors[name]
-                p.data = p.data - lr * mhat / (np.sqrt(vhat) + cfg.adam_eps)
+                p.data = p.data - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def _grads_by_name(loss, params: ModelParams) -> dict[str, np.ndarray]:

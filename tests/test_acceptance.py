@@ -305,9 +305,8 @@ def test_criterion_10_pipeline_determinism(tmp_path):
         "world.organic_rate=0.8", "world.impressions_per_day=0.5",
         "world.query_rate=0.3",
         "model.d=16", "model.user_heads=2", "model.user_layers=1",
-        "model.user_ffn_hidden=32", "model.item_layers=1", "model.item_hidden=16",
-        "model.max_history=12", "model.vocab_size=200",
-        "data.vocab_size=200", "data.test_days=3",
+        "model.user_ffn_hidden=32", "model.item_layers=1",
+        "model.max_history=12", "model.vocab_size=200", "data.test_days=3",
         "pretrain.epochs=1", "pretrain.batch_size=16",
         "pretrain.max_steps=30", "pretrain.warmup_steps=5",
         "finetune.epochs=1", "finetune.max_steps=20", "finetune.warmup_steps=5",

@@ -17,9 +17,8 @@ FAST = [
     "world.organic_rate=0.8", "world.impressions_per_day=0.5",
     "world.query_rate=0.3",
     "model.d=16", "model.user_heads=2", "model.user_layers=1",
-    "model.user_ffn_hidden=32", "model.item_layers=1", "model.item_hidden=16",
-    "model.max_history=12", "model.vocab_size=200",
-    "data.vocab_size=200", "data.test_days=3",
+    "model.user_ffn_hidden=32", "model.item_layers=1",
+    "model.max_history=12", "model.vocab_size=200", "data.test_days=3",
     "pretrain.epochs=1", "pretrain.batch_size=16",
     "pretrain.max_steps=30", "pretrain.warmup_steps=5",
     "finetune.epochs=1", "finetune.max_steps=20", "finetune.warmup_steps=5",
@@ -115,22 +114,42 @@ def _corrupt(params, how):
         cls.data[0] = np.nan
 
 
-def _with_config_key(raw: bytes) -> bytes:
-    """The checkpoint with a key no TowerConfig has in its config block."""
+def _with_config_members(raw: bytes, **members) -> bytes:
+    """The checkpoint with `members` added to its config block."""
     (n,) = struct.unpack("<I", raw[8:12])
-    block = json.dumps(dict(json.loads(raw[12: 12 + n]), bogus=1)).encode()
+    block = json.dumps(dict(json.loads(raw[12: 12 + n]), **members), sort_keys=True).encode()
     return raw[:8] + struct.pack("<I", len(block)) + block + raw[12 + n:]
 
 
+# config block members that no tower takes: a key no TowerConfig has, an
+# item width other than d and a position count other than max_history + 1
+# (FAST's d is 16 and its max_history 12)
+_BAD_MEMBERS = {"config-key": {"bogus": 1}, "item-hidden-half": {"item_hidden": 8},
+                "max-positions-off": {"max_positions": 16}}
+
+
+def test_checkpoint_naming_derived_members_loads(workspace, tmp_path):
+    """Config blocks once named the item width and the position rows; a
+    block that gives each its one value loads as the same model."""
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(_with_config_members((workspace / "finetune.ckpt").read_bytes(),
+                                         item_hidden=16, max_positions=13))
+    a, b = ModelParams.load(workspace / "finetune.ckpt"), ModelParams.load(old)
+    assert b.config == a.config
+    assert b.names() == a.names()
+    assert all(np.array_equal(a[n].data, b[n].data) for n in a.names())
+
+
 @pytest.mark.parametrize("how", ["missing-tensor", "extra-tensor", "wrong-shape", "nan",
-                                 "config-key"])
+                                 *_BAD_MEMBERS])
 def test_bad_checkpoint_exit_code(workspace, tmp_path, capsys, how):
     out = tmp_path / "badckpt"
     out.mkdir()
     for name in ("logs.ndjson", "vocab.txt"):
         (out / name).write_bytes((workspace / name).read_bytes())
-    if how == "config-key":
-        (out / "bad.ckpt").write_bytes(_with_config_key((workspace / "finetune.ckpt").read_bytes()))
+    if how in _BAD_MEMBERS:
+        raw = (workspace / "finetune.ckpt").read_bytes()
+        (out / "bad.ckpt").write_bytes(_with_config_members(raw, **_BAD_MEMBERS[how]))
     else:
         params = ModelParams.load(workspace / "finetune.ckpt")
         _corrupt(params, how)
@@ -139,6 +158,8 @@ def test_bad_checkpoint_exit_code(workspace, tmp_path, capsys, how):
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert "bad.ckpt" in captured.err and not (out / "metrics.json").exists()
+    for key in _BAD_MEMBERS.get(how, ()):
+        assert key in captured.err
 
 
 @pytest.mark.parametrize("command", ["pretrain", "build-vocab"])
@@ -182,6 +203,19 @@ def test_bad_log_record_exit_code(workspace, tmp_path, capsys, line):
     assert run("finetune", out, "--init", "fresh") == EXIT_INVARIANT
     err = capsys.readouterr().err
     assert err.count("invariant violation") == 2 and "Traceback" not in err
+
+
+def test_logs_of_another_world_exit_code(workspace, tmp_path, capsys):
+    """The towers read titles from the [world] config, so logs simulated
+    from another world's seed are refused before any training."""
+    out = tmp_path / "otherworld"
+    out.mkdir()
+    for name in ("logs.ndjson", "vocab.txt"):
+        (out / name).write_bytes((workspace / name).read_bytes())
+    assert run("pretrain", out, "--seed", "1") == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "logged item 0" in err and "seed 1" in err and "Traceback" not in err
+    assert not (out / "pretrain.ckpt").exists()
 
 
 def test_missing_artifact_exit_code(tmp_path):

@@ -1,6 +1,7 @@
 """Featurization, tower forward passes, parameter bookkeeping, and
 checkpointing."""
 
+import hashlib
 from dataclasses import fields
 
 import numpy as np
@@ -14,8 +15,8 @@ from tworank.model import (FROZEN_IN_CONTINUOUS, GROUP_NAMES, HistoryBatch, Mode
                            TitleEmbedder, TowerConfig, batch_histories,
                            content_embed_batch, context_score, init_params,
                            item_tower_forward, item_tower_forward_batch,
-                           similarity, similarity_matrix, user_tower_forward,
-                           user_tower_forward_batch)
+                           param_layout, similarity, similarity_matrix,
+                           user_tower_forward, user_tower_forward_batch)
 from tworank.text import content_embed
 from tworank.types import EVENT_TYPE_IDS, Event, EventType, UserHistory
 
@@ -33,8 +34,6 @@ def _history(user=0, n=3):
 def test_config_defaults_fill_in():
     cfg = TowerConfig(d=32)
     assert cfg.user_ffn_hidden == 128
-    assert cfg.item_hidden == 32
-    assert cfg.max_positions == cfg.max_history + 1
 
 
 def test_config_rejects_indivisible_heads():
@@ -42,19 +41,38 @@ def test_config_rejects_indivisible_heads():
         TowerConfig(d=10, user_heads=4)
 
 
-def test_config_rejects_mismatched_item_hidden():
-    with pytest.raises(ValueError):
-        TowerConfig(d=16, item_hidden=32)
-
-
-def test_config_rejects_short_positions():
-    with pytest.raises(ValueError):
-        TowerConfig(d=16, max_history=64, max_positions=10)
-
-
 # ---------------------------------------------------------------------------
 # parameters
 # ---------------------------------------------------------------------------
+
+
+def _init_digest(params):
+    h = hashlib.sha256()
+    for name, t in params.tensors.items():
+        h.update(name.encode())
+        h.update(repr(t.data.shape).encode())
+        h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+# computed before the layout became a table; filling the table must draw
+# the same numbers in the same order
+INIT_DIGESTS = {
+    ("tiny", 0): "353ba0bad0eac9c712f9cfb3ffa2ceb9d006363122284945a4b2bb260d847bc4",
+    ("tiny", 3): "a60a3d6ad58ec9991af107f64f55b6d7ecdbaf67142d7d5afc913f63226b46f0",
+    ("default", 0): "2e4087d4130ccde7662958b39269972ea4fb5521a026890304f1dbe349eb0e5d",
+    ("default", 3): "a3475ea7f291cdf16770db061bcbe1f08592d41231be0fbe7d50e6c84f414f97",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(INIT_DIGESTS))
+def test_init_params_values_are_pinned(tiny_config, name, seed):
+    cfg = tiny_config if name == "tiny" else TowerConfig()
+    params = init_params(cfg, seed=seed)
+    assert _init_digest(params) == INIT_DIGESTS[name, seed]
+    assert [(n, t.shape) for n, t in params.tensors.items()] == \
+        [(n, shape) for n, shape, _init in param_layout(cfg)]
+    assert params["embeddings.position"].shape == (cfg.max_history + 1, cfg.d)
 
 
 def test_init_deterministic(tiny_config):
@@ -109,6 +127,17 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError):
         ModelParams.load(path)
+
+
+def test_checkpoint_load_draws_no_random_numbers(tiny_params, tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    tiny_params.save(path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("ModelParams.load drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    assert ModelParams.load(path).names() == tiny_params.names()
 
 
 # ---------------------------------------------------------------------------

@@ -120,14 +120,6 @@ def test_click_events_follow_impression_labels(small_logs):
                     assert (rec.user_id, rec.day, item) in clicks
 
 
-def test_bias_override_zero_changes_labels(small_world):
-    biased = simulate_logs(small_world)
-    flat = simulate_logs(small_world, bias_override=0.0)
-    n_biased = sum(sum(r.labels["click"]) for r in biased if isinstance(r, ImpressionGroup))
-    n_flat = sum(sum(r.labels["click"]) for r in flat if isinstance(r, ImpressionGroup))
-    assert n_biased != n_flat  # same worlds, different label distributions
-
-
 def test_web_queries_anticipate_interest(small_world, small_logs):
     """Query words are drawn from the category pool active a few days
     ahead, so queries just before a switch use the post-switch pool."""

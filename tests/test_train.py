@@ -11,8 +11,8 @@ import pytest
 from tworank import train
 from tworank.dataset import build_finetune_groups, build_pretrain_samples
 from tworank.model import TowerConfig, init_params
-from tworank.train import (AdamOptimizer, Schedule, TrainConfig, clip_group,
-                           continuous_finetune, finetune_run, lr_at,
+from tworank.train import (ADAM_EPS, AdamOptimizer, Schedule, TrainConfig,
+                           clip_group, continuous_finetune, finetune_run, lr_at,
                            pretrain_run)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -123,7 +123,7 @@ def test_adam_first_step_hand_computed():
     g = 0.5  # group norm 0.5 < clip, no rescale
     opt.step({name: np.asarray(g)})
     # first Adam step: mhat = g, vhat = g^2, update = lr * g / (|g| + eps)
-    expect = before - 0.01 * g / (abs(g) + cfg.adam_eps)
+    expect = before - 0.01 * g / (abs(g) + ADAM_EPS)
     assert float(params[name].data) == pytest.approx(expect, abs=1e-12)
 
 
@@ -137,7 +137,7 @@ def test_adam_respects_group_clip():
     opt = AdamOptimizer(params, cfg, Schedule(0, 10, mode="constant"))
     opt.step({name: np.asarray(500.0)})  # clipped to norm 1
     lr = cfg.lrs["loss_params"]
-    expect = before - lr * 1.0 / (1.0 + cfg.adam_eps)
+    expect = before - lr * 1.0 / (1.0 + ADAM_EPS)
     assert float(params[name].data) == pytest.approx(expect, rel=1e-9)
 
 
