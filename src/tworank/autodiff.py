@@ -135,7 +135,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # primitive registry: name -> forward(inputs, attrs) -> (out_array, vjp)
-# vjp(grad_out) -> tuple of gradients aligned with inputs (None = no grad)
+# vjp(grad_out) -> tuple of gradients aligned with inputs. A VJP may return
+# None for an input whose requires_grad is False instead of computing a
+# gradient that backward would drop (add and mul do, for constant masks and
+# weights). The gather VJP scatters all rows with one np.bincount.
 # ---------------------------------------------------------------------------
 
 PRIMITIVES: dict[str, Callable] = {}
@@ -193,7 +196,8 @@ def _p_add(inputs, attrs):
         raise ShapeError("add", "operands not broadcastable", (a.shape, b.shape))
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return out, vjp
 
@@ -208,7 +212,8 @@ def _p_mul(inputs, attrs):
     ad, bd = a.data, b.data
 
     def vjp(g):
-        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
+        return (_unbroadcast(g * bd, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * ad, b.shape) if b.requires_grad else None)
 
     return out, vjp
 
@@ -337,9 +342,12 @@ def _p_gather(inputs, attrs):
     out = table.data[ids]
 
     def vjp(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
-        return (gt,)
+        # cell (i, j) of the table is bin i * d + j; bincount adds each bin's
+        # terms in input order from 0.0, as np.add.at does
+        d = table.shape[1]
+        flat = (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+        gt = np.bincount(flat, g.reshape(-1), minlength=n * d)
+        return (gt.reshape(n, d).astype(table.data.dtype, copy=False),)
 
     return out, vjp
 

@@ -48,7 +48,12 @@ def _load_inputs(cfg: RunConfig, out_dir: str):
                 if catalog.get(i) != world_catalog.get(i))
         raise ValueError(f"{logs_path}: logged item {i} is {catalog.get(i)}, but the [world] "
                          f"config (seed {cfg.world.seed}) makes it {world_catalog.get(i)}")
-    vocab = Vocab.load(_artifact(out_dir, "vocab.txt", must_exist=True))
+    vocab_path = _artifact(out_dir, "vocab.txt", must_exist=True)
+    vocab = Vocab.load(vocab_path)
+    # piece ids index the content table, which has [model] vocab_size rows
+    if len(vocab) > cfg.model.vocab_size:
+        raise ValueError(f"{vocab_path}: {len(vocab)} pieces, more than the [model] vocab_size "
+                         f"of {cfg.model.vocab_size}; run build-vocab with this config")
     return world, records, vocab
 
 

@@ -3,9 +3,9 @@ finite-difference agreement, and graph bookkeeping."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from tworank import autodiff as ad
 from tworank.autodiff import ShapeError, Tensor, backward, gradcheck, no_grad
@@ -113,6 +113,31 @@ def test_unreachable_param_gets_zero_grad():
     other = Tensor(np.zeros(3), requires_grad=True)
     grads = backward(ad.scale(x, 2.0), [x, other])
     assert np.array_equal(grads[other], np.zeros(3))
+
+
+def test_add_and_mul_vjps_skip_constant_inputs():
+    """A constant operand (a mask, a weight) gets None, and the operand
+    that requires grad gets the array the full VJP computed for it."""
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+    mask = Tensor((rng.random((2, 3, 4, 1)) < 0.5).astype(float))
+    bias = Tensor(rng.normal(size=5), requires_grad=True)
+    const = Tensor(rng.normal(size=(2, 3, 4, 5)))
+    g = rng.normal(size=(2, 3, 4, 5))
+    cases = [
+        (ad.add(x, mask), (g, None)),
+        (ad.add(mask, x), (None, g)),
+        (ad.mul(x, mask), (g * mask.data, None)),
+        (ad.mul(mask, x), (None, g * mask.data)),
+        (ad.add(const, bias), (None, g.sum(axis=0).sum(axis=0).sum(axis=0))),
+        (ad.mul(const, bias), (None, (g * const.data).sum(axis=0).sum(axis=0).sum(axis=0))),
+    ]
+    for out, want in cases:
+        got = out._vjp(g)
+        assert [w is None for w in want] == [a is None for a in got]
+        for a, w in zip(got, want):
+            if w is not None:
+                assert a.tobytes() == w.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -231,3 +256,29 @@ def test_l2_normalize_output_norm(x):
 @settings(max_examples=50, deadline=None)
 def test_add_matches_numpy_broadcasting(a, b):
     assert np.array_equal(ad.add(Tensor(a), Tensor(b)).data, a + b)
+
+
+@st.composite
+def _gather_cases(draw):
+    """A 1-50 x 1-8 table's shape, ids of any leading shape up to (B, T, L)
+    (empty included; few rows make repeats common) and an output gradient."""
+    n, d = draw(st.integers(1, 50)), draw(st.integers(1, 8))
+    shape = draw(array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6))
+    ids = draw(arrays(np.int64, shape, elements=st.integers(0, n - 1)))
+    g = draw(arrays(np.float64, shape + (d,), elements=st.floats(-1e3, 1e3)))
+    return n, d, ids, g
+
+
+@given(_gather_cases())
+@example((4, 2, np.zeros(0, dtype=np.int64), np.zeros((0, 2))))
+@example((3, 2, np.ones((2, 3, 4), dtype=np.int64), np.arange(48.0).reshape(2, 3, 4, 2) / 7))
+@settings(max_examples=100, deadline=None)
+def test_gather_vjp_matches_add_at(case):
+    n, d, ids, g = case
+    table = Tensor(np.zeros((n, d)), requires_grad=True)
+    out = ad.gather(table, ids)
+    assert out.shape == ids.shape + (d,)
+    (got,) = out._vjp(g)
+    want = np.zeros((n, d))
+    np.add.at(want, ids.reshape(-1), g.reshape(-1, d))
+    assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from tworank import autodiff
 from tworank.model import TowerConfig
 from tworank.synth import SynthConfig
 from tworank.train import TrainConfig
@@ -26,6 +27,13 @@ def bench(monkeypatch):
 def test_tracer_finds_every_wrapped_name(bench):
     _, tracing = bench
     tracing.Probe().assert_pristine()
+
+
+def test_tracer_names_every_primitive(bench):
+    """The benchmark reports one fixed set of per-primitive names, so a
+    primitive added or removed here breaks every benchmark run."""
+    _, tracing = bench
+    assert set(tracing.PRIMITIVE_NAMES) == set(autodiff.PRIMITIVES)
 
 
 def test_life_cycle_runs_untraced_and_traced(bench, tmp_path):

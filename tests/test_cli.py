@@ -7,9 +7,11 @@ import struct
 import numpy as np
 import pytest
 
+from tworank import cli
 from tworank.autodiff import Tensor
 from tworank.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_MISSING, EXIT_OK, main
 from tworank.model import ModelParams
+from tworank.text import Vocab
 from tworank.types import SIGNALS
 
 FAST = [
@@ -215,6 +217,24 @@ def test_logs_of_another_world_exit_code(workspace, tmp_path, capsys):
     assert run("pretrain", out, "--seed", "1") == EXIT_INVARIANT
     err = capsys.readouterr().err
     assert "logged item 0" in err and "seed 1" in err and "Traceback" not in err
+    assert not (out / "pretrain.ckpt").exists()
+
+
+def test_vocab_larger_than_the_table_exit_code(workspace, tmp_path, capsys, monkeypatch):
+    """A vocab.txt built for a larger [model] vocab_size would index past
+    the content table, so it is refused before the bundle is built."""
+    out = tmp_path / "bigvocab"
+    out.mkdir()
+    (out / "logs.ndjson").write_bytes((workspace / "logs.ndjson").read_bytes())
+    assert run("build-vocab", out, "--set", "model.vocab_size=300") == EXIT_OK
+    pieces = len(Vocab.load(out / "vocab.txt"))
+    assert pieces > 200
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "build_bundle", None)  # the check comes first
+    assert run("pretrain", out) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "vocab.txt" in err and f"{pieces} pieces" in err and "vocab_size of 200" in err
+    assert "Traceback" not in err
     assert not (out / "pretrain.ckpt").exists()
 
 

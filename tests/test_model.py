@@ -344,6 +344,23 @@ def test_title_embedder_matches_padding_loop(texts, random):
         assert np.allclose(cbow[r], want, rtol=0.0, atol=1e-15)
 
 
+def test_content_embed_batch_gradient_is_masked_scatter(tiny_params, tiny_config):
+    """Each real token slot adds its event's output gradient to its row of
+    the content table; PAD slots add nothing."""
+    rng = np.random.default_rng(7)
+    d = tiny_config.d
+    mask = (rng.random((3, 4, 5)) < 0.6).astype(float)
+    ids = np.where(mask > 0, rng.integers(1, 6, size=mask.shape), 0)  # 5 rows: many repeats
+    weights = rng.normal(size=(3, 4, d))
+    table = tiny_params["embeddings.content"]
+    out = content_embed_batch(ids, mask, tiny_params)
+    assert out.data.tobytes() == (table.data[ids] * mask[..., None]).sum(axis=2).tobytes()
+    grads = ad.backward(ad.tsum(ad.mul(out, Tensor(weights))), [table])
+    want = np.zeros_like(table.data)
+    np.add.at(want, ids.reshape(-1), (weights[:, :, None, :] * mask[..., None]).reshape(-1, d))
+    assert grads[table].tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # context tower and similarity
 # ---------------------------------------------------------------------------
