@@ -15,7 +15,7 @@ from .dataset import serving_histories
 from .model import ModelParams, init_params
 from .pipeline import (ABLATION_CELLS, build_bundle, calibration_report,
                        eval_metrics, run_ablation_cell)
-from .serving import EmbeddingTable, export_embeddings, score
+from .serving import KIND_ITEM, KIND_NAMES, KIND_USER, EmbeddingTable, export_embeddings, score
 from .synth import generate_world, read_logs, simulate_logs, write_logs
 from .text import Vocab, build_vocab
 from .train import continuous_finetune, finetune_run, pretrain_run
@@ -150,9 +150,18 @@ def cmd_export(cfg: RunConfig, ec: EvalConfig, args) -> int:
     return EXIT_OK
 
 
+def _emb_table(out_dir: str, name: str, kind: int) -> EmbeddingTable:
+    path = _artifact(out_dir, name, must_exist=True)
+    table = EmbeddingTable.load(path)
+    if table.kind != kind:
+        raise ValueError(f"{path}: holds {KIND_NAMES[table.kind]} embeddings, "
+                         f"not {KIND_NAMES[kind]} ones")
+    return table
+
+
 def cmd_score(cfg: RunConfig, ec: EvalConfig, args) -> int:
-    users = EmbeddingTable.load(_artifact(args.out, "users.emb", must_exist=True))
-    items = EmbeddingTable.load(_artifact(args.out, "items.emb", must_exist=True))
+    users = _emb_table(args.out, "users.emb", KIND_USER)
+    items = _emb_table(args.out, "items.emb", KIND_ITEM)
     if args.user not in users:
         print(f"unknown user id {args.user}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -2,8 +2,8 @@
 keyed binary files, load them into an in-memory table, and score pairs by
 stored-vector inner product. The context tower never participates here.
 
-File format ("EMB1", little-endian): magic, u8 kind (0 user / 1 item),
-u32 dim, u64 count, then per record u64 id + dim float32 values.
+File format ("EMB1", little-endian): magic, u8 kind (0 user / 1 item), u32
+dim, u64 count, then by strictly increasing id: u64 id + dim float32 values.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .types import UserHistory
 EMB_MAGIC = b"EMB1"
 KIND_USER = 0
 KIND_ITEM = 1
-_KIND_NAMES = {KIND_USER: "user", KIND_ITEM: "item"}
+KIND_NAMES = {KIND_USER: "user", KIND_ITEM: "item"}
 
 
 def _record_dtype(dim: int) -> np.dtype:
@@ -29,27 +29,46 @@ def _record_dtype(dim: int) -> np.dtype:
 
 
 class EmbeddingTable:
-    """Immutable id -> unit-norm vector map backed by a hash table."""
+    """Immutable id -> unit-norm vector map; ids strictly increase."""
 
     def __init__(self, kind: int, dim: int, ids: np.ndarray, vectors: np.ndarray):
+        if kind not in KIND_NAMES:
+            raise ValueError(f"kind {kind} is neither {KIND_USER} (user) nor {KIND_ITEM} (item)")
         self.kind = kind
         self.dim = dim
-        self.ids = np.asarray(ids, dtype=np.uint64)
+        # contiguous, so that searchsorted reads it without a copy per lookup
+        self.ids = np.ascontiguousarray(ids, dtype=np.uint64)
         self.vectors = np.asarray(vectors, dtype=np.float32)
-        self._index = dict(zip(self.ids.tolist(), range(len(self.ids))))
-        if len(self._index) != len(self.ids):
-            raise ValueError("duplicate ids in embedding table")
+        if not (self.ids[1:] > self.ids[:-1]).all():
+            raise ValueError("ids are not strictly increasing")
+        if not np.isfinite(self.vectors).all():
+            raise ValueError("a vector holds a NaN or infinite value")
 
     def __len__(self):
         return len(self.ids)
 
     def __contains__(self, entity_id: int) -> bool:
-        return int(entity_id) in self._index
+        return bool(self._rows([entity_id])[0] >= 0)
+
+    def _rows(self, keys) -> np.ndarray:
+        """Row of each id in `keys` by binary search, -1 where the table holds none."""
+        q = np.asarray(keys)
+        # no ids, or ids no int64 or uint64 array holds: compare them as Python ints
+        q = q if q.dtype.kind in "iu" else np.asarray(keys, dtype=object)
+        held = (q >= 0) & (q < 1 << 64)
+        q = np.where(held, q, 0).astype(np.uint64)
+        pos = np.searchsorted(self.ids, q)
+        held &= pos < len(self.ids)
+        held[held] = self.ids[pos[held]] == q[held]
+        return np.where(held, pos, -1)
+
+    def _missing(self, entity_id) -> str:
+        return f"unknown {KIND_NAMES[self.kind]} id {entity_id}"
 
     def vector(self, entity_id: int) -> np.ndarray:
-        row = self._index.get(int(entity_id))
-        if row is None:
-            raise KeyError(f"unknown {_KIND_NAMES[self.kind]} id {entity_id}")
+        row = self._rows([entity_id])[0]
+        if row < 0:
+            raise KeyError(self._missing(entity_id))
         return self.vectors[row]
 
     def save(self, path) -> None:
@@ -71,7 +90,10 @@ class EmbeddingTable:
             if count * record.itemsize != size:
                 raise ValueError(f"{path}: {size} bytes hold no {count} records of dim {dim}")
             records = np.fromfile(fh, dtype=record, count=count)
-        return cls(kind, dim, records["id"], records["vec"])
+        try:
+            return cls(kind, dim, records["id"], records["vec"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def export_embeddings(params: ModelParams, user_histories: dict[int, UserHistory],
@@ -115,12 +137,9 @@ def score(user_id: int, item_ids, users: EmbeddingTable, items: EmbeddingTable):
     produce an error entry without aborting the batch.
     """
     u = users.vector(user_id).astype(np.float64)
-    out = []
-    for item_id in item_ids:
-        try:
-            v = items.vector(item_id).astype(np.float64)
-        except KeyError as exc:
-            out.append((item_id, None, str(exc)))
-            continue
-        out.append((item_id, float(u @ v), None))
-    return out
+    rows = items._rows(item_ids)
+    known = rows >= 0
+    values = np.zeros(len(rows))
+    values[known] = items.vectors[rows[known]].astype(np.float64) @ u
+    return [(item_id, value, None) if k else (item_id, None, items._missing(item_id))
+            for item_id, value, k in zip(item_ids, values.tolist(), known.tolist())]

@@ -68,7 +68,7 @@ def test_score_reads_stdin(workspace, monkeypatch, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 3
     assert lines[0].split("\t")[0] == "3"
-    assert "ERROR" in lines[1]  # item 999 does not exist
+    assert lines[1] == "999\tERROR\tunknown item id 999"
     float(lines[2].split("\t")[1])  # parses as a score
 
 
@@ -80,6 +80,13 @@ def test_score_unknown_user(workspace, monkeypatch, capsys):
     assert captured.err.strip() == "unknown user id 999"
 
 
+def _first_records_swapped(raw: bytes) -> bytes:
+    """An EMB file whose first two records are out of id order."""
+    (dim,) = struct.unpack("<I", raw[5:9])
+    a, b = 17 + 8 + 4 * dim, 17 + 2 * (8 + 4 * dim)
+    return raw[:17] + raw[a:b] + raw[17:a] + raw[b:]
+
+
 @pytest.mark.parametrize("command, artifact, corrupt", [
     pytest.param("score", "users.emb", lambda raw: raw[:10], id="score-users.emb"),
     pytest.param("evaluate", "finetune.ckpt", lambda raw: raw[:10], id="evaluate-finetune.ckpt"),
@@ -88,6 +95,12 @@ def test_score_unknown_user(workspace, monkeypatch, capsys):
     pytest.param("score", "users.emb", lambda raw: raw + b"\x00", id="score-users.emb-long"),
     pytest.param("score", "users.emb", lambda raw: raw[:9] + struct.pack("<Q", 1 << 62) + raw[17:],
                  id="score-users.emb-huge-count"),
+    pytest.param("score", "users.emb", lambda raw: raw[:4] + b"\x07" + raw[5:],
+                 id="score-users.emb-kind-7"),
+    pytest.param("score", "items.emb",
+                 lambda raw: raw[:25] + struct.pack("<f", float("nan")) + raw[29:],
+                 id="score-items.emb-nan"),
+    pytest.param("score", "items.emb", _first_records_swapped, id="score-items.emb-out-of-order"),
 ])
 def test_truncated_artifact_exit_code(workspace, tmp_path, monkeypatch, capsys,
                                       command, artifact, corrupt):
@@ -101,6 +114,21 @@ def test_truncated_artifact_exit_code(workspace, tmp_path, monkeypatch, capsys,
     assert run(command, out, *extra) == EXIT_INVARIANT
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("wrong", ["users.emb", "items.emb"])
+def test_swapped_embedding_files_exit_code(workspace, tmp_path, monkeypatch, capsys, wrong):
+    """An EMB file of the other kind in place of `wrong` exits 4 naming it."""
+    out = tmp_path / "swapped"
+    out.mkdir()
+    swap = {"users.emb": "items.emb", "items.emb": "users.emb"}
+    for name in swap:
+        (out / name).write_bytes((workspace / (swap[name] if name == wrong else name)).read_bytes())
+    monkeypatch.setattr("sys.stdin", io.StringIO("3\n"))
+    assert run("score", out, "--user", "1") == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert str(out / wrong) in captured.err
 
 
 def _corrupt(params, how):

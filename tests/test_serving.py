@@ -4,6 +4,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tworank.model import TitleEmbedder, init_params, user_tower_forward
 from tworank.serving import (EmbeddingTable, KIND_ITEM, KIND_USER,
@@ -101,8 +104,59 @@ def test_table_rejects_size_mismatch(tables, tmp_path, corrupt):
 
 
 def test_table_rejects_duplicate_ids():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly increasing"):
         EmbeddingTable(KIND_USER, 2, np.array([1, 1]), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("ids", [[2, 1], [0, 5, 3]], ids=["descending", "unsorted"])
+def test_table_rejects_unsorted_ids(ids):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        EmbeddingTable(KIND_USER, 2, np.array(ids), np.zeros((len(ids), 2)))
+
+
+@pytest.mark.parametrize("kind", [2, 7, 255])
+def test_table_rejects_unknown_kind(kind):
+    with pytest.raises(ValueError, match=f"kind {kind}"):
+        EmbeddingTable(kind, 2, np.array([1]), np.zeros((1, 2)))
+
+
+def _records(raw: bytes) -> tuple[bytes, list[bytes]]:
+    """The header and the records of an EMB file."""
+    (dim,) = struct.unpack("<I", raw[5:9])
+    size = 8 + 4 * dim
+    return raw[:17], [raw[i: i + size] for i in range(17, len(raw), size)]
+
+
+def _first_records_swapped(raw: bytes) -> bytes:
+    head, recs = _records(raw)
+    return head + recs[1] + recs[0] + b"".join(recs[2:])
+
+
+def _first_id_repeated(raw: bytes) -> bytes:
+    head, recs = _records(raw)
+    return head + recs[0] + recs[0][:8] + recs[1][8:] + b"".join(recs[2:])
+
+
+def _value_set(raw: bytes, value: float) -> bytes:
+    """`raw` with the first float of its first record set to `value`."""
+    return raw[:25] + struct.pack("<f", value) + raw[29:]
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (_first_records_swapped, "strictly increasing"),
+    (_first_id_repeated, "strictly increasing"),
+    (lambda raw: raw[:4] + b"\x07" + raw[5:], "kind 7"),
+    (lambda raw: _value_set(raw, float("nan")), "NaN or infinite"),
+    (lambda raw: _value_set(raw, float("-inf")), "NaN or infinite"),
+], ids=["out-of-order", "duplicate", "kind-7", "nan", "inf"])
+def test_table_file_rejects_bad_records(tables, tmp_path, corrupt, match):
+    _, _, _, users, _ = tables
+    path = tmp_path / "users.emb"
+    users.save(path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ValueError, match=match) as info:
+        EmbeddingTable.load(path)
+    assert str(path) in str(info.value)
 
 
 def test_missing_id_raises(tables):
@@ -123,7 +177,7 @@ def test_score_partial_success(tables):
     _, _, _, users, items = tables
     out = score(0, [1, 999, 2], users, items)
     assert out[0][2] is None and out[2][2] is None
-    assert out[1][1] is None and "999" in out[1][2]
+    assert out[1][1] is None and out[1][2] == "unknown item id 999"
 
 
 def test_score_matches_inner_product(tables):
@@ -137,3 +191,55 @@ def test_score_unknown_user_raises(tables):
     _, _, _, users, items = tables
     with pytest.raises(KeyError):
         score(999, [1], users, items)
+
+
+def _dict_score(user_id, item_ids, users, items):
+    """Reference scorer: a dict from id to row and one dot per candidate."""
+    row_of = {i: r for r, i in enumerate(items.ids.tolist())}
+    u = users.vector(user_id).astype(np.float64)
+    return [(i, None, f"unknown item id {i}") if i not in row_of
+            else (i, float(items.vectors[row_of[i]].astype(np.float64) @ u), None)
+            for i in item_ids]
+
+
+_U64 = st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def _tables_and_requests(draw):
+    """A user table, a sorted item table (possibly empty, ids small or near
+    2**64) and a request of known, unknown, negative and huge ids, with
+    repeats."""
+    dim = draw(st.integers(1, 5))
+    unit = st.floats(-1, 1, width=32)
+    item_ids = sorted(draw(st.sets(st.one_of(st.integers(0, 40), _U64), max_size=12)))
+    items = EmbeddingTable(KIND_ITEM, dim, np.array(item_ids, dtype=np.uint64),
+                           draw(arrays(np.float32, (len(item_ids), dim), elements=unit)))
+    users = EmbeddingTable(KIND_USER, dim, np.arange(3),
+                           draw(arrays(np.float32, (3, dim), elements=unit)))
+    candidate = st.one_of(st.sampled_from(item_ids) if item_ids else st.nothing(),
+                          st.integers(0, 40), st.integers(-2**70, -1),
+                          st.integers(2**63, 2**70))
+    request = draw(st.lists(candidate, max_size=10))
+    request += draw(st.lists(st.sampled_from(request), max_size=3)) if request else []
+    return draw(st.integers(0, 2)), request, users, items
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables_and_requests())
+def test_score_matches_dict_reference(case):
+    user_id, request, users, items = case
+    got = score(user_id, request, users, items)
+    want = _dict_score(user_id, request, users, items)
+    assert [(i, err) for i, _, err in got] == [(i, err) for i, _, err in want]
+    for (_, value, _), (_, expect, _) in zip(got, want):
+        assert (value is None) == (expect is None)
+        assert value is None or abs(value - expect) <= 1e-12
+    row_of = {i: r for r, i in enumerate(items.ids.tolist())}
+    for i in request:
+        assert (i in items) == (i in row_of)
+        if i in row_of:
+            assert np.array_equal(items.vector(i), items.vectors[row_of[i]])
+        else:
+            with pytest.raises(KeyError):
+                items.vector(i)
