@@ -294,10 +294,11 @@ def _p_layer_norm(inputs, attrs):
         raise ShapeError("layer_norm", "gain/bias must match last axis",
                          (x.shape, gain.shape, bias.shape))
     xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    var = xd.var(axis=-1, keepdims=True)
+    # np.var's own steps, so var is bit-equal to it, with one subtraction shared
+    xc = xd - xd.mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu) * inv
+    xhat = xc * inv
     out = xhat * gain.data + bias.data
     gd = gain.data
 

@@ -162,6 +162,9 @@ def _emb_table(out_dir: str, name: str, kind: int) -> EmbeddingTable:
 def cmd_score(cfg: RunConfig, ec: EvalConfig, args) -> int:
     users = _emb_table(args.out, "users.emb", KIND_USER)
     items = _emb_table(args.out, "items.emb", KIND_ITEM)
+    if users.dim != items.dim:
+        raise ValueError(f"{_artifact(args.out, 'users.emb')} holds dim {users.dim}, but "
+                         f"{_artifact(args.out, 'items.emb')} holds dim {items.dim}")
     if args.user not in users:
         print(f"unknown user id {args.user}", file=sys.stderr)
         return EXIT_INVARIANT

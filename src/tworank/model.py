@@ -238,10 +238,13 @@ class TitleEmbedder:
 
 @dataclass
 class HistoryBatch:
-    """Padded numpy feature arrays for a batch of user histories."""
+    """Padded numpy feature arrays for a batch of user histories. Each
+    distinct event text is tokenized and padded once, as one row of
+    text_ids; text_rows names the row each event slot reads."""
 
-    token_ids: np.ndarray   # (B, T, L) int64, PAD=0 padded
-    token_mask: np.ndarray  # (B, T, L) float, 1 for real tokens
+    text_ids: np.ndarray    # (U, L) int64, PAD=0 padded, distinct texts in first-appearance order
+    text_mask: np.ndarray   # (U, L) float, 1 for real tokens
+    text_rows: np.ndarray   # (B, T) int64, row of text_ids per slot; 0 on padding slots
     pos_ids: np.ndarray     # (B, T) int64, reversed chronology (latest = 0)
     type_ids: np.ndarray    # (B, T) int64
     event_mask: np.ndarray  # (B, T) float, 1 for real events
@@ -249,24 +252,28 @@ class HistoryBatch:
 
 def batch_histories(histories: list[UserHistory], tokenize_fn: Callable[[str], list[int]],
                     config: TowerConfig) -> HistoryBatch:
-    """Tokenize and pad histories into dense arrays. Histories longer than
-    max_history are rejected; truncation is the caller's job."""
+    """Tokenize each distinct event text once and pad histories into dense
+    arrays. Histories longer than max_history are rejected; truncation is
+    the caller's job."""
     lengths = np.array([len(h.events) for h in histories], dtype=np.int64)
     over = np.flatnonzero(lengths > config.max_history)
     if over.size:
         raise ValueError(f"history of user {histories[over[0]].user_id} has {lengths[over[0]]}"
                          f" events > max_history {config.max_history}")
     events = [e for h in histories for e in h.events]
-    ids, mask = pad_tokens([tokenize_fn(e.text) for e in events])
+    row_of: dict[str, int] = {}
+    rows = [row_of.setdefault(e.text, len(row_of)) for e in events]
+    # with no events, one all-PAD row still gives the padding slots a row to read
+    text_ids, text_mask = pad_tokens([tokenize_fn(t) for t in row_of] or [[]])
     slots = np.arange(max(lengths.max(initial=0), 1))
     real = slots < lengths[:, None]  # (B, T), events fill each row from the left
-    token_ids = np.zeros(real.shape + ids.shape[1:], dtype=np.int64)
-    token_mask = np.zeros(token_ids.shape)
-    token_ids[real], token_mask[real] = ids, mask
+    text_rows = np.zeros(real.shape, dtype=np.int64)
+    text_rows[real] = rows
     pos_ids = np.where(real, lengths[:, None] - 1 - slots, 0)  # latest event gets 0
     type_ids = np.zeros(real.shape, dtype=np.int64)
     type_ids[real] = [EVENT_TYPE_IDS[e.event_type] for e in events]
-    return HistoryBatch(token_ids, token_mask, pos_ids, type_ids, real.astype(np.float64))
+    return HistoryBatch(text_ids, text_mask, text_rows, pos_ids, type_ids,
+                        real.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +306,10 @@ def encode_events_batch(batch: HistoryBatch, params: ModelParams):
     """Per-event content + position + event-type embeddings, layer-normed;
     [CLS] (not layer-normed) prepended. Returns ((B, T+1, d) tensor,
     (B, T+1) key mask)."""
-    B, T, _L = batch.token_ids.shape
+    B, T = batch.text_rows.shape
     d = params.config.d
-    content = content_embed_batch(batch.token_ids, batch.token_mask, params)  # (B, T, d)
+    texts = content_embed_batch(batch.text_ids, batch.text_mask, params)  # (U, d)
+    content = ad.gather(texts, batch.text_rows)  # (B, T, d)
     pos = ad.reshape(ad.gather(params["embeddings.position"], batch.pos_ids.reshape(-1)), (B, T, d))
     typ = ad.reshape(ad.gather(params["embeddings.event_type"], batch.type_ids.reshape(-1)), (B, T, d))
     ev = content + pos + typ
@@ -323,8 +331,7 @@ def user_tower_forward_batch(batch: HistoryBatch, params: ModelParams) -> Tensor
     contextualized [CLS] output, l2-normalized, is the user embedding."""
     cfg = params.config
     seq, mask = encode_events_batch(batch, params)
-    B = batch.token_ids.shape[0]
-    S = seq.shape[1]
+    B, S = mask.shape
     H, dh = cfg.user_heads, cfg.d // cfg.user_heads
     x = seq
     for i in range(cfg.user_layers):

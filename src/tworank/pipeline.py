@@ -122,13 +122,16 @@ def train_regime(bundle: Bundle, regime: str, tower_cfg: TowerConfig,
 
 def score_table(bundle: Bundle, params: ModelParams, groups,
                 batch_size: int = 64) -> dict[int, np.ndarray]:
-    """Similarity scores for every group's items, keyed by id(group)."""
+    """Similarity scores for every group's items, keyed by id(group). Groups
+    that share one history object share one user vector."""
+    histories = list({id(g.history): g.history for g in groups}.values())
+    user_row = {id(h): r for r, h in enumerate(histories)}
     with no_grad():
-        user_vecs = np.empty((len(groups), params.config.d))
-        for lo in range(0, len(groups), batch_size):
-            chunk = groups[lo: lo + batch_size]
-            hb = batch_histories([g.history.truncated(params.config.max_history)
-                                  for g in chunk], bundle.tokenize_fn, params.config)
+        user_vecs = np.empty((len(histories), params.config.d))
+        for lo in range(0, len(histories), batch_size):
+            chunk = histories[lo: lo + batch_size]
+            hb = batch_histories([h.truncated(params.config.max_history) for h in chunk],
+                                 bundle.tokenize_fn, params.config)
             user_vecs[lo: lo + len(chunk)] = user_tower_forward_batch(hb, params).data
 
         unique_items = sorted({i for g in groups for i in g.item_ids})
@@ -141,9 +144,9 @@ def score_table(bundle: Bundle, params: ModelParams, groups,
                 chunk, embedder, params).data
     item_row = {item: r for r, item in enumerate(unique_items)}
     out = {}
-    for gi, g in enumerate(groups):
+    for g in groups:
         rows = [item_row[i] for i in g.item_ids]
-        out[id(g)] = item_vecs[rows] @ user_vecs[gi]
+        out[id(g)] = item_vecs[rows] @ user_vecs[user_row[id(g.history)]]
     return out
 
 

@@ -39,6 +39,9 @@ class EmbeddingTable:
         # contiguous, so that searchsorted reads it without a copy per lookup
         self.ids = np.ascontiguousarray(ids, dtype=np.uint64)
         self.vectors = np.asarray(vectors, dtype=np.float32)
+        if self.vectors.shape != (len(self.ids), dim):
+            raise ValueError(f"vectors of shape {self.vectors.shape} do not hold "
+                             f"{len(self.ids)} ids of dim {dim}")
         if not (self.ids[1:] > self.ids[:-1]).all():
             raise ValueError("ids are not strictly increasing")
         if not np.isfinite(self.vectors).all():

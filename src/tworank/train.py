@@ -174,8 +174,8 @@ def pretrain_run(samples: list[PretrainSample], config: TrainConfig,
     other samples' positive items; sampled softmax over cosine scores.
     Only full batches of `config.batch_size` samples are taken.
 
-    `tokenize_fn` is called for every history event of every step, so it
-    should cache (as `Bundle.tokenize_fn` does)."""
+    `tokenize_fn` is called for every distinct event text of every step,
+    so it should cache (as `Bundle.tokenize_fn` does)."""
     if len(samples) < config.batch_size:
         raise ValueError(f"{len(samples)} pretrain samples fill no batch of "
                          f"batch_size {config.batch_size}")

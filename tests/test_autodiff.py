@@ -282,3 +282,51 @@ def test_gather_vjp_matches_add_at(case):
     want = np.zeros((n, d))
     np.add.at(want, ids.reshape(-1), g.reshape(-1, d))
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _two_pass_layer_norm(xd, gd, bd, eps=ad.LAYER_NORM_EPS):
+    """The layer-norm forward with `np.var` and a second subtraction, and
+    its VJP: the reference for the primitive's one-subtraction forward."""
+    mu = xd.mean(axis=-1, keepdims=True)
+    var = xd.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (xd - mu) * inv
+    d = xd.shape[-1]
+
+    def vjp(g):
+        gx_hat = g * gd
+        dmean = gx_hat.mean(axis=-1, keepdims=True)
+        dproj = (gx_hat * xhat).mean(axis=-1, keepdims=True)
+        gx = inv * (gx_hat - dmean - xhat * dproj)
+        return gx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
+
+    return xhat * gd + bd, vjp
+
+
+@st.composite
+def _layer_norm_cases(draw):
+    """x of 1-3 axes (last at least 2 wide), gain, bias and an output gradient."""
+    shape = draw(array_shapes(min_dims=1, max_dims=3, min_side=2, max_side=9))
+    floats = st.floats(-1e3, 1e3)
+    return tuple(draw(arrays(np.float64, s, elements=floats))
+                 for s in (shape, shape[-1:], shape[-1:], shape))
+
+
+def _normal_case(*shape):
+    rng = np.random.default_rng(0)
+    return tuple(rng.normal(size=s) for s in (shape, shape[-1:], shape[-1:], shape))
+
+
+@given(_layer_norm_cases())
+@example(_normal_case(32, 25, 16))
+@example(_normal_case(64, 65, 32))
+@example(_normal_case(4096, 32))
+@example(_normal_case(3, 7))
+@settings(max_examples=100, deadline=None)
+def test_layer_norm_matches_two_pass_formula(case):
+    x, gain, bias, g = case
+    out, vjp = ad.PRIMITIVES["layer_norm"]((Tensor(x), Tensor(gain), Tensor(bias)), {})
+    want_out, want_vjp = _two_pass_layer_norm(x, gain, bias)
+    assert out.tobytes() == want_out.tobytes()
+    for got, want in zip(vjp(g), want_vjp(g)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -11,6 +11,7 @@ from tworank import cli
 from tworank.autodiff import Tensor
 from tworank.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_MISSING, EXIT_OK, main
 from tworank.model import ModelParams
+from tworank.serving import KIND_ITEM, EmbeddingTable
 from tworank.text import Vocab
 from tworank.types import SIGNALS
 
@@ -129,6 +130,21 @@ def test_swapped_embedding_files_exit_code(workspace, tmp_path, monkeypatch, cap
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert str(out / wrong) in captured.err
+
+
+def test_embedding_dim_mismatch_exit_code(workspace, tmp_path, monkeypatch, capsys):
+    """User and item tables of different dims exit 4 naming both files."""
+    out = tmp_path / "dims"
+    out.mkdir()
+    (out / "users.emb").write_bytes((workspace / "users.emb").read_bytes())
+    items = EmbeddingTable.load(workspace / "items.emb")
+    EmbeddingTable(KIND_ITEM, items.dim // 2, items.ids,
+                   items.vectors[:, : items.dim // 2]).save(out / "items.emb")
+    monkeypatch.setattr("sys.stdin", io.StringIO("3\n"))
+    assert run("score", out, "--user", "1") == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert str(out / "users.emb") in captured.err and str(out / "items.emb") in captured.err
 
 
 def _corrupt(params, how):

@@ -7,8 +7,11 @@ import pytest
 from tworank.evaluate import (discovery_subset, fit_logistic, group_relevance,
                               mean_ndcg, ndcg, predict_logistic,
                               relative_gain_harness)
-from tworank.model import TowerConfig, init_params
+from tworank import pipeline
+from tworank.model import (TitleEmbedder, TowerConfig, batch_histories, init_params,
+                           user_tower_forward_batch)
 from tworank.pipeline import build_bundle, calibration_report, score_table
+from tworank.train import item_embeddings_for
 from tworank.types import ImpressionGroup
 
 SIGNALS = ("click", "cart", "fvrt", "prch")
@@ -166,8 +169,43 @@ def test_harness_oracle_feature_gains(rng):
 
 
 # ---------------------------------------------------------------------------
-# calibration report
+# score table and calibration report
 # ---------------------------------------------------------------------------
+
+
+def test_score_table_encodes_each_history_once(small_world, small_logs, monkeypatch):
+    """One user-tower row per distinct history object, in chunks of at most
+    batch_size rows, and every group scored as if alone."""
+    tower = TowerConfig(d=8, user_layers=1, user_heads=2, item_layers=1,
+                        max_history=6, vocab_size=64)
+    bundle = build_bundle(small_world.config, vocab_size=64, max_history=6,
+                          test_days=3, world=small_world, records=small_logs)
+    groups = bundle.eval_groups + bundle.finetune_test
+    distinct = {id(g.history) for g in groups}
+    assert len(distinct) < len(groups)  # groups share histories, so there is work to save
+    params = init_params(tower, seed=0)
+    draw = np.random.default_rng(11)
+    for t in params.parameters():
+        t.data = t.data + draw.normal(scale=0.2, size=t.data.shape)
+
+    rows = []
+
+    def counted(hb, p):
+        rows.append(hb.event_mask.shape[0])
+        return user_tower_forward_batch(hb, p)
+
+    monkeypatch.setattr(pipeline, "user_tower_forward_batch", counted)
+    scores = score_table(bundle, params, groups, batch_size=8)
+    monkeypatch.undo()
+    assert sum(rows) == len(distinct) and max(rows) <= 8
+
+    embedder = TitleEmbedder(bundle.titles, bundle.tokenize_fn)
+    for g in groups:
+        hb = batch_histories([g.history.truncated(tower.max_history)], bundle.tokenize_fn, tower)
+        user = user_tower_forward_batch(hb, params).data[0]
+        want = item_embeddings_for(g.item_ids, embedder, params).data @ user
+        assert np.allclose(scores[id(g)], want, rtol=0.0, atol=1e-12)
+
 
 
 @pytest.mark.parametrize("use_context", [True, False])

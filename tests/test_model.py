@@ -2,7 +2,8 @@
 checkpointing."""
 
 import hashlib
-from dataclasses import fields
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 
 from tworank import autodiff as ad
 from tworank.autodiff import Tensor
-from tworank.model import (FROZEN_IN_CONTINUOUS, GROUP_NAMES, HistoryBatch, ModelParams,
+from tworank.model import (FROZEN_IN_CONTINUOUS, GROUP_NAMES, ModelParams,
                            TitleEmbedder, TowerConfig, batch_histories,
-                           content_embed_batch, context_score, init_params,
-                           item_tower_forward, item_tower_forward_batch,
+                           content_embed_batch, context_score, encode_events_batch,
+                           init_params, item_tower_forward, item_tower_forward_batch,
                            param_layout, similarity, similarity_matrix,
                            user_tower_forward, user_tower_forward_batch)
 from tworank.text import content_embed
@@ -244,7 +245,8 @@ def _word_ids(text):
 
 
 def _loop_batch_histories(histories, tokenize_fn):
-    """Per-event padding loops, the reference for `batch_histories`."""
+    """Per-event padding loops, the reference for `batch_histories`: the
+    (B, T, L) token layout, one padded token row per event slot."""
     token_lists = [[tokenize_fn(e.text) for e in h.events] for h in histories]
     B = len(histories)
     T = max(max((len(h.events) for h in histories), default=0), 1)
@@ -263,7 +265,24 @@ def _loop_batch_histories(histories, tokenize_fn):
             pos_ids[bi, ei] = n - 1 - ei
             type_ids[bi, ei] = EVENT_TYPE_IDS[ev.event_type]
             event_mask[bi, ei] = 1.0
-    return HistoryBatch(token_ids, token_mask, pos_ids, type_ids, event_mask)
+    return SimpleNamespace(token_ids=token_ids, token_mask=token_mask, pos_ids=pos_ids,
+                           type_ids=type_ids, event_mask=event_mask)
+
+
+def _token_layout_encode(ref, params):
+    """`encode_events_batch` over the (B, T, L) token layout, one CBOW per
+    event slot: the reference for the distinct-text layout."""
+    B, T, _L = ref.token_ids.shape
+    d = params.config.d
+    content = content_embed_batch(ref.token_ids, ref.token_mask, params)
+    pos = ad.reshape(ad.gather(params["embeddings.position"], ref.pos_ids.reshape(-1)), (B, T, d))
+    typ = ad.reshape(ad.gather(params["embeddings.event_type"], ref.type_ids.reshape(-1)),
+                     (B, T, d))
+    ev = ad.layer_norm(content + pos + typ, params["embeddings.pre_ln_gain"],
+                       params["embeddings.pre_ln_bias"])
+    ev = ad.mul(ev, Tensor(ref.event_mask[..., None]))
+    cls = ad.reshape(params["embeddings.cls"], (1, 1, d)) + Tensor(np.zeros((B, 1, d)))
+    return ad.concat([cls, ev], axis=1), np.concatenate([np.ones((B, 1)), ref.event_mask], axis=1)
 
 
 def _loop_pad_titles(token_lists):
@@ -305,24 +324,86 @@ def _history_batches(draw):
     return batch
 
 
+_EMPTY_AND_MIXED = [
+    [UserHistory(0, [])],
+    [UserHistory(0, []), UserHistory(1, [])],
+    [UserHistory(0, []), UserHistory(1, [Event(3, EventType.WEB_QUERY, "")])],
+    [UserHistory(0, [Event(2, EventType.CLICK, "red anchor", 2)]), UserHistory(1, []),
+     UserHistory(2, [Event(1, EventType.WEB_QUERY, "red anchor"),
+                     Event(4, EventType.ADD_TO_CART, "drum", 4)])],
+]
+
+
+def _with_examples(cases):
+    def deco(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return deco
+
+
 @settings(max_examples=80, deadline=None)
 @given(_history_batches())
-@example([UserHistory(0, [])])
-@example([UserHistory(0, []), UserHistory(1, [Event(3, EventType.WEB_QUERY, "")])])
-@example([UserHistory(0, [Event(2, EventType.CLICK, "red anchor", 2)])])
+@_with_examples(_EMPTY_AND_MIXED)
 def test_batch_histories_matches_padding_loops(histories):
     got = batch_histories(histories, _word_ids, ORACLE_CONFIG)
     want = _loop_batch_histories(histories, _word_ids)
-    for f in fields(HistoryBatch):
-        _assert_same_arrays(getattr(got, f.name), getattr(want, f.name))
-    # CBOW over (B, T, L) ids: each real event's row sum, zero for padding
-    cbow = content_embed_batch(got.token_ids, got.token_mask, ORACLE_PARAMS).data
+    for name in ("pos_ids", "type_ids", "event_mask"):
+        _assert_same_arrays(getattr(got, name), getattr(want, name))
+    # every real slot reads its own event's padded tokens from the text rows
+    real = want.event_mask > 0
+    assert got.text_rows.shape == real.shape and got.text_rows.dtype == np.int64
+    _assert_same_arrays(got.text_ids[got.text_rows][real], want.token_ids[real])
+    _assert_same_arrays(got.text_mask[got.text_rows][real], want.token_mask[real])
+    # one row per distinct text in first-appearance order, one all-PAD row when none
+    texts = list(dict.fromkeys(e.text for h in histories for e in h.events))
+    want_ids, want_mask = _loop_pad_titles([_word_ids(t) for t in texts] or [[]])
+    _assert_same_arrays(got.text_ids, want_ids)
+    _assert_same_arrays(got.text_mask, want_mask)
+    # CBOW over the text rows: each real event's row sum
+    cbow = content_embed_batch(got.text_ids, got.text_mask, ORACLE_PARAMS).data[got.text_rows]
     matrix = ORACLE_PARAMS["embeddings.content"]
     for b, h in enumerate(histories):
-        for t in range(cbow.shape[1]):
-            toks = _word_ids(h.events[t].text) if t < len(h.events) else []
-            assert np.allclose(cbow[b, t], content_embed(toks, matrix).data,
+        for t, ev in enumerate(h.events):
+            assert np.allclose(cbow[b, t], content_embed(_word_ids(ev.text), matrix).data,
                                rtol=0.0, atol=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_history_batches())
+@_with_examples(_EMPTY_AND_MIXED)
+def test_batch_histories_tokenizes_each_distinct_text_once(histories):
+    calls = Counter()
+
+    def counting(text):
+        calls[text] += 1
+        return _word_ids(text)
+
+    batch_histories(histories + histories, counting, ORACLE_CONFIG)
+    assert calls == Counter({e.text for h in histories for e in h.events})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_history_batches())
+@_with_examples(_EMPTY_AND_MIXED)
+def test_encode_events_batch_matches_token_layout(histories):
+    """The distinct-text layout gives the same event sequence, byte for
+    byte, as one CBOW per event slot, and the same content-table gradient
+    up to summation order."""
+    got_seq, got_mask = encode_events_batch(
+        batch_histories(histories, _word_ids, ORACLE_CONFIG), ORACLE_PARAMS)
+    want_seq, want_mask = _token_layout_encode(
+        _loop_batch_histories(histories, _word_ids), ORACLE_PARAMS)
+    _assert_same_arrays(got_mask, want_mask)
+    _assert_same_arrays(got_seq.data, want_seq.data)
+    # padding rows are zeros on both sides, of either sign; real rows match bit for bit
+    real = want_mask > 0
+    assert got_seq.data[real].tobytes() == want_seq.data[real].tobytes()
+    weights = Tensor(np.random.default_rng(0).normal(size=want_seq.shape))
+    table = ORACLE_PARAMS["embeddings.content"]
+    got_grad = ad.backward(ad.tsum(ad.mul(got_seq, weights)), [table])[table]
+    want_grad = ad.backward(ad.tsum(ad.mul(want_seq, weights)), [table])[table]
+    assert np.allclose(got_grad, want_grad, rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=80, deadline=None)

@@ -114,6 +114,12 @@ def test_table_rejects_unsorted_ids(ids):
         EmbeddingTable(KIND_USER, 2, np.array(ids), np.zeros((len(ids), 2)))
 
 
+@pytest.mark.parametrize("width", [1, 8])
+def test_table_rejects_vectors_of_another_width(width):
+    with pytest.raises(ValueError, match=rf"shape \(3, {width}\) do not hold 3 ids of dim 4"):
+        EmbeddingTable(KIND_USER, 4, np.arange(3), np.zeros((3, width)))
+
+
 @pytest.mark.parametrize("kind", [2, 7, 255])
 def test_table_rejects_unknown_kind(kind):
     with pytest.raises(ValueError, match=f"kind {kind}"):
