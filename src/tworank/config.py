@@ -9,6 +9,7 @@ import dataclasses
 from dataclasses import dataclass, field, fields
 
 from .model import GROUP_NAMES, TowerConfig
+from .pipeline import ABLATION_CELLS
 from .synth import SynthConfig
 from .train import TrainConfig
 
@@ -154,6 +155,15 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
                 raise ConfigError(f"[{section}] clip_{group} must be > 0, got {clip}")
     if rc.pretrain.batch_size < 2:
         raise ConfigError("[pretrain] batch_size must be >= 2 to give in-batch negatives")
+    try:
+        ec.seed_list()
+    except ValueError:
+        raise ConfigError(f"[eval] seeds must be comma-separated integers, "
+                          f"got {ec.seeds!r}") from None
+    unknown = [c for c in ec.cell_list() or () if c not in ABLATION_CELLS]
+    if unknown:
+        raise ConfigError(f"[eval] unknown cells {unknown}; valid cells are "
+                          f"{', '.join(ABLATION_CELLS)}")
 
     if seed is not None:
         rc.apply_seed(seed)

@@ -2,7 +2,7 @@
 
 Parameters live in a flat name -> Tensor map partitioned into four named
 groups (embeddings, transformer, candidate_tower, loss_params). Forward
-passes are batched; single-sample wrappers exist for the unit contracts.
+passes are batched; a single sample is a batch of one.
 """
 
 from __future__ import annotations
@@ -73,9 +73,6 @@ class ModelParams:
             raise KeyError(f"parameter {name} outside known groups")
         return head
 
-    def group(self, group_name: str) -> dict[str, Tensor]:
-        return {n: t for n, t in self.tensors.items() if self.group_of(n) == group_name}
-
     def copy(self) -> "ModelParams":
         out = ModelParams(self.config)
         for n, t in self.tensors.items():
@@ -86,6 +83,9 @@ class ModelParams:
     # -- persistence --------------------------------------------------------
 
     def save(self, path) -> None:
+        nonfinite = [n for n, t in self.tensors.items() if not np.isfinite(t.data).all()]
+        if nonfinite:
+            raise ValueError(f"{path}: refusing to save non-finite values in {nonfinite}")
         buf = io.BytesIO()
         buf.write(CHECKPOINT_MAGIC)
         buf.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -226,16 +226,6 @@ def content_embed_batch(ids: np.ndarray, mask: np.ndarray, params: ModelParams) 
     return ad.tsum(rows, axis=ids.ndim - 1)
 
 
-class TitleEmbedder:
-    """Catalog titles tokenized once, padded per batch."""
-
-    def __init__(self, titles: dict[int, str], tokenize_fn):
-        self.token_ids = {i: tokenize_fn(t) for i, t in titles.items()}
-
-    def batch(self, item_ids) -> tuple[np.ndarray, np.ndarray]:
-        return pad_tokens([self.token_ids[i] for i in item_ids])
-
-
 @dataclass
 class HistoryBatch:
     """Padded numpy feature arrays for a batch of user histories. Each
@@ -292,11 +282,6 @@ def item_tower_forward_batch(title_embeddings: Tensor, params: ModelParams) -> T
     return ad.l2_normalize(x)
 
 
-def item_tower_forward(title_embedding: Tensor, params: ModelParams) -> Tensor:
-    out = item_tower_forward_batch(ad.reshape(title_embedding, (1, params.config.d)), params)
-    return ad.reshape(out, (params.config.d,))
-
-
 # ---------------------------------------------------------------------------
 # user tower
 # ---------------------------------------------------------------------------
@@ -349,13 +334,6 @@ def user_tower_forward_batch(batch: HistoryBatch, params: ModelParams) -> Tensor
     flat = ad.reshape(x, (B * S, cfg.d))
     cls_out = ad.gather(flat, np.arange(B) * S)
     return ad.l2_normalize(cls_out)
-
-
-def user_tower_forward(history: UserHistory, params: ModelParams,
-                       tokenize_fn: Callable[[str], list[int]]) -> Tensor:
-    batch = batch_histories([history], tokenize_fn, params.config)
-    out = user_tower_forward_batch(batch, params)
-    return ad.reshape(out, (params.config.d,))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from .dataset import (attach_history, build_finetune_groups,
                       build_pretrain_samples, time_split)
 from .evaluate import discovery_subset, mean_ndcg
 from .losses import click_logit, temperature
-from .model import (ModelParams, TitleEmbedder, TowerConfig, batch_histories,
-                    context_score, init_params, user_tower_forward_batch)
+from .model import (ModelParams, TowerConfig, batch_histories, context_score,
+                    init_params, user_tower_forward_batch)
 from .synth import (EventRecord, SynthConfig, SynthWorld, generate_world,
                     make_balanced_eval_groups, simulate_logs)
 from .text import Vocab, build_vocab, tokenize
@@ -135,13 +135,11 @@ def score_table(bundle: Bundle, params: ModelParams, groups,
             user_vecs[lo: lo + len(chunk)] = user_tower_forward_batch(hb, params).data
 
         unique_items = sorted({i for g in groups for i in g.item_ids})
-        embedder = TitleEmbedder({i: bundle.titles[i] for i in unique_items},
-                                 bundle.tokenize_fn)
         item_vecs = np.empty((len(unique_items), params.config.d))
         for lo in range(0, len(unique_items), batch_size):
             chunk = unique_items[lo: lo + batch_size]
             item_vecs[lo: lo + len(chunk)] = item_embeddings_for(
-                chunk, embedder, params).data
+                chunk, bundle.titles, bundle.tokenize_fn, params).data
     item_row = {item: r for r, item in enumerate(unique_items)}
     out = {}
     for g in groups:

@@ -14,8 +14,8 @@ import struct
 import numpy as np
 
 from .autodiff import no_grad
-from .model import (ModelParams, TitleEmbedder, batch_histories, content_embed_batch,
-                    item_tower_forward_batch, user_tower_forward_batch)
+from .model import (ModelParams, batch_histories, content_embed_batch,
+                    item_tower_forward_batch, pad_tokens, user_tower_forward_batch)
 from .types import UserHistory
 
 EMB_MAGIC = b"EMB1"
@@ -118,14 +118,14 @@ def export_embeddings(params: ModelParams, user_histories: dict[int, UserHistory
             user_vecs[lo: lo + len(chunk)] = user_tower_forward_batch(hb, params).data
 
         item_ids = sorted(titles)
-        embedder = TitleEmbedder(titles, tokenize_fn)
         item_vecs = np.empty((len(item_ids), cfg.d), dtype=np.float32)
         # a title is one event's text, so a batch of batch_size * max_history
         # titles holds no more tokens than a full user batch
         item_batch = batch_size * cfg.max_history
         for lo in range(0, len(item_ids), item_batch):
             chunk = item_ids[lo: lo + item_batch]
-            content = content_embed_batch(*embedder.batch(chunk), params)
+            ids, mask = pad_tokens([tokenize_fn(titles[i]) for i in chunk])
+            content = content_embed_batch(ids, mask, params)
             item_vecs[lo: lo + len(chunk)] = item_tower_forward_batch(content, params).data
 
     users = EmbeddingTable(KIND_USER, cfg.d, np.array(user_ids), user_vecs)

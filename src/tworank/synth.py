@@ -87,16 +87,6 @@ class SynthWorld:
         return int(self.user_primary[user] if day < self.user_switch_day[user]
                    else self.user_secondary[user])
 
-    def oracle_relevance(self, user: int, item: int, day: int | None = None) -> float:
-        """Context-free ground-truth affinity <z_u, z_i>."""
-        if not (0 <= user < self.config.n_users):
-            raise KeyError(f"unknown user id {user}")
-        if not (0 <= item < self.config.n_items):
-            raise KeyError(f"unknown item id {item}")
-        if day is None:
-            day = self.config.days - 1
-        return float(self.user_latent(user, day) @ self.item_latents[item])
-
     def title_corpus(self) -> list[str]:
         lines = list(self.titles)
         for words in self.category_words:
@@ -159,7 +149,7 @@ def generate_world(config: SynthConfig) -> SynthWorld:
     user_device = rng.integers(0, config.n_devices, size=config.n_users)
 
     # one surface gets a strong positive bias, one a negative one; the rest
-    # scale down smoothly. Stored so the oracle can remove it.
+    # scale down smoothly. The log simulator reads it from the world.
     surface_pattern = np.zeros(config.n_surfaces)
     surface_pattern[0] = 1.8
     surface_pattern[1] = -0.6

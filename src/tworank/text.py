@@ -41,9 +41,6 @@ class Vocab:
     def __contains__(self, token: str) -> bool:
         return token in self.index
 
-    def id_of(self, token: str) -> int:
-        return self.index.get(token, UNK_ID)
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for t in self.tokens:

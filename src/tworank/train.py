@@ -12,9 +12,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, backward
-from .model import (FROZEN_IN_CONTINUOUS, GROUP_NAMES, ModelParams, TitleEmbedder,
-                    TowerConfig, batch_histories, content_embed_batch, context_score,
-                    init_params, item_tower_forward_batch, similarity_matrix,
+from .model import (FROZEN_IN_CONTINUOUS, GROUP_NAMES, ModelParams, TowerConfig,
+                    batch_histories, content_embed_batch, context_score, init_params,
+                    item_tower_forward_batch, pad_tokens, similarity_matrix,
                     user_tower_forward_batch)
 from .losses import finetune_objective, pretrain_loss_matrix, temperature
 from .types import ImpressionGroup, PretrainSample
@@ -135,13 +135,11 @@ def _grads_by_name(loss, params: ModelParams) -> dict[str, np.ndarray]:
             if np.any(tensor_grads[params.tensors[n]])}
 
 
-def item_embeddings_for(item_ids, embedder: TitleEmbedder, params: ModelParams) -> Tensor:
-    return item_tower_forward_batch(content_embed_batch(*embedder.batch(item_ids), params), params)
-
-
-def _title_embedder(titles: dict[int, str], item_ids, tokenize_fn) -> TitleEmbedder:
-    """Titles of only the items a run names, tokenized once."""
-    return TitleEmbedder({i: titles[i] for i in sorted(set(item_ids))}, tokenize_fn)
+def item_embeddings_for(item_ids, titles: dict[int, str], tokenize_fn,
+                        params: ModelParams) -> Tensor:
+    """Item tower outputs (B, d) over the padded CBOW of each item's title."""
+    ids, mask = pad_tokens([tokenize_fn(titles[i]) for i in item_ids])
+    return item_tower_forward_batch(content_embed_batch(ids, mask, params), params)
 
 
 def _train(params: ModelParams, config: TrainConfig, n: int, batch_size: int,
@@ -168,25 +166,23 @@ def _train(params: ModelParams, config: TrainConfig, n: int, batch_size: int,
 
 
 def pretrain_run(samples: list[PretrainSample], config: TrainConfig,
-                 tower_config: TowerConfig, tokenize_fn, titles: dict[int, str],
-                 init: ModelParams | None = None) -> ModelParams:
+                 tower_config: TowerConfig, tokenize_fn, titles: dict[int, str]) -> ModelParams:
     """Retrieval pre-training: each sample's in-batch negatives are the
     other samples' positive items; sampled softmax over cosine scores.
     Only full batches of `config.batch_size` samples are taken.
 
-    `tokenize_fn` is called for every distinct event text of every step,
-    so it should cache (as `Bundle.tokenize_fn` does)."""
+    `tokenize_fn` is called for every distinct event text and every item
+    title of every step, so it should cache (as `Bundle.tokenize_fn` does)."""
     if len(samples) < config.batch_size:
         raise ValueError(f"{len(samples)} pretrain samples fill no batch of "
                          f"batch_size {config.batch_size}")
-    params = init.copy() if init is not None else init_params(tower_config, seed=config.seed)
-    embedder = _title_embedder(titles, [s.item_id for s in samples], tokenize_fn)
+    params = init_params(tower_config, seed=config.seed)
 
     def batch_loss(indices):
         batch = [samples[i] for i in indices]
         hb = batch_histories([s.history for s in batch], tokenize_fn, tower_config)
         users = user_tower_forward_batch(hb, params)
-        items = item_embeddings_for([s.item_id for s in batch], embedder, params)
+        items = item_embeddings_for([s.item_id for s in batch], titles, tokenize_fn, params)
         return pretrain_loss_matrix(similarity_matrix(users, items), temperature(params))
 
     return _train(params, config, len(samples), config.batch_size,
@@ -202,14 +198,14 @@ def finetune_run(groups: list[ImpressionGroup], init: ModelParams,
     if not groups:
         raise ValueError("empty fine-tuning group stream")
     params = init.copy()  # never mutate the caller's checkpoint
-    embedder = _title_embedder(titles, [i for g in groups for i in g.item_ids], tokenize_fn)
 
     def batch_loss(indices):
         batch = [groups[i] for i in indices]
         hb = batch_histories([g.history for g in batch], tokenize_fn, params.config)
         users = user_tower_forward_batch(hb, params)
         owner = np.repeat(np.arange(len(batch)), [len(g.item_ids) for g in batch])
-        item_embs = item_embeddings_for([i for g in batch for i in g.item_ids], embedder, params)
+        item_embs = item_embeddings_for([i for g in batch for i in g.item_ids], titles,
+                                        tokenize_fn, params)
         r_items = ad.tsum(ad.mul(item_embs, ad.gather(users, owner)), axis=1)
         if config.use_context:
             r_ctx = context_score(np.array([g.surface_id for g in batch])[owner],

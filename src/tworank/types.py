@@ -80,9 +80,6 @@ class ImpressionGroup:
     labels: dict[str, list[int]]  # signal -> 0/1 per item
     history: UserHistory | None = None
 
-    def positives(self, signal: str) -> list[int]:
-        return [i for i, y in enumerate(self.labels[signal]) if y]
-
     def has_positive(self) -> bool:
         return any(any(self.labels[s]) for s in SIGNALS)
 

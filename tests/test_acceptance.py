@@ -13,14 +13,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tworank import autodiff as ad
 from tworank.autodiff import Tensor
 from tworank.dataset import build_finetune_groups, build_pretrain_samples
 from tworank.gradsuite import run_gradcheck_suite
 from tworank.losses import (bce_click, bpr_calibrated, bpr_original,
                             finetune_objective, finetune_objective_bruteforce,
                             pretrain_loss)
-from tworank.model import (TowerConfig, init_params, item_tower_forward,
-                           similarity, user_tower_forward)
+from tworank.model import (TowerConfig, batch_histories, init_params,
+                           item_tower_forward_batch, similarity, user_tower_forward_batch)
 from tworank.pipeline import build_bundle, calibration_report, eval_metrics
 from tworank.serving import export_embeddings
 from tworank.synth import EventRecord, SynthConfig
@@ -229,10 +230,11 @@ def test_criterion_7_serving_parity(directional):
         i = int(rng.integers(0, len(items)))
         stored = float(users.vector(u).astype(np.float64)
                        @ items.vector(i).astype(np.float64))
-        u_vec = user_tower_forward(histories[u], params, bundle.tokenize_fn)
+        hb = batch_histories([histories[u]], bundle.tokenize_fn, params.config)
+        u_vec = user_tower_forward_batch(hb, params)
         toks = bundle.tokenize_fn(bundle.titles[i])
-        i_vec = item_tower_forward(content_embed(toks, params["embeddings.content"]),
-                                   params)
+        content = content_embed(toks, params["embeddings.content"])
+        i_vec = item_tower_forward_batch(ad.reshape(content, (1, TOWER.d)), params)
         direct = float(similarity(u_vec, i_vec).data)
         worst = max(worst, abs(stored - direct))
     ok = worst < 1e-6 and norm_err < 1e-5

@@ -147,6 +147,11 @@ def test_embedding_dim_mismatch_exit_code(workspace, tmp_path, monkeypatch, caps
     assert str(out / "users.emb") in captured.err and str(out / "items.emb") in captured.err
 
 
+# a float32 value that `save` writes once and the "nan" case then turns
+# into NaN in the file: `save` itself refuses non-finite tensors
+NAN_STAND_IN = 1234.5
+
+
 def _corrupt(params, how):
     tensors = params.tensors
     cls = tensors["embeddings.cls"]
@@ -157,7 +162,7 @@ def _corrupt(params, how):
     elif how == "wrong-shape":
         tensors["embeddings.cls"] = Tensor(np.zeros(cls.shape[0] + 1))
     else:
-        cls.data[0] = np.nan
+        cls.data[0] = NAN_STAND_IN
 
 
 def _with_config_members(raw: bytes, **members) -> bytes:
@@ -200,6 +205,11 @@ def test_bad_checkpoint_exit_code(workspace, tmp_path, capsys, how):
         params = ModelParams.load(workspace / "finetune.ckpt")
         _corrupt(params, how)
         params.save(out / "bad.ckpt")
+        if how == "nan":
+            raw = (out / "bad.ckpt").read_bytes()
+            stand_in = struct.pack("<f", NAN_STAND_IN)
+            assert raw.count(stand_in) == 1
+            (out / "bad.ckpt").write_bytes(raw.replace(stand_in, struct.pack("<f", np.nan)))
     assert run("evaluate", out, "--checkpoint", str(out / "bad.ckpt")) == EXIT_INVARIANT
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
@@ -328,6 +338,34 @@ def test_ablate_rows_carry_their_seed(workspace, tmp_path):
     assert [(r["surface"], r["seed"]) for r in rows] == [(r[1], int(r[2])) for r in tsv]
     # each seed trains its own world, so its retargeting value is its own
     assert tsv[0][3] != tsv[2][3]
+
+
+def test_diverged_finetune_saves_nothing_exit_code(workspace, tmp_path, capsys, monkeypatch):
+    """A fine-tune that ends in NaN parameters exits 4 and writes no checkpoint."""
+    out = tmp_path / "diverged"
+    out.mkdir()
+    for name in ("logs.ndjson", "vocab.txt", "pretrain.ckpt"):
+        (out / name).write_bytes((workspace / name).read_bytes())
+
+    def diverged(groups, init, *args, **kwargs):
+        params = init.copy()
+        params["transformer.L0.wq"].data[0, 0] = np.nan
+        return params
+
+    monkeypatch.setattr(cli, "finetune_run", diverged)
+    assert run("finetune", out) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "transformer.L0.wq" in captured.err
+    assert not (out / "finetune.ckpt").exists()
+
+
+@pytest.mark.parametrize("override", ["eval.cells=bogus", "eval.seeds=1,x"])
+def test_ablate_bad_cell_or_seed_exit_code(tmp_path, capsys, override):
+    assert run("ablate", tmp_path, "--set", override) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert override.split("=")[1] in err and "Traceback" not in err
+    assert not (tmp_path / "results.tsv").exists()
 
 
 def test_finetune_fresh_init(workspace, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from tworank.cli import EXIT_CONFIG, main
 from tworank.config import ConfigError, load_config
 from tworank.model import GROUP_NAMES
+from tworank.pipeline import ABLATION_CELLS
 
 _GROUP_KEYS = [f"{kind}_{g}" for kind in ("lr", "clip") for g in GROUP_NAMES]
 _TRAIN_KEYS = ["epochs", "max_steps", "warmup_steps", "schedule_mode", "seed", *_GROUP_KEYS]
@@ -172,3 +173,18 @@ def test_stage_keys_never_read_are_rejected(tmp_path, key):
 ])
 def test_trainer_values_that_cannot_run_are_rejected(tmp_path, key, value):
     _rejected_everywhere(tmp_path, key, value)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("eval.cells", "bogus"), ("eval.cells", "both, both_no_webb"),
+    ("eval.seeds", "1,x"), ("eval.seeds", "1.5"),
+])
+def test_eval_values_that_cannot_run_are_rejected(tmp_path, key, value):
+    _rejected_everywhere(tmp_path, key, value)
+
+
+def test_unknown_cell_error_names_it_and_the_valid_cells():
+    with pytest.raises(ConfigError) as exc:
+        load_config(None, overrides=["eval.cells=both,bogus"])
+    assert "'bogus'" in str(exc.value) and "'both'" not in str(exc.value)
+    assert all(cell in str(exc.value) for cell in ABLATION_CELLS)

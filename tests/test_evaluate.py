@@ -1,15 +1,12 @@
-"""Metrics: nDCG analytic values, discovery filtering, and the
-feature-gain harness."""
+"""Metrics: nDCG analytic values, discovery filtering, the score table and
+the calibration report."""
 
 import numpy as np
 import pytest
 
-from tworank.evaluate import (discovery_subset, fit_logistic, group_relevance,
-                              mean_ndcg, ndcg, predict_logistic,
-                              relative_gain_harness)
+from tworank.evaluate import discovery_subset, group_relevance, mean_ndcg, ndcg
 from tworank import pipeline
-from tworank.model import (TitleEmbedder, TowerConfig, batch_histories, init_params,
-                           user_tower_forward_batch)
+from tworank.model import TowerConfig, batch_histories, init_params, user_tower_forward_batch
 from tworank.pipeline import build_bundle, calibration_report, score_table
 from tworank.train import item_embeddings_for
 from tworank.types import ImpressionGroup
@@ -71,11 +68,6 @@ def test_ndcg_requires_a_positive():
         ndcg([1.0, 2.0], [0, 0], [1, 2])
 
 
-def test_ndcg_truncation():
-    # positive at rank 3 with k=2 contributes nothing
-    assert ndcg([3.0, 2.0, 1.0], [0, 0, 1], [1, 2, 3], k=2) == pytest.approx(0.0)
-
-
 def test_group_relevance_is_binary():
     g = _group([1, 2, 3], [1, 0, 0], prch=[0, 0, 1])
     assert np.array_equal(group_relevance(g), [1, 0, 1])
@@ -118,57 +110,6 @@ def test_discovery_subset_requires_surviving_positive():
 
 
 # ---------------------------------------------------------------------------
-# logistic combiner and gain harness
-# ---------------------------------------------------------------------------
-
-
-def test_logistic_separable_recovery(rng):
-    X = rng.normal(size=(400, 2))
-    y = (X @ np.array([2.0, -1.0]) > 0).astype(float)
-    w = fit_logistic(X, y)
-    pred = predict_logistic(w, X) > 0.5
-    assert np.mean(pred == y) > 0.97
-
-
-def test_logistic_deterministic(rng):
-    X = rng.normal(size=(100, 3))
-    y = (X[:, 0] > 0).astype(float)
-    assert np.array_equal(fit_logistic(X, y), fit_logistic(X, y))
-
-
-def _harness_groups(rng, n_groups, informative):
-    groups, quality = [], {}
-    for gi in range(n_groups):
-        items = list(range(gi * 4, gi * 4 + 4))
-        q = rng.normal(size=4)
-        clicks = (q + 0.5 * rng.normal(size=4) > 0).astype(int)
-        if not clicks.any():
-            clicks[int(np.argmax(q))] = 1
-        for item, val in zip(items, q):
-            quality[item] = val if informative else 0.0
-        groups.append(_group(items, clicks, day=gi))
-    return groups, quality
-
-
-def test_harness_constant_feature_adds_nothing(rng):
-    groups, _ = _harness_groups(rng, 40, informative=True)
-    base_cache = {id(g): rng.normal(size=(len(g.item_ids), 1)) for g in groups}
-    base = lambda g: base_cache[id(g)]
-    const = lambda g: np.zeros(len(g.item_ids))
-    report = relative_gain_harness(groups[:30], groups[30:], base, const)
-    assert report.relative_gain == pytest.approx(0.0, abs=0.02)
-
-
-def test_harness_oracle_feature_gains(rng):
-    groups, quality = _harness_groups(rng, 60, informative=True)
-    base = lambda g: np.ones((len(g.item_ids), 1))
-    oracle = lambda g: np.array([quality[i] for i in g.item_ids])
-    report = relative_gain_harness(groups[:40], groups[40:], base, oracle)
-    assert report.relative_gain > 0.05
-    assert report.metric == "ndcg_gain"
-
-
-# ---------------------------------------------------------------------------
 # score table and calibration report
 # ---------------------------------------------------------------------------
 
@@ -199,11 +140,11 @@ def test_score_table_encodes_each_history_once(small_world, small_logs, monkeypa
     monkeypatch.undo()
     assert sum(rows) == len(distinct) and max(rows) <= 8
 
-    embedder = TitleEmbedder(bundle.titles, bundle.tokenize_fn)
     for g in groups:
         hb = batch_histories([g.history.truncated(tower.max_history)], bundle.tokenize_fn, tower)
         user = user_tower_forward_batch(hb, params).data[0]
-        want = item_embeddings_for(g.item_ids, embedder, params).data @ user
+        want = item_embeddings_for(g.item_ids, bundle.titles, bundle.tokenize_fn,
+                                   params).data @ user
         assert np.allclose(scores[id(g)], want, rtol=0.0, atol=1e-12)
 
 

@@ -13,18 +13,24 @@ from hypothesis import strategies as st
 from tworank import autodiff as ad
 from tworank.autodiff import Tensor
 from tworank.model import (FROZEN_IN_CONTINUOUS, GROUP_NAMES, ModelParams,
-                           TitleEmbedder, TowerConfig, batch_histories,
-                           content_embed_batch, context_score, encode_events_batch,
-                           init_params, item_tower_forward, item_tower_forward_batch,
-                           param_layout, similarity, similarity_matrix,
-                           user_tower_forward, user_tower_forward_batch)
+                           TowerConfig, batch_histories, content_embed_batch,
+                           context_score, encode_events_batch, init_params,
+                           item_tower_forward_batch, pad_tokens, param_layout, similarity,
+                           similarity_matrix, user_tower_forward_batch)
 from tworank.text import content_embed
+from tworank.train import item_embeddings_for
 from tworank.types import EVENT_TYPE_IDS, Event, EventType, UserHistory
 
 
 def _history(user=0, n=3):
     events = [Event(day, EventType.CLICK, f"item number {day}", day) for day in range(n)]
     return UserHistory(user, events)
+
+
+def _user_vector(history, params, tokenize_fn):
+    """One history through the user tower, as a batch of one: (1, d)."""
+    return user_tower_forward_batch(batch_histories([history], tokenize_fn, params.config),
+                                    params)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +94,8 @@ def test_every_param_belongs_to_a_group(tiny_params):
     for name in tiny_params.names():
         assert tiny_params.group_of(name) in GROUP_NAMES
     for g in GROUP_NAMES:
-        assert tiny_params.group(g), f"group {g} is empty"
+        assert any(tiny_params.group_of(n) == g for n in tiny_params.names()), \
+            f"group {g} is empty"
 
 
 def test_frozen_prefixes_exist(tiny_params):
@@ -141,6 +148,16 @@ def test_checkpoint_load_draws_no_random_numbers(tiny_params, tmp_path, monkeypa
     assert ModelParams.load(path).names() == tiny_params.names()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_checkpoint_save_refuses_non_finite(tiny_params, tmp_path, bad):
+    path = tmp_path / "model.ckpt"
+    tiny_params["loss_params.beta.click"].data = np.array(bad)
+    tiny_params["embeddings.cls"].data[3] = bad
+    with pytest.raises(ValueError, match="embeddings.cls.*loss_params.beta.click"):
+        tiny_params.save(path)
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # item tower
 # ---------------------------------------------------------------------------
@@ -168,10 +185,11 @@ def test_item_tower_output_unit_norm(tiny_params, tiny_config):
 
 
 def test_item_tower_single_matches_batch(tiny_params, tiny_config):
-    x = np.random.default_rng(2).normal(size=tiny_config.d)
-    single = item_tower_forward(Tensor(x), tiny_params).data
-    batched = item_tower_forward_batch(Tensor(x[None]), tiny_params).data[0]
-    assert np.allclose(single, batched, atol=1e-12)
+    x = np.random.default_rng(2).normal(size=(3, tiny_config.d))
+    batched = item_tower_forward_batch(Tensor(x), tiny_params).data
+    for r in range(len(x)):
+        single = item_tower_forward_batch(Tensor(x[r: r + 1]), tiny_params).data[0]
+        assert np.allclose(single, batched[r], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +210,8 @@ def test_overlong_history_rejected(tiny_config, word_tokenizer):
 
 
 def test_empty_history_encodes(tiny_params, tiny_config, word_tokenizer):
-    out = user_tower_forward(UserHistory(0, []), tiny_params, word_tokenizer)
-    assert out.shape == (tiny_config.d,)
+    out = _user_vector(UserHistory(0, []), tiny_params, word_tokenizer)
+    assert out.shape == (1, tiny_config.d)
     assert np.linalg.norm(out.data) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -219,14 +237,14 @@ def test_user_embedding_unit_norm(tiny_params, word_tokenizer):
 def test_user_embedding_depends_on_event_type(tiny_params, word_tokenizer):
     click = UserHistory(0, [Event(0, EventType.CLICK, "red anchor", 7)])
     prch = UserHistory(0, [Event(0, EventType.PURCHASE, "red anchor", 7)])
-    a = user_tower_forward(click, tiny_params, word_tokenizer).data
-    b = user_tower_forward(prch, tiny_params, word_tokenizer).data
+    a = _user_vector(click, tiny_params, word_tokenizer).data
+    b = _user_vector(prch, tiny_params, word_tokenizer).data
     assert not np.allclose(a, b)
 
 
 def test_web_query_event_encodes(tiny_params, word_tokenizer):
     h = UserHistory(0, [Event(0, EventType.WEB_QUERY, "red anchor")])
-    out = user_tower_forward(h, tiny_params, word_tokenizer)
+    out = _user_vector(h, tiny_params, word_tokenizer)
     assert np.linalg.norm(out.data) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -286,7 +304,8 @@ def _token_layout_encode(ref, params):
 
 
 def _loop_pad_titles(token_lists):
-    """Per-row padding loop, the reference for `TitleEmbedder.batch`."""
+    """Per-row padding loop, the reference for the title padding of
+    `item_embeddings_for`."""
     L = max(max((len(t) for t in token_lists), default=1), 1)
     ids = np.zeros((len(token_lists), L), dtype=np.int64)
     mask = np.zeros((len(token_lists), L))
@@ -415,14 +434,17 @@ def test_title_embedder_matches_padding_loop(texts, random):
     order = list(titles)
     if random is not None:
         random.shuffle(order)  # batches need not follow catalog order
-    ids, mask = TitleEmbedder(titles, _word_ids).batch(order)
+    got = item_embeddings_for(order, titles, _word_ids, ORACLE_PARAMS).data
     want_ids, want_mask = _loop_pad_titles([_word_ids(titles[i]) for i in order])
+    ids, mask = pad_tokens([_word_ids(titles[i]) for i in order])
     _assert_same_arrays(ids, want_ids)
     _assert_same_arrays(mask, want_mask)
-    cbow = content_embed_batch(ids, mask, ORACLE_PARAMS).data
+    cbow = content_embed_batch(want_ids, want_mask, ORACLE_PARAMS)
+    want = item_tower_forward_batch(cbow, ORACLE_PARAMS).data
+    assert got.tobytes() == want.tobytes()
     for r, i in enumerate(order):
-        want = content_embed(_word_ids(titles[i]), ORACLE_PARAMS["embeddings.content"]).data
-        assert np.allclose(cbow[r], want, rtol=0.0, atol=1e-15)
+        row = content_embed(_word_ids(titles[i]), ORACLE_PARAMS["embeddings.content"]).data
+        assert np.allclose(cbow.data[r], row, rtol=0.0, atol=1e-15)
 
 
 def test_content_embed_batch_gradient_is_masked_scatter(tiny_params, tiny_config):
@@ -482,11 +504,12 @@ def test_gradient_reaches_every_group(tiny_params, word_tokenizer):
     """End to end, d(similarity)/d(params) touches embeddings, transformer,
     and candidate tower."""
     h = _history(n=2)
-    user = user_tower_forward(h, tiny_params, word_tokenizer)
-    content = Tensor(np.random.default_rng(3).normal(size=tiny_params.config.d))
-    item = item_tower_forward(content, tiny_params)
+    user = _user_vector(h, tiny_params, word_tokenizer)
+    content = Tensor(np.random.default_rng(3).normal(size=(1, tiny_params.config.d)))
+    item = item_tower_forward_batch(content, tiny_params)
     grads = ad.backward(similarity(user, item), tiny_params.parameters())
     touched = {tiny_params.group_of(n)
                for n in tiny_params.names()
                if np.any(grads[tiny_params[n]])}
     assert {"embeddings", "transformer", "candidate_tower"} <= touched
+

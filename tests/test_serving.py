@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tworank.model import TitleEmbedder, init_params, user_tower_forward
+from tworank.model import batch_histories, init_params, user_tower_forward_batch
 from tworank.serving import (EmbeddingTable, KIND_ITEM, KIND_USER,
                              export_embeddings, score)
 from tworank.train import item_embeddings_for
@@ -45,11 +45,11 @@ def test_exported_vectors_unit_norm(tables):
 def test_export_matches_direct_forward(tables, word_tokenizer):
     """Stored float32 vectors reproduce the float64 forward pass."""
     params, histories, titles, users, items = tables
-    embedder = TitleEmbedder(titles, word_tokenizer)
     for u in (0, 3, 6):
-        direct = user_tower_forward(histories[u], params, word_tokenizer).data
+        hb = batch_histories([histories[u]], word_tokenizer, params.config)
+        direct = user_tower_forward_batch(hb, params).data[0]
         assert np.allclose(users.vector(u), direct, atol=1e-6)
-    direct_items = item_embeddings_for(sorted(titles), embedder, params).data
+    direct_items = item_embeddings_for(sorted(titles), titles, word_tokenizer, params).data
     assert np.allclose(items.vectors, direct_items, atol=1e-6)
 
 

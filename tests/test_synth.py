@@ -47,15 +47,6 @@ def test_bias_table_shape_and_scaling():
     assert world.bias_table[1].mean() == pytest.approx(2.0 * -0.6, abs=1e-9)
 
 
-def test_oracle_relevance_bounds_and_errors(small_world):
-    r = small_world.oracle_relevance(0, 0)
-    assert -1.0 - 1e-9 <= r <= 1.0 + 1e-9
-    with pytest.raises(KeyError):
-        small_world.oracle_relevance(10_000, 0)
-    with pytest.raises(KeyError):
-        small_world.oracle_relevance(0, 10_000)
-
-
 def test_titles_share_category_words(small_world):
     w = small_world
     for i in range(10):

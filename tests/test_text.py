@@ -94,7 +94,9 @@ def test_vocab_requires_specials_first():
 
 def test_unknown_token_lookup():
     vocab = build_vocab(CORPUS, 40)
-    assert vocab.id_of("nonexistent-piece") == UNK_ID
+    assert "nonexistent-piece" not in vocab
+    assert tokenize("nonexistent-piece", vocab) == [UNK_ID]
+    assert "red" in vocab and vocab.tokens[vocab.index["red"]] == "red"
 
 
 # ---------------------------------------------------------------------------
