@@ -65,7 +65,7 @@ class ShapeError(ValueError):
 class Tensor:
     """Dense real array plus the bookkeeping needed for reverse mode."""
 
-    __slots__ = ("data", "requires_grad", "_inputs", "_vjp", "_prim")
+    __slots__ = ("data", "requires_grad", "_inputs", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -75,7 +75,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._inputs: tuple[Tensor, ...] = ()
         self._vjp: Callable | None = None
-        self._prim = ""
 
     @property
     def shape(self):
@@ -162,7 +161,6 @@ def apply_primitive(name: str, inputs: Sequence[Tensor], attrs: dict | None = No
     if needs:
         out._inputs = inputs
         out._vjp = vjp
-        out._prim = name
     return out
 
 
@@ -283,7 +281,6 @@ def _p_softmax(inputs, attrs):
 @_primitive("layer_norm")
 def _p_layer_norm(inputs, attrs):
     x, gain, bias = inputs
-    eps = float(attrs.get("eps", LAYER_NORM_EPS))
     d = x.shape[-1] if x.ndim else 0
     if d < 2:
         raise ShapeError("layer_norm", "last axis must have length >= 2", (x.shape,))
@@ -294,7 +291,7 @@ def _p_layer_norm(inputs, attrs):
     # np.var's own steps, so var is bit-equal to it, with one subtraction shared
     xc = xd - xd.mean(axis=-1, keepdims=True)
     var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
     gd = gain.data
@@ -489,8 +486,8 @@ def softmax(a):
     return apply_primitive("softmax", (a,))
 
 
-def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS):
-    return apply_primitive("layer_norm", (x, gain, bias), {"eps": eps})
+def layer_norm(x, gain, bias):
+    return apply_primitive("layer_norm", (x, gain, bias))
 
 
 def l2_normalize(x):

@@ -9,6 +9,7 @@ import json
 import os
 import struct
 import sys
+from dataclasses import asdict
 
 from .config import ConfigError, EvalConfig, RunConfig, config_as_dict, load_config
 from .dataset import serving_histories
@@ -89,6 +90,18 @@ def cmd_build_vocab(cfg: RunConfig, ec: EvalConfig, args) -> int:
     return EXIT_OK
 
 
+def _checkpoint_to_train(cfg: RunConfig, out_dir: str, name: str) -> ModelParams:
+    """A checkpoint to train further: its tower must be the run's [model]."""
+    path = _artifact(out_dir, name, must_exist=True)
+    params = ModelParams.load(path)
+    ckpt, run = asdict(params.config), asdict(cfg.model)
+    diff = [f"{k} = {ckpt[k]!r}, not {run[k]!r}" for k in run if ckpt[k] != run[k]]
+    if diff:
+        raise ConfigError(f"{path}: the checkpoint's tower differs from the [model] config: "
+                          f"{'; '.join(diff)}")
+    return params
+
+
 def cmd_pretrain(cfg: RunConfig, ec: EvalConfig, args) -> int:
     bundle = _bundle(cfg, args.out)
     params = pretrain_run(bundle.pretrain_train, cfg.pretrain, cfg.model,
@@ -102,7 +115,7 @@ def cmd_pretrain(cfg: RunConfig, ec: EvalConfig, args) -> int:
 def cmd_finetune(cfg: RunConfig, ec: EvalConfig, args) -> int:
     bundle = _bundle(cfg, args.out)
     if args.init == "pretrain":
-        params = ModelParams.load(_artifact(args.out, "pretrain.ckpt", must_exist=True))
+        params = _checkpoint_to_train(cfg, args.out, "pretrain.ckpt")
     else:
         params = init_params(cfg.model, seed=cfg.finetune.seed)
     params = finetune_run(bundle.finetune_train, params, cfg.finetune,
@@ -115,9 +128,7 @@ def cmd_finetune(cfg: RunConfig, ec: EvalConfig, args) -> int:
 
 def cmd_continuous(cfg: RunConfig, ec: EvalConfig, args) -> int:
     bundle = _bundle(cfg, args.out)
-    prev = ModelParams.load(_artifact(args.out, "finetune.ckpt", must_exist=True))
-    if prev.config != cfg.model:
-        raise ConfigError("checkpoint model config does not match run config")
+    prev = _checkpoint_to_train(cfg, args.out, "finetune.ckpt")
     params = continuous_finetune(prev, bundle.finetune_test, cfg.finetune,
                                  bundle.tokenize_fn, bundle.titles)
     path = _artifact(args.out, "continuous.ckpt")

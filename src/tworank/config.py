@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass, field, fields
 
 from .model import GROUP_NAMES, TowerConfig
@@ -150,9 +151,16 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
     except ValueError as exc:
         raise ConfigError(f"[model] {exc}") from exc
     for section in ("pretrain", "finetune"):
-        for group, clip in getattr(rc, section).clips.items():
-            if not clip > 0:
-                raise ConfigError(f"[{section}] clip_{group} must be > 0, got {clip}")
+        tc = getattr(rc, section)
+        checks = [("epochs", tc.epochs, ">= 1", tc.epochs >= 1),
+                  ("max_steps", tc.max_steps, ">= 0", tc.max_steps >= 0),
+                  ("warmup_steps", tc.warmup_steps, ">= 0", tc.warmup_steps >= 0)]
+        checks += [(f"lr_{g}", lr, "finite and >= 0", 0 <= lr < math.inf)
+                   for g, lr in tc.lrs.items()]
+        checks += [(f"clip_{g}", clip, "> 0", clip > 0) for g, clip in tc.clips.items()]
+        for key, value, rule, ok in checks:
+            if not ok:
+                raise ConfigError(f"[{section}] {key} must be {rule}, got {value}")
     if rc.pretrain.batch_size < 2:
         raise ConfigError("[pretrain] batch_size must be >= 2 to give in-batch negatives")
     try:

@@ -64,9 +64,6 @@ class ModelParams:
     def names(self) -> list[str]:
         return list(self.tensors)
 
-    def parameters(self) -> list[Tensor]:
-        return list(self.tensors.values())
-
     def group_of(self, name: str) -> str:
         head = name.split(".", 1)[0]
         if head not in GROUP_NAMES:
@@ -220,8 +217,7 @@ def pad_tokens(token_lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
 def content_embed_batch(ids: np.ndarray, mask: np.ndarray, params: ModelParams) -> Tensor:
     """(..., L) padded token ids -> (..., d) CBOW sums of content rows: the
     one content representation of item titles and history events."""
-    rows = ad.gather(params["embeddings.content"], ids.reshape(-1))
-    rows = ad.reshape(rows, ids.shape + (params.config.d,))
+    rows = ad.gather(params["embeddings.content"], ids)
     rows = ad.mul(rows, Tensor(mask[..., None]))
     return ad.tsum(rows, axis=ids.ndim - 1)
 
@@ -242,15 +238,11 @@ class HistoryBatch:
 
 def batch_histories(histories: list[UserHistory], tokenize_fn: Callable[[str], list[int]],
                     config: TowerConfig) -> HistoryBatch:
-    """Tokenize each distinct event text once and pad histories into dense
-    arrays. Histories longer than max_history are rejected; truncation is
-    the caller's job."""
-    lengths = np.array([len(h.events) for h in histories], dtype=np.int64)
-    over = np.flatnonzero(lengths > config.max_history)
-    if over.size:
-        raise ValueError(f"history of user {histories[over[0]].user_id} has {lengths[over[0]]}"
-                         f" events > max_history {config.max_history}")
-    events = [e for h in histories for e in h.events]
+    """Keep each history's most recent max_history events, tokenize each
+    distinct event text once and pad the histories into dense arrays."""
+    windows = [h.events[-config.max_history:] for h in histories]
+    lengths = np.array([len(w) for w in windows], dtype=np.int64)
+    events = [e for w in windows for e in w]
     row_of: dict[str, int] = {}
     rows = [row_of.setdefault(e.text, len(row_of)) for e in events]
     # with no events, one all-PAD row still gives the padding slots a row to read
@@ -291,12 +283,12 @@ def encode_events_batch(batch: HistoryBatch, params: ModelParams):
     """Per-event content + position + event-type embeddings, layer-normed;
     [CLS] (not layer-normed) prepended. Returns ((B, T+1, d) tensor,
     (B, T+1) key mask)."""
-    B, T = batch.text_rows.shape
+    B = batch.text_rows.shape[0]
     d = params.config.d
     texts = content_embed_batch(batch.text_ids, batch.text_mask, params)  # (U, d)
     content = ad.gather(texts, batch.text_rows)  # (B, T, d)
-    pos = ad.reshape(ad.gather(params["embeddings.position"], batch.pos_ids.reshape(-1)), (B, T, d))
-    typ = ad.reshape(ad.gather(params["embeddings.event_type"], batch.type_ids.reshape(-1)), (B, T, d))
+    pos = ad.gather(params["embeddings.position"], batch.pos_ids)
+    typ = ad.gather(params["embeddings.event_type"], batch.type_ids)
     ev = content + pos + typ
     ev = ad.layer_norm(ev, params["embeddings.pre_ln_gain"], params["embeddings.pre_ln_bias"])
     # zero out padding rows so they cannot leak through attention values

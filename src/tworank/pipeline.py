@@ -34,14 +34,12 @@ class Bundle:
     records: list
     titles: dict[int, str]
     vocab: Vocab
-    boundary: int
     pretrain_train: list
     finetune_train: list
     finetune_test: list
     eval_groups: list[ImpressionGroup]
     interacted_categories: dict[int, list[tuple[int, int]]]
     include_web: bool
-    max_history: int
     _tok_cache: dict = field(default_factory=dict)
 
     def tokenize_fn(self, text: str):
@@ -98,10 +96,9 @@ def build_bundle(world_cfg: SynthConfig, vocab_size: int = 2048,
         interacted[rec.user_id].append((rec.event.day, cat))
 
     return Bundle(world=world, records=records, titles=titles, vocab=vocab,
-                  boundary=boundary, pretrain_train=pre_train,
-                  finetune_train=ft_train, finetune_test=ft_test,
-                  eval_groups=eval_groups, interacted_categories=dict(interacted),
-                  include_web=include_web, max_history=max_history)
+                  pretrain_train=pre_train, finetune_train=ft_train,
+                  finetune_test=ft_test, eval_groups=eval_groups,
+                  interacted_categories=dict(interacted), include_web=include_web)
 
 
 def train_regime(bundle: Bundle, regime: str, tower_cfg: TowerConfig,
@@ -130,8 +127,7 @@ def score_table(bundle: Bundle, params: ModelParams, groups,
         user_vecs = np.empty((len(histories), params.config.d))
         for lo in range(0, len(histories), batch_size):
             chunk = histories[lo: lo + batch_size]
-            hb = batch_histories([h.truncated(params.config.max_history) for h in chunk],
-                                 bundle.tokenize_fn, params.config)
+            hb = batch_histories(chunk, bundle.tokenize_fn, params.config)
             user_vecs[lo: lo + len(chunk)] = user_tower_forward_batch(hb, params).data
 
         unique_items = sorted({i for g in groups for i in g.item_ids})

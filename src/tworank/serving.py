@@ -113,8 +113,7 @@ def export_embeddings(params: ModelParams, user_histories: dict[int, UserHistory
     with no_grad():
         for lo in range(0, len(user_ids), batch_size):
             chunk = user_ids[lo: lo + batch_size]
-            histories = [user_histories[u].truncated(cfg.max_history) for u in chunk]
-            hb = batch_histories(histories, tokenize_fn, cfg)
+            hb = batch_histories([user_histories[u] for u in chunk], tokenize_fn, cfg)
             user_vecs[lo: lo + len(chunk)] = user_tower_forward_batch(hb, params).data
 
         item_ids = sorted(titles)

@@ -92,18 +92,13 @@ class AdamOptimizer:
     """Adaptive moment estimation with per-group learning rates,
     groupwise clipping, and a shared schedule."""
 
-    def __init__(self, params: ModelParams, config: TrainConfig, schedule: Schedule,
-                 frozen_prefixes: tuple[str, ...] = ()):
+    def __init__(self, params: ModelParams, config: TrainConfig, schedule: Schedule):
         self.params = params
         self.config = config
         self.schedule = schedule
-        self.frozen_prefixes = frozen_prefixes
         self.step_count = 0
         self.m = {n: np.zeros_like(t.data) for n, t in params.tensors.items()}
         self.v = {n: np.zeros_like(t.data) for n, t in params.tensors.items()}
-
-    def _frozen(self, name: str) -> bool:
-        return any(name.startswith(p) for p in self.frozen_prefixes)
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         cfg = self.config
@@ -111,8 +106,6 @@ class AdamOptimizer:
         t = min(self.step_count, self.schedule.total_steps)
         by_group: dict[str, dict[str, np.ndarray]] = {g: {} for g in GROUP_NAMES}
         for name, g in grads.items():
-            if self._frozen(name):
-                continue
             by_group[self.params.group_of(name)][name] = g
         for group, group_grads in by_group.items():
             if not group_grads:
@@ -129,10 +122,11 @@ class AdamOptimizer:
 
 
 def _grads_by_name(loss, params: ModelParams) -> dict[str, np.ndarray]:
-    tensor_grads = backward(loss, params.parameters())
-    names = params.names()
-    return {n: tensor_grads[params.tensors[n]] for n in names
-            if np.any(tensor_grads[params.tensors[n]])}
+    """The loss's non-zero gradients by parameter name. Backward reaches no
+    constant tensor, and Adam skips a tensor that got no gradient."""
+    grads = backward(loss)
+    return {n: g for n, t in params.tensors.items()
+            if (g := grads.get(id(t))) is not None and np.any(g)}
 
 
 def item_embeddings_for(item_ids, titles: dict[int, str], tokenize_fn,
@@ -143,8 +137,7 @@ def item_embeddings_for(item_ids, titles: dict[int, str], tokenize_fn,
 
 
 def _train(params: ModelParams, config: TrainConfig, n: int, batch_size: int,
-           n_batches: int, seed: int, batch_loss,
-           frozen_prefixes: tuple[str, ...] = ()) -> ModelParams:
+           n_batches: int, seed: int, batch_loss) -> ModelParams:
     """The step loop of both stages. Each epoch visits the n examples in a
     fresh `rng.permutation(n)` of `default_rng(seed)`, cut into n_batches
     slices of batch_size indices; `batch_loss(indices)` gives each slice's
@@ -154,7 +147,7 @@ def _train(params: ModelParams, config: TrainConfig, n: int, batch_size: int,
     if config.max_steps:
         n_steps = min(n_steps, config.max_steps)
     schedule = Schedule(min(config.warmup_steps, n_steps), n_steps, config.schedule_mode)
-    opt = AdamOptimizer(params, config, schedule, frozen_prefixes=frozen_prefixes)
+    opt = AdamOptimizer(params, config, schedule)
     rng = np.random.default_rng(seed)
     for step in range(n_steps):
         k = step % n_batches
@@ -191,10 +184,10 @@ def pretrain_run(samples: list[PretrainSample], config: TrainConfig,
 
 def finetune_run(groups: list[ImpressionGroup], init: ModelParams,
                  config: TrainConfig, tokenize_fn, titles: dict[int, str],
-                 group_batch: int = 16,
-                 frozen_prefixes: tuple[str, ...] = ()) -> ModelParams:
+                 group_batch: int = 16) -> ModelParams:
     """Ranking fine-tuning on impression groups, `group_batch` groups a
-    step; the last batch of an epoch may be short."""
+    step; the last batch of an epoch may be short. Tensors of `init` whose
+    requires_grad is False stay as they are."""
     if not groups:
         raise ValueError("empty fine-tuning group stream")
     params = init.copy()  # never mutate the caller's checkpoint
@@ -217,16 +210,20 @@ def finetune_run(groups: list[ImpressionGroup], init: ModelParams,
 
     n_batches = (len(groups) + group_batch - 1) // group_batch
     return _train(params, config, len(groups), group_batch, n_batches, config.seed + 7,
-                  batch_loss, frozen_prefixes)
+                  batch_loss)
 
 
 def continuous_finetune(prev: ModelParams, new_groups: list[ImpressionGroup],
                         config: TrainConfig, tokenize_fn, titles: dict[int, str],
                         group_batch: int = 16) -> ModelParams:
-    """Continuous fine-tuning contract: sigmoid inner scalars frozen,
-    constant learning rate, fresh optimizer state, fine-tune objective
-    only."""
-    cfg = replace(config, schedule_mode="constant")
-    return finetune_run(new_groups, prev, cfg, tokenize_fn, titles,
-                        group_batch=group_batch,
-                        frozen_prefixes=FROZEN_IN_CONTINUOUS)
+    """Continuous fine-tuning contract: sigmoid inner scalars frozen (a
+    constant gets no gradient), constant learning rate, fresh optimizer
+    state, fine-tune objective only. Every returned tensor trains again."""
+    start = prev.copy()
+    for name, t in start.tensors.items():
+        t.requires_grad = not name.startswith(FROZEN_IN_CONTINUOUS)
+    params = finetune_run(new_groups, start, replace(config, schedule_mode="constant"),
+                          tokenize_fn, titles, group_batch=group_batch)
+    for t in params.tensors.values():
+        t.requires_grad = True
+    return params

@@ -53,8 +53,8 @@ class Event:
 
 @dataclass
 class UserHistory:
-    """Chronologically ascending events, truncated to the most recent.
-    Samples and groups may share one history object; no code mutates it."""
+    """Chronologically ascending events. Samples and groups may share one
+    history object; no code mutates it."""
 
     user_id: int
     events: list[Event] = field(default_factory=list)
@@ -63,9 +63,6 @@ class UserHistory:
         days = [e.day for e in self.events]
         if any(a > b for a, b in zip(days, days[1:])):
             raise ValueError("history events must be non-decreasing in time")
-
-    def truncated(self, max_history: int) -> "UserHistory":
-        return UserHistory(self.user_id, self.events[-max_history:])
 
 
 @dataclass

@@ -375,3 +375,25 @@ def test_finetune_fresh_init(workspace, tmp_path):
         (out / name).write_bytes((workspace / name).read_bytes())
     assert run("finetune", out, "--init", "fresh") == EXIT_OK
     assert (out / "finetune.ckpt").exists()
+
+
+@pytest.mark.parametrize("command, override, named", [
+    ("finetune", "model.d=32", "d = 16, not 32"),
+    ("finetune", "model.user_layers=2", "user_layers = 1, not 2"),
+    ("finetune", "model.max_history=24", "max_history = 12, not 24"),
+    ("continuous", "model.max_history=24", "max_history = 12, not 24"),
+])
+def test_checkpoint_of_another_tower_exit_code(workspace, tmp_path, capsys, command,
+                                               override, named):
+    """Training goes on from a checkpoint only with the [model] it was saved
+    with; the error names each field that differs."""
+    out = tmp_path / "othertower"
+    out.mkdir()
+    start = {"finetune": "pretrain.ckpt", "continuous": "finetune.ckpt"}[command]
+    for name in ("logs.ndjson", "vocab.txt", start):
+        (out / name).write_bytes((workspace / name).read_bytes())
+    assert run(command, out, "--set", override) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert named in captured.err and start in captured.err
+    assert not (out / f"{command}.ckpt").exists()

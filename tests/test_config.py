@@ -170,9 +170,20 @@ def test_stage_keys_never_read_are_rejected(tmp_path, key):
     ("pretrain.clip_embeddings", "0"), ("pretrain.clip_loss_params", "-1"),
     ("finetune.clip_transformer", "0"), ("finetune.clip_candidate_tower", "nan"),
     ("pretrain.batch_size", "1"), ("pretrain.batch_size", "0"),
+    ("pretrain.epochs", "0"), ("finetune.epochs", "-1"),
+    ("pretrain.max_steps", "-3"), ("finetune.max_steps", "-1"),
+    ("pretrain.warmup_steps", "-5"), ("finetune.warmup_steps", "-1"),
+    ("pretrain.lr_embeddings", "-1"), ("pretrain.lr_transformer", "nan"),
+    ("finetune.lr_loss_params", "inf"), ("finetune.lr_candidate_tower", "-1e-9"),
 ])
 def test_trainer_values_that_cannot_run_are_rejected(tmp_path, key, value):
     _rejected_everywhere(tmp_path, key, value)
+
+
+def test_trainer_edge_values_that_run_are_accepted():
+    rc, _ = load_config(None, overrides=["pretrain.lr_embeddings=0", "finetune.max_steps=0",
+                                         "finetune.warmup_steps=0", "pretrain.epochs=1"])
+    assert rc.pretrain.lrs["embeddings"] == 0.0 and rc.finetune.max_steps == 0
 
 
 @pytest.mark.parametrize("key, value", [

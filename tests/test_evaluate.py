@@ -126,7 +126,7 @@ def test_score_table_encodes_each_history_once(small_world, small_logs, monkeypa
     assert len(distinct) < len(groups)  # groups share histories, so there is work to save
     params = init_params(tower, seed=0)
     draw = np.random.default_rng(11)
-    for t in params.parameters():
+    for t in params.tensors.values():
         t.data = t.data + draw.normal(scale=0.2, size=t.data.shape)
 
     rows = []
@@ -141,7 +141,7 @@ def test_score_table_encodes_each_history_once(small_world, small_logs, monkeypa
     assert sum(rows) == len(distinct) and max(rows) <= 8
 
     for g in groups:
-        hb = batch_histories([g.history.truncated(tower.max_history)], bundle.tokenize_fn, tower)
+        hb = batch_histories([g.history], bundle.tokenize_fn, tower)
         user = user_tower_forward_batch(hb, params).data[0]
         want = item_embeddings_for(g.item_ids, bundle.titles, bundle.tokenize_fn,
                                    params).data @ user

@@ -217,7 +217,7 @@ def test_objective_gradients_reach_calibration_scalars(params):
     labels = {"click": [1, 0, 1, 0], "cart": [1, 0, 0, 0],
               "fvrt": [0, 0, 0, 0], "prch": [0, 0, 0, 0]}
     loss = finetune_objective(r, r_ctx, [labels], params)
-    grads = backward(loss, params.parameters())
+    grads = backward(loss, list(params.tensors.values()))
     for name in ("loss_params.gamma.click", "loss_params.beta.click",
                  "loss_params.gamma_ctx.click", "loss_params.alpha_cl",
                  "loss_params.alpha_ctx", "loss_params.beta_cl"):

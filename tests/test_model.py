@@ -3,6 +3,7 @@ checkpointing."""
 
 import hashlib
 from collections import Counter
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -203,12 +204,6 @@ def test_position_ids_reverse_chronological(tiny_config, word_tokenizer):
     assert np.all(hb.event_mask[0] == 1.0)
 
 
-def test_overlong_history_rejected(tiny_config, word_tokenizer):
-    with pytest.raises(ValueError):
-        batch_histories([_history(n=tiny_config.max_history + 1)],
-                        word_tokenizer, tiny_config)
-
-
 def test_empty_history_encodes(tiny_params, tiny_config, word_tokenizer):
     out = _user_vector(UserHistory(0, []), tiny_params, word_tokenizer)
     assert out.shape == (1, tiny_config.d)
@@ -326,11 +321,11 @@ _TITLE = st.lists(_WORDS, min_size=1, max_size=5).map(" ".join)
 
 
 @st.composite
-def _history_batches(draw):
-    """1-4 histories of 0..max_history day-ordered events of every type."""
+def _history_batches(draw, max_events=ORACLE_CONFIG.max_history):
+    """1-4 histories of 0..max_events day-ordered events of every type."""
     batch = []
     for user in range(draw(st.integers(1, 4))):
-        n = draw(st.integers(0, ORACLE_CONFIG.max_history))
+        n = draw(st.integers(0, max_events))
         days = sorted(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
         events = []
         for day in days:
@@ -386,6 +381,21 @@ def test_batch_histories_matches_padding_loops(histories):
         for t, ev in enumerate(h.events):
             assert np.allclose(cbow[b, t], content_embed(_word_ids(ev.text), matrix).data,
                                rtol=0.0, atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_history_batches(max_events=ORACLE_CONFIG.max_history + 3))
+@example([_history(n=ORACLE_CONFIG.max_history + 3), UserHistory(1, [])])
+def test_batch_histories_keeps_the_most_recent_window(histories):
+    """A history longer than max_history is batched as its most recent
+    max_history events."""
+    T = ORACLE_CONFIG.max_history
+    got = batch_histories(histories, _word_ids, ORACLE_CONFIG)
+    want = batch_histories([UserHistory(h.user_id, h.events[-T:]) for h in histories],
+                           _word_ids, ORACLE_CONFIG)
+    assert got.event_mask.shape[1] <= T
+    for f in fields(got):
+        _assert_same_arrays(getattr(got, f.name), getattr(want, f.name))
 
 
 @settings(max_examples=40, deadline=None)
@@ -507,7 +517,7 @@ def test_gradient_reaches_every_group(tiny_params, word_tokenizer):
     user = _user_vector(h, tiny_params, word_tokenizer)
     content = Tensor(np.random.default_rng(3).normal(size=(1, tiny_params.config.d)))
     item = item_tower_forward_batch(content, tiny_params)
-    grads = ad.backward(similarity(user, item), tiny_params.parameters())
+    grads = ad.backward(similarity(user, item), list(tiny_params.tensors.values()))
     touched = {tiny_params.group_of(n)
                for n in tiny_params.names()
                if np.any(grads[tiny_params[n]])}

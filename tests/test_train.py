@@ -10,7 +10,7 @@ import pytest
 
 from tworank import train
 from tworank.dataset import build_finetune_groups, build_pretrain_samples
-from tworank.model import TowerConfig, init_params
+from tworank.model import FROZEN_IN_CONTINUOUS, TowerConfig, init_params
 from tworank.train import (ADAM_EPS, AdamOptimizer, Schedule, TrainConfig,
                            clip_group, continuous_finetune, finetune_run, lr_at,
                            pretrain_run)
@@ -141,16 +141,6 @@ def test_adam_respects_group_clip():
     assert float(params[name].data) == pytest.approx(expect, rel=1e-9)
 
 
-def test_adam_frozen_prefix_never_moves():
-    params = init_params(TINY, seed=0)
-    before = float(params["loss_params.alpha_cl"].data)
-    opt = AdamOptimizer(params, TrainConfig(schedule_mode="constant"),
-                        Schedule(0, 10, mode="constant"),
-                        frozen_prefixes=("loss_params.alpha",))
-    opt.step({"loss_params.alpha_cl": np.asarray(10.0)})
-    assert float(params["loss_params.alpha_cl"].data) == before
-
-
 # ---------------------------------------------------------------------------
 # training runs
 # ---------------------------------------------------------------------------
@@ -221,6 +211,44 @@ def test_continuous_freezes_calibration_scalars(training_data, word_tokenizer):
     # towers keep adapting
     assert not np.array_equal(cont["embeddings.content"].data,
                               tuned["embeddings.content"].data)
+
+
+def test_continuous_finetune_marks_frozen_tensors_constant(training_data, word_tokenizer,
+                                                           monkeypatch):
+    """The frozen calibration scalars are constants while continuous
+    fine-tuning runs: backward gives them no gradient, so no step names
+    them. Before and after the run every tensor trains."""
+    _, groups, titles = training_data
+    prev = init_params(TINY, seed=0)
+    snapshot = {n: prev[n].data.copy() for n in prev.names()}
+    frozen = [n for n in prev.names() if n.startswith(FROZEN_IN_CONTINUOUS)]
+    reached, stepped = [], []
+    backward, grads_by_name = train.backward, train._grads_by_name
+
+    def recording_backward(root, *args):
+        grads = backward(root, *args)
+        reached.append(set(grads))
+        return grads
+
+    def recording_grads_by_name(loss, params):
+        grads = grads_by_name(loss, params)
+        stepped.append(set(grads))
+        return grads
+
+    monkeypatch.setattr(train, "backward", recording_backward)
+    monkeypatch.setattr(train, "_grads_by_name", recording_grads_by_name)
+    cont = continuous_finetune(prev, groups, _run_cfg(max_steps=3), word_tokenizer, titles)
+    monkeypatch.undo()
+
+    assert len(reached) == len(stepped) == 3
+    frozen_ids = {id(cont[n]) for n in frozen}
+    assert all(r and not r & frozen_ids for r in reached)
+    assert all(s and not s & set(frozen) for s in stepped)
+    for n in frozen:
+        assert np.array_equal(cont[n].data, prev[n].data), n
+    for n in prev.names():
+        assert np.array_equal(prev[n].data, snapshot[n]), n
+        assert prev[n].requires_grad and cont[n].requires_grad, n
 
 
 def test_empty_streams_rejected(training_data, word_tokenizer):
