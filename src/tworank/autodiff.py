@@ -408,12 +408,14 @@ def _p_transpose(inputs, attrs):
 def _p_attention(inputs, attrs):
     """Masked scaled-dot-product attention.
 
-    q, k, v: (..., H, T, Dh); mask: key-validity floats (..., T) with 1 for
-    real positions, 0 for padding. Masked logits get an additive -1e9.
+    q: (..., H, Tq, Dh); k, v: (..., H, Tk, Dh); mask: key-validity floats
+    (..., Tk) with 1 for real positions, 0 for padding. Masked logits get an
+    additive -1e9.
     """
     q, k, v = inputs
-    if q.shape != k.shape or q.shape != v.shape or q.ndim < 3:
-        raise ShapeError("attention", "q/k/v must share shape (..., H, T, Dh)",
+    if (k.shape != v.shape or q.ndim != k.ndim or q.ndim < 3
+            or q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1]):
+        raise ShapeError("attention", "expects q (..., H, Tq, Dh) and k, v (..., H, Tk, Dh)",
                          (q.shape, k.shape, v.shape))
     mask = attrs.get("mask")
     dh = q.shape[-1]

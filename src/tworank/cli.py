@@ -49,6 +49,11 @@ def _load_inputs(cfg: RunConfig, out_dir: str):
                 if catalog.get(i) != world_catalog.get(i))
         raise ValueError(f"{logs_path}: logged item {i} is {catalog.get(i)}, but the [world] "
                          f"config (seed {cfg.world.seed}) makes it {world_catalog.get(i)}")
+    n_users = cfg.world.n_users
+    stranger = next((r.user_id for r in records if not 0 <= r.user_id < n_users), None)
+    if stranger is not None:
+        raise ValueError(f"{logs_path}: logged user {stranger} is outside the [world] "
+                         f"config's n_users of {n_users}")
     vocab_path = _artifact(out_dir, "vocab.txt", must_exist=True)
     vocab = Vocab.load(vocab_path)
     # piece ids index the content table, which has [model] vocab_size rows

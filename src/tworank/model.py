@@ -45,6 +45,12 @@ class TowerConfig:
     n_devices: int = 2
 
     def __post_init__(self):
+        # 0 layers is a tower: the user tower reads the [CLS] embedding and the
+        # item tower the l2-normalized CBOW title
+        for key, least in (("d", 2), ("user_heads", 1), ("max_history", 1), ("vocab_size", 1),
+                           ("user_ffn_hidden", 0), ("user_layers", 0), ("item_layers", 0)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
         if self.user_ffn_hidden == 0:
             self.user_ffn_hidden = 4 * self.d
         if self.d % self.user_heads != 0:
@@ -303,9 +309,22 @@ def _split_heads(x: Tensor, B: int, S: int, H: int, dh: int) -> Tensor:
     return ad.transpose(ad.reshape(x, (B, S, H, dh)), (0, 2, 1, 3))
 
 
+def _cls_rows(x: Tensor) -> Tensor:
+    """(B, S, d) -> (B, d): row 0 of each sequence."""
+    B, S, d = x.shape
+    return ad.gather(ad.reshape(x, (B * S, d)), np.arange(B) * S)
+
+
 def user_tower_forward_batch(batch: HistoryBatch, params: ModelParams) -> Tensor:
     """Post-norm bidirectional encoder over the event sequence; the
-    contextualized [CLS] output, l2-normalized, is the user embedding."""
+    contextualized [CLS] output, l2-normalized, is the user embedding.
+
+    Only the [CLS] row of the last layer is read out, and within a layer a
+    row depends on the other rows only through the keys and values. So the
+    last layer keeps keys and values from all S positions but queries from
+    the [CLS] row alone and runs its output projection, layer norms and FFN
+    on that row: the same embedding as the full layer's row 0, without the
+    S - 1 rows nothing reads."""
     cfg = params.config
     seq, mask = encode_events_batch(batch, params)
     B, S = mask.shape
@@ -313,19 +332,24 @@ def user_tower_forward_batch(batch: HistoryBatch, params: ModelParams) -> Tensor
     x = seq
     for i in range(cfg.user_layers):
         pre = f"transformer.L{i}."
-        q = _split_heads(ad.matmul(x, params[pre + "wq"]) + params[pre + "bq"], B, S, H, dh)
         k = _split_heads(ad.matmul(x, params[pre + "wk"]) + params[pre + "bk"], B, S, H, dh)
         v = _split_heads(ad.matmul(x, params[pre + "wv"]) + params[pre + "bv"], B, S, H, dh)
-        att = ad.attention(q, k, v, mask=mask)
-        att = ad.reshape(ad.transpose(att, (0, 2, 1, 3)), (B, S, cfg.d))
+        if i < cfg.user_layers - 1:
+            q = _split_heads(ad.matmul(x, params[pre + "wq"]) + params[pre + "bq"], B, S, H, dh)
+            att = ad.attention(q, k, v, mask=mask)
+            att = ad.reshape(ad.transpose(att, (0, 2, 1, 3)), (B, S, cfg.d))
+        else:
+            x = _cls_rows(x)  # (B, d)
+            q = ad.reshape(ad.matmul(x, params[pre + "wq"]) + params[pre + "bq"], (B, H, 1, dh))
+            att = ad.reshape(ad.attention(q, k, v, mask=mask), (B, cfg.d))
         att = ad.matmul(att, params[pre + "wo"]) + params[pre + "bo"]
         x = ad.layer_norm(x + att, params[pre + "ln1_gain"], params[pre + "ln1_bias"])
         ffn = ad.relu(ad.matmul(x, params[pre + "ffn_w1"]) + params[pre + "ffn_b1"])
         ffn = ad.matmul(ffn, params[pre + "ffn_w2"]) + params[pre + "ffn_b2"]
         x = ad.layer_norm(x + ffn, params[pre + "ln2_gain"], params[pre + "ln2_bias"])
-    flat = ad.reshape(x, (B * S, cfg.d))
-    cls_out = ad.gather(flat, np.arange(B) * S)
-    return ad.l2_normalize(cls_out)
+    if cfg.user_layers == 0:
+        x = _cls_rows(x)
+    return ad.l2_normalize(x)
 
 
 # ---------------------------------------------------------------------------

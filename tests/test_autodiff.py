@@ -164,6 +164,32 @@ def test_gradcheck_attention_with_mask():
     assert rep.passed, rep
 
 
+def test_gradcheck_attention_one_query_of_five_keys():
+    """A single query row over more keys, one of them masked: the shape the
+    user tower's last layer takes from [CLS]."""
+    rng = np.random.default_rng(5)
+    mask = np.array([[1.0, 1.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0]])
+    weights = Tensor(rng.normal(size=(2, 2, 1, 3)))
+    q = rng.normal(size=(2, 2, 1, 3))
+    k, v = rng.normal(size=(2, 2, 5, 3)), rng.normal(size=(2, 2, 5, 3))
+    rep = gradcheck(lambda q, k, v: ad.tsum(ad.mul(ad.attention(q, k, v, mask=mask), weights)),
+                    [q, k, v])
+    assert rep.passed, rep
+    # the one query row reads what it reads among five query rows
+    square = np.concatenate([q, rng.normal(size=(2, 2, 4, 3))], axis=2)
+    one = ad.attention(Tensor(q), Tensor(k), Tensor(v), mask=mask).data
+    full = ad.attention(Tensor(square), Tensor(k), Tensor(v), mask=mask).data
+    assert np.allclose(one, full[:, :, :1], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("q_shape", [(3, 2, 1, 4), (2, 1, 1, 4), (2, 2, 1, 3), (2, 1, 4)],
+                         ids=["batch", "heads", "head-width", "rank"])
+def test_attention_query_must_match_keys_but_length(q_shape):
+    k = Tensor(np.zeros((2, 2, 5, 4)))
+    with pytest.raises(ShapeError):
+        ad.attention(Tensor(np.zeros(q_shape)), k, k)
+
+
 def test_gradcheck_detects_wrong_gradient():
     # a deliberately broken function: forward exp, backward pretends identity
     def bad(x):

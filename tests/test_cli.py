@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import struct
 
 import numpy as np
@@ -274,6 +275,21 @@ def test_logs_of_another_world_exit_code(workspace, tmp_path, capsys):
     assert not (out / "pretrain.ckpt").exists()
 
 
+@pytest.mark.parametrize("n_users", [0, 10])
+def test_logs_of_more_users_exit_code(workspace, tmp_path, capsys, n_users):
+    """Logs of 30 users are refused under a [world] of fewer users, before
+    any training, instead of training on users the world does not have."""
+    out = tmp_path / "fewerusers"
+    out.mkdir()
+    for name in ("logs.ndjson", "vocab.txt"):
+        (out / name).write_bytes((workspace / name).read_bytes())
+    assert run("pretrain", out, "--set", f"world.n_users={n_users}") == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "logs.ndjson" in err and f"n_users of {n_users}" in err and "Traceback" not in err
+    assert int(re.search(r"logged user (\d+) is outside", err).group(1)) >= n_users
+    assert not (out / "pretrain.ckpt").exists()
+
+
 def test_vocab_larger_than_the_table_exit_code(workspace, tmp_path, capsys, monkeypatch):
     """A vocab.txt built for a larger [model] vocab_size would index past
     the content table, so it is refused before the bundle is built."""
@@ -302,6 +318,15 @@ def test_bad_override_exit_code(tmp_path):
         == EXIT_CONFIG
     assert main(["gen-data", "--out", str(tmp_path), "--set", "mystery.key=1"]) \
         == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("override", ["model.user_heads=0", "model.d=0", "model.max_history=0"])
+def test_tower_that_cannot_be_built_exit_code(tmp_path, capsys, override):
+    """A tower size that cannot build a tower is a config error, found
+    before the command looks for its inputs."""
+    assert run("pretrain", tmp_path / "empty", "--set", override) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert override.split(".")[1].split("=")[0] in err and "Traceback" not in err
 
 
 def test_missing_config_file_exit_code(tmp_path):

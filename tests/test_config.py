@@ -187,6 +187,22 @@ def test_trainer_edge_values_that_run_are_accepted():
 
 
 @pytest.mark.parametrize("key, value", [
+    ("model.user_heads", "0"), ("model.user_heads", "-2"), ("model.d", "0"), ("model.d", "1"),
+    ("model.max_history", "0"), ("model.vocab_size", "0"), ("model.user_ffn_hidden", "-1"),
+    ("model.user_layers", "-1"), ("model.item_layers", "-1"),
+])
+def test_tower_sizes_that_cannot_build_a_tower_are_rejected(tmp_path, key, value):
+    _rejected_everywhere(tmp_path, key, value)
+
+
+def test_tower_edge_sizes_that_build_a_tower_are_accepted():
+    rc, _ = load_config(None, overrides=["model.user_layers=0", "model.item_layers=0",
+                                         "model.user_ffn_hidden=0", "model.d=2",
+                                         "model.max_history=1", "model.vocab_size=1"])
+    assert (rc.model.user_layers, rc.model.item_layers, rc.model.user_ffn_hidden) == (0, 0, 8)
+
+
+@pytest.mark.parametrize("key, value", [
     ("eval.cells", "bogus"), ("eval.cells", "both, both_no_webb"),
     ("eval.seeds", "1,x"), ("eval.seeds", "1.5"),
 ])

@@ -435,6 +435,65 @@ def test_encode_events_batch_matches_token_layout(histories):
     assert np.allclose(got_grad, want_grad, rtol=0.0, atol=1e-12)
 
 
+def _full_sequence_tower(batch, params):
+    """The user tower as it ran before the last layer became [CLS]-only:
+    every layer over all S positions, then row 0 of each sequence."""
+    cfg = params.config
+    seq, mask = encode_events_batch(batch, params)
+    B, S = mask.shape
+    H, dh = cfg.user_heads, cfg.d // cfg.user_heads
+
+    def heads(t):
+        return ad.transpose(ad.reshape(t, (B, S, H, dh)), (0, 2, 1, 3))
+
+    x = seq
+    for i in range(cfg.user_layers):
+        pre = f"transformer.L{i}."
+        q, k, v = (heads(ad.matmul(x, params[pre + "w" + n]) + params[pre + "b" + n])
+                   for n in "qkv")
+        att = ad.attention(q, k, v, mask=mask)
+        att = ad.reshape(ad.transpose(att, (0, 2, 1, 3)), (B, S, cfg.d))
+        att = ad.matmul(att, params[pre + "wo"]) + params[pre + "bo"]
+        x = ad.layer_norm(x + att, params[pre + "ln1_gain"], params[pre + "ln1_bias"])
+        ffn = ad.relu(ad.matmul(x, params[pre + "ffn_w1"]) + params[pre + "ffn_b1"])
+        ffn = ad.matmul(ffn, params[pre + "ffn_w2"]) + params[pre + "ffn_b2"]
+        x = ad.layer_norm(x + ffn, params[pre + "ln2_gain"], params[pre + "ln2_bias"])
+    return ad.l2_normalize(ad.gather(ad.reshape(x, (B * S, cfg.d)), np.arange(B) * S))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_history_batches(), st.integers(0, 3), st.sampled_from([1, 2, 4]), st.integers(0, 2**16))
+@example([UserHistory(0, []), UserHistory(1, [])], 2, 2, 0)
+@example(_EMPTY_AND_MIXED[-1], 3, 4, 1)
+def test_user_tower_matches_full_sequence_layers(histories, layers, heads, seed):
+    """Querying the last layer from [CLS] alone gives the full-sequence
+    tower's output and every parameter gradient, up to summation order.
+    The bound is absolute below 1: the bk gradients are rounding noise
+    around an exact 0 (a key bias shifts every logit of a row equally)."""
+    cfg = TowerConfig(d=8, user_layers=layers, user_heads=heads, item_layers=0,
+                      max_history=ORACLE_CONFIG.max_history, vocab_size=32)
+    params = init_params(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    for t in params.tensors.values():  # move off the near-uniform attention of init
+        t.data = t.data + rng.normal(0.0, 0.3, size=t.shape)
+    batch = batch_histories(histories, _word_ids, cfg)
+    weights = Tensor(rng.normal(size=(len(histories), cfg.d)))
+    tensors = list(params.tensors.values())
+    got = user_tower_forward_batch(batch, params)
+    want = _full_sequence_tower(batch, params)
+    got_grads = ad.backward(ad.tsum(ad.mul(got, weights)), tensors)
+    want_grads = ad.backward(ad.tsum(ad.mul(want, weights)), tensors)
+
+    def close(a, ref):
+        bound = 1e-12 * max(1.0, np.max(np.abs(ref), initial=0.0))
+        return np.max(np.abs(a - ref), initial=0.0) <= bound
+
+    assert got.shape == want.shape == (len(histories), cfg.d)
+    assert close(got.data, want.data)
+    for name, t in params.tensors.items():
+        assert close(got_grads[t], want_grads[t]), name
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(_QUERY, max_size=5), st.randoms(use_true_random=False))
 @example([], None)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tworank import train
+from tworank import autodiff, train
 from tworank.dataset import build_finetune_groups, build_pretrain_samples
 from tworank.model import FROZEN_IN_CONTINUOUS, TowerConfig, init_params
 from tworank.train import (ADAM_EPS, AdamOptimizer, Schedule, TrainConfig,
@@ -333,6 +333,33 @@ def test_stages_batch_fresh_permutations(training_data, word_tokenizer, monkeypa
     assert sorted(epochs[0][0]) == sorted(epochs[1][0]) == list(range(45))
     for visited, order in epochs:
         assert visited == order[: len(visited)].tolist()
+
+
+# test_acceptance.TOWER, the tower of the benchmark's train-small workload
+ACCEPTANCE_TOWER = TowerConfig(d=16, user_layers=1, user_heads=2, user_ffn_hidden=32,
+                               item_layers=1, max_history=24, vocab_size=300,
+                               n_surfaces=4, n_devices=2)
+
+
+def test_primitive_calls_per_step_are_pinned(training_data, word_tokenizer, monkeypatch):
+    """One step of each stage on the acceptance tower dispatches exactly
+    these primitives, so a change that adds or removes dispatches shows
+    here and not only in the benchmark's traced runs."""
+    samples, groups, titles = training_data
+    calls = []
+    real = autodiff.apply_primitive
+
+    def counting(name, inputs, attrs=None):
+        calls.append(name)
+        return real(name, inputs, attrs)
+
+    monkeypatch.setattr(autodiff, "apply_primitive", counting)
+    pretrain_run(samples[:32], _run_cfg(batch_size=32, max_steps=1), ACCEPTANCE_TOWER,
+                 word_tokenizer, titles)
+    pretrain_calls = len(calls)
+    finetune_run(groups[:16], init_params(ACCEPTANCE_TOWER, seed=0), _run_cfg(max_steps=1),
+                 word_tokenizer, titles)
+    assert (pretrain_calls, len(calls) - pretrain_calls) == (65, 166)
 
 
 def test_runs_tokenize_only_their_own_titles(training_data, word_tokenizer):
