@@ -11,7 +11,7 @@ import struct
 import sys
 from dataclasses import asdict
 
-from .config import ConfigError, EvalConfig, RunConfig, config_as_dict, load_config
+from .config import ConfigError, EvalConfig, RunConfig, load_config
 from .dataset import serving_histories
 from .model import ModelParams, init_params
 from .pipeline import (ABLATION_CELLS, build_bundle, calibration_report,
@@ -201,7 +201,7 @@ def cmd_evaluate(cfg: RunConfig, ec: EvalConfig, args) -> int:
     calib = calibration_report(bundle, params, bundle.finetune_test,
                                use_context=cfg.finetune.use_context)
     payload = {"ndcg": metrics, "calibration": calib,
-               "config": config_as_dict(cfg)}
+               "config": asdict(cfg)}
     path = _artifact(args.out, "metrics.json")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -1,18 +1,18 @@
 """Run configuration: an INI-style file with typed sections mapping onto
 the world, model, data, and trainer dataclasses. Every key has a default;
-unknown sections or keys are rejected."""
+unknown sections or keys are rejected. Each section is built once from its
+parsed values, and its type checks its own fields."""
 
 from __future__ import annotations
 
 import configparser
-import dataclasses
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .model import GROUP_NAMES, TowerConfig
 from .pipeline import ABLATION_CELLS
 from .synth import SynthConfig
 from .train import TrainConfig
+from .types import check_least
 
 
 class ConfigError(ValueError):
@@ -26,11 +26,28 @@ class DataConfig:
     test_days: int = 10
     eval_groups_per_user: int = 2
 
+    def __post_init__(self):
+        # a test window of 0 days holds no evaluation day
+        check_least(vars(self), (("delay", 0), ("test_days", 1), ("eval_groups_per_user", 1)))
+
 
 @dataclass
 class EvalConfig:
     seeds: str = "0,1,2"
     cells: str = ""  # empty -> full ablation matrix
+
+    def __post_init__(self):
+        try:
+            seeds = self.seed_list()
+        except ValueError:
+            seeds = []
+        if not seeds or min(seeds) < 0:
+            raise ValueError(f"seeds must be one or more comma-separated integers >= 0, "
+                             f"got {self.seeds!r}")
+        unknown = [c for c in self.cell_list() or () if c not in ABLATION_CELLS]
+        if unknown:
+            raise ValueError(f"unknown cells {unknown}; valid cells are "
+                             f"{', '.join(ABLATION_CELLS)}")
 
     def seed_list(self) -> list[int]:
         return [int(s) for s in self.seeds.split(",") if s.strip() != ""]
@@ -42,27 +59,16 @@ class EvalConfig:
 
 @dataclass
 class RunConfig:
-    world: SynthConfig = field(default_factory=SynthConfig)
-    model: TowerConfig = field(default_factory=TowerConfig)
-    data: DataConfig = field(default_factory=DataConfig)
-    pretrain: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=3))
-    finetune: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=1))
-    seed: int = 0
-
-    def apply_seed(self, seed: int) -> None:
-        self.seed = seed
-        self.world.seed = seed
-        self.pretrain.seed = seed
-        self.finetune.seed = seed
+    world: SynthConfig
+    model: TowerConfig
+    data: DataConfig
+    pretrain: TrainConfig
+    finetune: TrainConfig
 
 
-_SECTIONS = {
-    "world": lambda rc: rc.world,
-    "model": lambda rc: rc.model,
-    "data": lambda rc: rc.data,
-    "pretrain": lambda rc: rc.pretrain,
-    "finetune": lambda rc: rc.finetune,
-}
+# each section's type, [world] first: [model] takes its context sizes
+_TYPES = {"world": SynthConfig, "model": TowerConfig, "data": DataConfig,
+          "pretrain": TrainConfig, "finetune": TrainConfig, "eval": EvalConfig}
 
 # TrainConfig.lrs / .clips are dicts; they surface as lr_<group> / clip_<group>
 _DICT_KEYS = {f"lr_{g}": ("lrs", g) for g in GROUP_NAMES}
@@ -87,97 +93,68 @@ def _coerce(value: str, target_type):
             return True
         if low in ("0", "false", "no", "off"):
             return False
-        raise ConfigError(f"expected boolean, got {value!r}")
+        raise ValueError(f"expected boolean, got {value!r}")
     return target_type(value)
 
 
-def _set_key(obj, key: str, value: str, section: str) -> None:
+def _set_key(values: dict, section: str, key: str, value: str) -> None:
+    """Coerce `value` to the type of `key`'s default and store it in the
+    section's `values`."""
     if (section, key) in _NOT_SETTABLE:
         raise ConfigError(f"key {key!r} in section [{section}] {_NOT_SETTABLE[section, key]}")
-    if isinstance(obj, TrainConfig) and key in _DICT_KEYS:
-        attr, group = _DICT_KEYS[key]
-        getattr(obj, attr)[group] = float(value)
-        return
-    valid = {f.name: f for f in fields(obj)}
-    if key not in valid or valid[key].type in ("dict",):
+    specs = {f.name: f for f in fields(_TYPES[section])}
+    attr, group = _DICT_KEYS.get(key, (key, None))
+    if attr not in specs or (group is None and specs[attr].type == "dict"):
         raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    current = getattr(obj, key)
-    target = type(current) if current is not None else str
     try:
-        setattr(obj, key, _coerce(value, target))
-    except (TypeError, ValueError) as exc:
+        if group is None:
+            values[key] = _coerce(value, type(specs[key].default))
+        else:
+            values.setdefault(attr, specs[attr].default_factory())[group] = float(value)
+    except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
 
 def load_config(path: str | None = None, overrides: list[str] | None = None,
                 seed: int | None = None) -> tuple[RunConfig, EvalConfig]:
-    """Parse a config file plus `section.key=value` overrides."""
-    rc = RunConfig()
-    ec = EvalConfig()
-    sections = dict(_SECTIONS)
-    sections["eval"] = lambda _rc: ec
-    model_keys: set[str] = set()
-
-    def assign(section: str, key: str, value: str) -> None:
-        _set_key(sections[section](rc), key, value, section)
-        if section == "model":
-            model_keys.add(key)
-
+    """Parse a config file plus `section.key=value` overrides into each
+    section's values, then build each section once; `seed` sets the seed of
+    [world], [pretrain] and [finetune] over any other."""
+    values: dict[str, dict] = {section: {} for section in _TYPES}
+    values["finetune"]["epochs"] = 1  # the one default that differs from its type's
     if path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
+        if not parser.read(path):
             raise FileNotFoundError(path)
         for section in parser.sections():
-            if section not in sections:
+            if section not in values:
                 raise ConfigError(f"unknown section [{section}]")
             for key, value in parser.items(section):
-                assign(section, key, value)
+                _set_key(values[section], section, key, value)
 
     for ov in overrides or []:
         if "=" not in ov or "." not in ov.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value: {ov!r}")
         dotted, value = ov.split("=", 1)
         section, key = dotted.split(".", 1)
-        if section not in sections:
+        if section not in values:
             raise ConfigError(f"unknown section {section!r} in override {ov!r}")
-        assign(section, key, value)
-
-    # TowerConfig derives user_ffn_hidden from d when it is built, so build
-    # it from the keys that were set, and the context sizes of the world
-    try:
-        rc.model = TowerConfig(**{k: getattr(rc.model, k) for k in model_keys},
-                               n_surfaces=rc.world.n_surfaces, n_devices=rc.world.n_devices)
-    except ValueError as exc:
-        raise ConfigError(f"[model] {exc}") from exc
-    for section in ("pretrain", "finetune"):
-        tc = getattr(rc, section)
-        checks = [("epochs", tc.epochs, ">= 1", tc.epochs >= 1),
-                  ("max_steps", tc.max_steps, ">= 0", tc.max_steps >= 0),
-                  ("warmup_steps", tc.warmup_steps, ">= 0", tc.warmup_steps >= 0)]
-        checks += [(f"lr_{g}", lr, "finite and >= 0", 0 <= lr < math.inf)
-                   for g, lr in tc.lrs.items()]
-        checks += [(f"clip_{g}", clip, "> 0", clip > 0) for g, clip in tc.clips.items()]
-        for key, value, rule, ok in checks:
-            if not ok:
-                raise ConfigError(f"[{section}] {key} must be {rule}, got {value}")
-    if rc.pretrain.batch_size < 2:
-        raise ConfigError("[pretrain] batch_size must be >= 2 to give in-batch negatives")
-    try:
-        ec.seed_list()
-    except ValueError:
-        raise ConfigError(f"[eval] seeds must be comma-separated integers, "
-                          f"got {ec.seeds!r}") from None
-    unknown = [c for c in ec.cell_list() or () if c not in ABLATION_CELLS]
-    if unknown:
-        raise ConfigError(f"[eval] unknown cells {unknown}; valid cells are "
-                          f"{', '.join(ABLATION_CELLS)}")
+        _set_key(values[section], section, key, value)
 
     if seed is not None:
-        rc.apply_seed(seed)
-    return rc, ec
-
-
-def config_as_dict(rc: RunConfig) -> dict:
-    return {name: dataclasses.asdict(getattr(rc, name))
-            for name in ("world", "model", "data", "pretrain", "finetune")}
+        for section in ("world", "pretrain", "finetune"):
+            values[section]["seed"] = seed
+    built = {}
+    for section, cls in _TYPES.items():
+        if section == "model":
+            values[section].update(n_surfaces=built["world"].n_surfaces,
+                                   n_devices=built["world"].n_devices)
+        try:
+            built[section] = cls(**values[section])
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from exc
+    if built["data"].test_days >= built["world"].days:
+        raise ConfigError(f"[data] test_days must be below [world] days of "
+                          f"{built['world'].days}, got {built['data'].test_days}")
+    ec = built.pop("eval")
+    return RunConfig(**built), ec

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .types import EVENT_TYPE_IDS, UserHistory
+from .types import EVENT_TYPE_IDS, UserHistory, check_least
 
 CHECKPOINT_MAGIC = b"TT2R"
 CHECKPOINT_VERSION = 1
@@ -47,10 +47,9 @@ class TowerConfig:
     def __post_init__(self):
         # 0 layers is a tower: the user tower reads the [CLS] embedding and the
         # item tower the l2-normalized CBOW title
-        for key, least in (("d", 2), ("user_heads", 1), ("max_history", 1), ("vocab_size", 1),
-                           ("user_ffn_hidden", 0), ("user_layers", 0), ("item_layers", 0)):
-            if getattr(self, key) < least:
-                raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
+        check_least(vars(self), (("d", 2), ("user_heads", 1), ("max_history", 1),
+                                 ("vocab_size", 1), ("user_ffn_hidden", 0), ("user_layers", 0),
+                                 ("item_layers", 0)))
         if self.user_ffn_hidden == 0:
             self.user_ffn_hidden = 4 * self.d
         if self.d % self.user_heads != 0:

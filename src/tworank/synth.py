@@ -10,11 +10,12 @@ the stored latents and bias table let evaluation remove the bias again.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .types import SIGNALS, Event, EventType, ImpressionGroup
+from .types import SIGNALS, Event, EventType, ImpressionGroup, check_least
 
 _ADJECTIVES = [
     "alpha", "bravo", "cobalt", "delta", "ember", "frost", "glint", "harbor",
@@ -48,11 +49,15 @@ class SynthConfig:
     query_lead_days: int = 4        # queries anticipate interest this early
     seed: int = 0
 
-    def validate(self):
-        if self.latent_dim < 2 or self.n_categories < 2:
-            raise ValueError("need latent_dim >= 2 and >= 2 categories")
-        if self.n_surfaces < 2 or self.n_devices < 2:
-            raise ValueError("need >= 2 surfaces and >= 2 devices")
+    def __post_init__(self):
+        # a rate or strength of 0 is a world without that effect; a slate
+        # of one item has nothing to rank
+        check_least(vars(self), (
+            ("n_items", 1), ("n_users", 1), ("n_categories", 2), ("latent_dim", 2),
+            ("n_surfaces", 2), ("n_devices", 2), ("days", 2), ("bias_strength", 0),
+            ("relevance_scale", 0), ("click_offset", -math.inf), ("organic_rate", 0),
+            ("impressions_per_day", 0), ("group_size", 2), ("query_rate", 0),
+            ("query_lead_days", 0), ("seed", 0)))
 
 
 @dataclass
@@ -96,7 +101,6 @@ class SynthWorld:
 
 def generate_world(config: SynthConfig) -> SynthWorld:
     """Deterministic world construction from config.seed."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
     m, C = config.latent_dim, config.n_categories
 
@@ -223,8 +227,6 @@ def _funnel_events(user: int, day: int, item: int, title: str, surface, rng,
 def simulate_logs(world: SynthWorld) -> list[LogRecord]:
     """Day-ordered stream of organic events, web queries, and impressions."""
     cfg = world.config
-    if cfg.days < 2:
-        raise ValueError("need days >= 2")
     rng = np.random.default_rng(cfg.seed + 1)
     records: list[LogRecord] = []
     for day in range(cfg.days):
@@ -241,8 +243,8 @@ def simulate_logs(world: SynthWorld) -> list[LogRecord]:
             # organic engagement, mostly within the current category
             n_organic = rng.poisson(cfg.organic_rate)
             for _ in range(n_organic):
-                if rng.random() < 0.8:
-                    cand = _items_of_category(world, cat)
+                # a category with no item (a small catalog) draws from all items
+                if rng.random() < 0.8 and len(cand := _items_of_category(world, cat)):
                     item = int(cand[rng.integers(0, len(cand))])
                 else:
                     item = int(rng.integers(0, cfg.n_items))

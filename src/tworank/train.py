@@ -6,6 +6,7 @@ groupwise gradient norm clipping and a warmup + linear-decay schedule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from .model import (FROZEN_IN_CONTINUOUS, GROUP_NAMES, ModelParams, TowerConfig,
                     item_tower_forward_batch, pad_tokens, similarity_matrix,
                     user_tower_forward_batch)
 from .losses import finetune_objective, pretrain_loss_matrix, temperature
-from .types import ImpressionGroup, PretrainSample
+from .types import ImpressionGroup, PretrainSample, check_least
 
 
 @dataclass
@@ -27,8 +28,6 @@ class Schedule:
     mode: str = "warmup_linear_decay"
 
     def __post_init__(self):
-        if self.mode not in ("warmup_linear_decay", "constant"):
-            raise ValueError(f"unknown schedule mode {self.mode!r}")
         if self.warmup_steps > self.total_steps:
             raise ValueError("warmup_steps must be <= total_steps")
 
@@ -81,6 +80,19 @@ class TrainConfig:
     pointwise_weight: float = 0.1
     use_context: bool = True
     seed: int = 0
+
+    def __post_init__(self):
+        # an lr of 0 leaves its group as it is; only the groups given are checked
+        lrs = {f"lr_{g}": lr for g, lr in self.lrs.items()}
+        check_least(vars(self) | lrs, (
+            ("batch_size", 2), ("epochs", 1), ("max_steps", 0), ("warmup_steps", 0),
+            ("pointwise_weight", 0), ("seed", 0), *((key, 0) for key in lrs)))
+        for g, clip in self.clips.items():
+            if not 0 < clip < math.inf:
+                raise ValueError(f"clip_{g} must be finite and > 0, got {clip}")
+        if self.schedule_mode not in ("warmup_linear_decay", "constant"):
+            raise ValueError(f"schedule_mode must be warmup_linear_decay or constant, "
+                             f"got {self.schedule_mode!r}")
 
 
 ADAM_BETA1 = 0.9

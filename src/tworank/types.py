@@ -1,7 +1,9 @@
-"""Shared domain records: events, histories, impression groups."""
+"""Shared domain records: events, histories, impression groups; and the
+bound check that the config types share."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -25,6 +27,15 @@ _EVENT_SIGNAL = {
     EventType.ADD_TO_FAVORITES: "fvrt",
     EventType.PURCHASE: "prch",
 }
+
+
+def check_least(values: dict, bounds) -> None:
+    """Raise ValueError naming the first (key, least) of `bounds` whose
+    `values[key]` is NaN, infinite or below least."""
+    for key, least in bounds:
+        value = values[key]
+        if not -math.inf < value < math.inf or value < least:
+            raise ValueError(f"{key} must be finite and >= {least}, got {value}")
 
 
 def signal_of(event_type: EventType) -> str | None:

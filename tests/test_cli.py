@@ -275,7 +275,7 @@ def test_logs_of_another_world_exit_code(workspace, tmp_path, capsys):
     assert not (out / "pretrain.ckpt").exists()
 
 
-@pytest.mark.parametrize("n_users", [0, 10])
+@pytest.mark.parametrize("n_users", [1, 10])
 def test_logs_of_more_users_exit_code(workspace, tmp_path, capsys, n_users):
     """Logs of 30 users are refused under a [world] of fewer users, before
     any training, instead of training on users the world does not have."""
@@ -327,6 +327,23 @@ def test_tower_that_cannot_be_built_exit_code(tmp_path, capsys, override):
     assert run("pretrain", tmp_path / "empty", "--set", override) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert override.split(".")[1].split("=")[0] in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, extra, named", [
+    ("pretrain", ["--seed", "-1"], "[world] seed"),
+    ("ablate", ["--set", "eval.seeds="], "[eval] seeds"),
+    ("pretrain", ["--set", "data.test_days=10"], "[data] test_days"),
+    ("pretrain", ["--set", "pretrain.schedule_mode=foo"], "[pretrain] schedule_mode"),
+    ("finetune", ["--set", "finetune.pointwise_weight=-1"], "[finetune] pointwise_weight"),
+    ("export", ["--set", "world.n_users=0"], "[world] n_users"),
+])
+def test_value_that_cannot_run_exit_code(tmp_path, capsys, command, extra, named):
+    """A value that cannot run exits 2 naming its key in an empty --out,
+    where reading any input would exit 3 and running would exit 4."""
+    assert run(command, tmp_path, *extra) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_config_file_exit_code(tmp_path):

@@ -1,6 +1,9 @@
 """Config file parsing, overrides, and error reporting."""
 
+import math
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -101,10 +104,23 @@ def test_override_bad_number():
 
 def test_seed_propagates():
     rc, _ = load_config(None, seed=7)
-    assert rc.seed == 7
     assert rc.world.seed == 7
     assert rc.pretrain.seed == 7
     assert rc.finetune.seed == 7
+
+
+def test_seed_flag_wins_over_overrides_and_is_checked():
+    rc, _ = load_config(None, overrides=["world.seed=3", "finetune.seed=4"], seed=7)
+    assert (rc.world.seed, rc.pretrain.seed, rc.finetune.seed) == (7, 7, 7)
+    with pytest.raises(ConfigError, match=r"\[world\] seed"):
+        load_config(None, seed=-1)
+
+
+def test_test_window_must_leave_training_days():
+    rc, _ = load_config(None, overrides=["world.days=10", "data.test_days=9"])
+    assert rc.data.test_days == 9
+    with pytest.raises(ConfigError, match="test_days"):
+        load_config(None, overrides=["world.days=10", "data.test_days=10"])
 
 
 def test_model_derived_fields_follow_overrides():
@@ -204,7 +220,8 @@ def test_tower_edge_sizes_that_build_a_tower_are_accepted():
 
 @pytest.mark.parametrize("key, value", [
     ("eval.cells", "bogus"), ("eval.cells", "both, both_no_webb"),
-    ("eval.seeds", "1,x"), ("eval.seeds", "1.5"),
+    ("eval.seeds", "1,x"), ("eval.seeds", "1.5"), ("eval.seeds", ""), ("eval.seeds", " , "),
+    ("eval.seeds", "0,-1"),
 ])
 def test_eval_values_that_cannot_run_are_rejected(tmp_path, key, value):
     _rejected_everywhere(tmp_path, key, value)
@@ -215,3 +232,92 @@ def test_unknown_cell_error_names_it_and_the_valid_cells():
         load_config(None, overrides=["eval.cells=both,bogus"])
     assert "'bogus'" in str(exc.value) and "'both'" not in str(exc.value)
     assert all(cell in str(exc.value) for cell in ABLATION_CELLS)
+
+
+# ---------------------------------------------------------------------------
+# the README's tables of legal values
+# ---------------------------------------------------------------------------
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+_BOUND = re.compile(r"(int|float)s? (≥|>) (\d+)")
+
+
+def _documented_rules() -> dict[str, dict[str, str]]:
+    """{section: {key: legal values}} from the README's config tables, one
+    table under each `#### `[section]`` heading."""
+    rules: dict[str, dict[str, str]] = {}
+    sections: list[str] = []
+    for line in _README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("#"):
+            sections = re.findall(r"`\[(\w+)\]`", line) if line.startswith("#### ") else []
+        elif sections and (row := re.match(r"\| (`[\w<>]+`(?:, `[\w<>]+`)*) \| ([^|]+) \|", line)):
+            for name in re.findall(r"`([\w<>]+)`", row.group(1)):
+                for key in [name.replace("<group>", g) for g in GROUP_NAMES] if "<group>" in name \
+                        else [name]:
+                    assert any(key in SETTABLE[s] for s in sections), f"README names {key}"
+                    for s in sections:
+                        if key in SETTABLE[s]:
+                            rules.setdefault(s, {})[key] = row.group(2).strip()
+    return rules
+
+
+def _loaded(section: str, key: str, raw: str):
+    """The value `section.key=raw` loads as; seeds and cells as lists."""
+    rc, ec = load_config(None, overrides=[f"{section}.{key}={raw}"])
+    if section == "eval":
+        return ec.seed_list() if key == "seeds" else ec.cell_list() or []
+    if key.startswith(("lr_", "clip_")):
+        kind, group = key.split("_", 1)
+        return getattr(getattr(rc, section), kind + "s")[group]
+    return getattr(getattr(rc, section), key)
+
+
+def _legal(rule: str, value) -> bool:
+    """Whether `value` lies in the README's legal values `rule`; a list of
+    seeds or cells when it is not empty and each entry does."""
+    if isinstance(value, list):
+        return bool(value) and all(_legal(rule, v) for v in value)
+    if bound := _BOUND.search(rule):
+        kind, op, least = bound.groups()
+        return (type(value) is {"int": int, "float": float}[kind] and math.isfinite(value)
+                and (value >= int(least) if op == "≥" else value > int(least)))
+    if rule == "finite float":
+        return type(value) is float and math.isfinite(value)
+    return str(value).lower() in re.findall(r"`(\w+)`", rule)
+
+
+def test_readme_documents_every_settable_key():
+    assert {s: set(keys) for s, keys in _documented_rules().items()} == \
+        {s: set(keys) for s, keys in SETTABLE.items()}
+
+
+@pytest.mark.parametrize("section, key", [(s, k) for s, keys in SETTABLE.items() for k in keys])
+@pytest.mark.parametrize("raw", ["0", "-1", "nan", "inf", "x"])
+def test_every_key_rejects_or_loads_a_documented_value(section, key, raw):
+    """Each probe value is a config error or loads as a value that the
+    README calls legal; nothing else gets through to a command."""
+    try:
+        value = _loaded(section, key, raw)
+    except ConfigError:
+        return
+    assert _legal(_documented_rules()[section][key], value), (raw, value)
+
+
+@pytest.mark.parametrize("section, key, rule", [
+    (s, k, rule) for s, rules in _documented_rules().items() for k, rule in rules.items()
+    if _BOUND.search(rule)])
+def test_documented_least_value_is_the_least_that_loads(section, key, rule):
+    """The README's bound is the type's: its least value loads and the
+    value just past it is a config error. [world] days is tried above a
+    one-day test window, the least that [data] takes."""
+    kind, op, least = _BOUND.search(rule).groups()
+    least = int(least) if kind == "int" else float(least)
+    below = least - 1 if kind == "int" else math.nextafter(least, -math.inf)
+    legal, illegal = (least, below) if op == "≥" else (math.nextafter(least, math.inf), least)
+
+    def load(value):
+        return load_config(None, overrides=["data.test_days=1", f"{section}.{key}={value!r}"])
+
+    load(legal)
+    with pytest.raises(ConfigError, match=key):
+        load(illegal)

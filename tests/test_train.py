@@ -78,7 +78,7 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         Schedule(warmup_steps=10, total_steps=5)
     with pytest.raises(ValueError):
-        Schedule(warmup_steps=0, total_steps=10, mode="cosine")
+        TrainConfig(schedule_mode="cosine")
 
 
 # ---------------------------------------------------------------------------
