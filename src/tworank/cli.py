@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import struct
 import sys
 from dataclasses import asdict
 
@@ -184,13 +183,21 @@ def cmd_score(cfg: RunConfig, ec: EvalConfig, args) -> int:
     if args.user not in users:
         print(f"unknown user id {args.user}", file=sys.stderr)
         return EXIT_INVARIANT
-    item_ids = [int(line.strip()) for line in sys.stdin if line.strip()]
-    results = score(args.user, item_ids, users, items)
-    for item_id, value, err in results:
-        if err is None:
-            print(f"{item_id}\t{value:.6f}")
-        else:
-            print(f"{item_id}\tERROR\t{err}")
+    # each non-blank line: its item id, or the error line of a malformed one
+    lines = []
+    for lineno, line in enumerate(sys.stdin, 1):
+        if line.strip():
+            try:
+                lines.append(int(line))
+            except ValueError:
+                lines.append(f"{line.strip()}\tERROR\tstdin line {lineno}: not an integer id")
+    results = iter(score(args.user, [x for x in lines if isinstance(x, int)], users, items))
+    for line in lines:
+        if isinstance(line, str):
+            print(line)
+            continue
+        item_id, value, err = next(results)
+        print(f"{item_id}\t{value:.6f}" if err is None else f"{item_id}\tERROR\t{err}")
     return EXIT_OK
 
 
@@ -291,7 +298,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (AssertionError, ValueError, struct.error) as exc:
+    except (AssertionError, ValueError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -70,19 +70,19 @@ class RunConfig:
 _TYPES = {"world": SynthConfig, "model": TowerConfig, "data": DataConfig,
           "pretrain": TrainConfig, "finetune": TrainConfig, "eval": EvalConfig}
 
-# TrainConfig.lrs / .clips are dicts; they surface as lr_<group> / clip_<group>
+# TrainConfig.lrs is a dict; it surfaces as lr_<group>
 _DICT_KEYS = {f"lr_{g}": ("lrs", g) for g in GROUP_NAMES}
-_DICT_KEYS.update({f"clip_{g}": ("clips", g) for g in GROUP_NAMES})
 
-# keys a section does not take, with the reason: the context tables are
-# sized by the world, fine-tuning takes finetune_run's group batch, and only
-# fine-tuning scores the context and weighs the pointwise loss
+# keys a section does not take, with the reason; fine-tuning takes its group
+# batch from finetune_run, and the stage picks its own schedule
 _NOT_SETTABLE = {
     ("model", "n_surfaces"): "comes from [world] n_surfaces",
     ("model", "n_devices"): "comes from [world] n_devices",
     ("finetune", "batch_size"): "is never read by that stage",
     ("pretrain", "use_context"): "is never read by that stage",
     ("pretrain", "pointwise_weight"): "is never read by that stage",
+    ("pretrain", "schedule_mode"): "is decided by the stage",
+    ("finetune", "schedule_mode"): "is decided by the stage",
 }
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass, field, asdict
 from typing import Callable
@@ -23,6 +24,7 @@ CHECKPOINT_MAGIC = b"TT2R"
 CHECKPOINT_VERSION = 1
 
 GROUP_NAMES = ("embeddings", "transformer", "candidate_tower", "loss_params")
+EMBED_BATCH = 64  # chunk size of the no-grad embedding passes of scoring and export
 
 # calibration scalars frozen during continuous fine-tuning (sigmoid inner
 # parameters of the pointwise and pairwise losses)
@@ -108,17 +110,37 @@ class ModelParams:
 
     @classmethod
     def load(cls, path) -> "ModelParams":
+        """Read a checkpoint. Any fault, a cut file or bytes after the last
+        tensor among them, raises ValueError naming `path`."""
         with open(path, "rb") as fh:
             raw = fh.read()
-        buf = io.BytesIO(raw)
-        if buf.read(4) != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", buf.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (cfg_len,) = struct.unpack("<I", buf.read(4))
         try:
-            block = dict(json.loads(buf.read(cfg_len).decode("utf-8")))
+            return cls._from_bytes(raw)
+        except ValueError as exc:  # undecodable names and config blocks too
+            raise ValueError(f"{path}: {exc}") from None
+
+    @classmethod
+    def _from_bytes(cls, raw: bytes) -> "ModelParams":
+        buf = io.BytesIO(raw)
+
+        def read(n: int) -> bytes:
+            if buf.tell() + n > len(raw):
+                raise ValueError(f"cut short: {len(raw)} bytes end inside a {n}-byte field "
+                                 f"at byte {buf.tell()}")
+            return buf.read(n)
+
+        def unpack(fmt: str):
+            return struct.unpack(fmt, read(struct.calcsize(fmt)))
+
+        if buf.read(4) != CHECKPOINT_MAGIC:
+            raise ValueError("not a model checkpoint (bad magic)")
+        (version,) = unpack("<I")
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        (cfg_len,) = unpack("<I")
+        block = read(cfg_len)
+        try:
+            block = dict(json.loads(block.decode("utf-8")))
             # blocks written before the item width and the position rows were
             # derived name them too; each must hold the one value the tower takes
             old = {k: block.pop(k) for k in ("item_hidden", "max_positions") if k in block}
@@ -127,26 +149,27 @@ class ModelParams:
                 if old.get(key, value) != value:
                     raise ValueError(f"{key} = {old[key]!r}, but the tower takes {value}")
         except (TypeError, ValueError) as exc:  # unknown, mistyped or misvalued keys
-            raise ValueError(f"{path}: bad model config block: {exc}") from None
-        (count,) = struct.unpack("<I", buf.read(4))
+            raise ValueError(f"bad model config block: {exc}") from None
+        (count,) = unpack("<I")
         params = cls(cfg)
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", buf.read(2))
-            name = buf.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", buf.read(1))
-            shape = tuple(struct.unpack("<I", buf.read(4))[0] for _ in range(ndim))
-            n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(buf.read(4 * n), dtype="<f4").reshape(shape)
+            (nlen,) = unpack("<H")
+            name = read(nlen).decode("utf-8")
+            (ndim,) = unpack("<B")
+            shape = unpack(f"<{ndim}I")
+            data = np.frombuffer(read(4 * math.prod(shape)), dtype="<f4").reshape(shape)
             params.tensors[name] = Tensor(data.astype(np.float64), requires_grad=True)
+        if buf.tell() != len(raw):
+            raise ValueError(f"{len(raw) - buf.tell()} bytes after the last tensor")
         layout = {n: shape for n, shape, _init in param_layout(cfg)}
         shapes = {n: t.shape for n, t in params.tensors.items()}
         misfits = sorted(n for n in layout.keys() | shapes.keys() if layout.get(n) != shapes.get(n))
         if misfits:
-            raise ValueError(f"{path}: tensors {misfits} are missing, unexpected or "
-                             "misshapen for the checkpoint's model config")
+            raise ValueError(f"tensors {misfits} are missing, unexpected or misshapen for the "
+                             "checkpoint's model config")
         nonfinite = [n for n, t in params.tensors.items() if not np.isfinite(t.data).all()]
         if nonfinite:
-            raise ValueError(f"{path}: non-finite values in {nonfinite}")
+            raise ValueError(f"non-finite values in {nonfinite}")
         return params
 
 

@@ -14,7 +14,7 @@ from .dataset import (attach_history, build_finetune_groups,
                       build_pretrain_samples, time_split)
 from .evaluate import discovery_subset, mean_ndcg
 from .losses import click_logit, temperature
-from .model import (ModelParams, TowerConfig, batch_histories, context_score,
+from .model import (EMBED_BATCH, ModelParams, TowerConfig, batch_histories, context_score,
                     init_params, user_tower_forward_batch)
 from .synth import (EventRecord, SynthConfig, SynthWorld, generate_world,
                     make_balanced_eval_groups, simulate_logs)
@@ -117,23 +117,22 @@ def train_regime(bundle: Bundle, regime: str, tower_cfg: TowerConfig,
     return params
 
 
-def score_table(bundle: Bundle, params: ModelParams, groups,
-                batch_size: int = 64) -> dict[int, np.ndarray]:
+def score_table(bundle: Bundle, params: ModelParams, groups) -> dict[int, np.ndarray]:
     """Similarity scores for every group's items, keyed by id(group). Groups
     that share one history object share one user vector."""
     histories = list({id(g.history): g.history for g in groups}.values())
     user_row = {id(h): r for r, h in enumerate(histories)}
     with no_grad():
         user_vecs = np.empty((len(histories), params.config.d))
-        for lo in range(0, len(histories), batch_size):
-            chunk = histories[lo: lo + batch_size]
+        for lo in range(0, len(histories), EMBED_BATCH):
+            chunk = histories[lo: lo + EMBED_BATCH]
             hb = batch_histories(chunk, bundle.tokenize_fn, params.config)
             user_vecs[lo: lo + len(chunk)] = user_tower_forward_batch(hb, params).data
 
         unique_items = sorted({i for g in groups for i in g.item_ids})
         item_vecs = np.empty((len(unique_items), params.config.d))
-        for lo in range(0, len(unique_items), batch_size):
-            chunk = unique_items[lo: lo + batch_size]
+        for lo in range(0, len(unique_items), EMBED_BATCH):
+            chunk = unique_items[lo: lo + EMBED_BATCH]
             item_vecs[lo: lo + len(chunk)] = item_embeddings_for(
                 chunk, bundle.titles, bundle.tokenize_fn, params).data
     item_row = {item: r for r, item in enumerate(unique_items)}

@@ -14,7 +14,7 @@ import struct
 import numpy as np
 
 from .autodiff import no_grad
-from .model import (ModelParams, batch_histories, content_embed_batch,
+from .model import (EMBED_BATCH, ModelParams, batch_histories, content_embed_batch,
                     item_tower_forward_batch, pad_tokens, user_tower_forward_batch)
 from .types import UserHistory
 
@@ -85,23 +85,26 @@ class EmbeddingTable:
     @classmethod
     def load(cls, path) -> "EmbeddingTable":
         with open(path, "rb") as fh:
-            if fh.read(4) != EMB_MAGIC:
-                raise ValueError(f"{path}: not an embedding file (bad magic)")
-            kind, dim, count = struct.unpack("<BIQ", fh.read(13))
-            record = _record_dtype(dim)
-            size = os.fstat(fh.fileno()).st_size - fh.tell()
-            if count * record.itemsize != size:
-                raise ValueError(f"{path}: {size} bytes hold no {count} records of dim {dim}")
-            records = np.fromfile(fh, dtype=record, count=count)
-        try:
-            return cls(kind, dim, records["id"], records["vec"])
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            try:
+                if fh.read(4) != EMB_MAGIC:
+                    raise ValueError("not an embedding file (bad magic)")
+                header = fh.read(13)
+                if len(header) != 13:
+                    raise ValueError(f"cut short in the header ({len(header)} of 13 bytes)")
+                kind, dim, count = struct.unpack("<BIQ", header)
+                record = _record_dtype(dim)
+                size = os.fstat(fh.fileno()).st_size - fh.tell()
+                if count * record.itemsize != size:
+                    raise ValueError(f"{size} bytes hold no {count} records of dim {dim}")
+                records = np.fromfile(fh, dtype=record, count=count)
+                return cls(kind, dim, records["id"], records["vec"])
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
 
 
 def export_embeddings(params: ModelParams, user_histories: dict[int, UserHistory],
-                      titles: dict[int, str], tokenize_fn,
-                      batch_size: int = 64) -> tuple[EmbeddingTable, EmbeddingTable]:
+                      titles: dict[int, str],
+                      tokenize_fn) -> tuple[EmbeddingTable, EmbeddingTable]:
     """Compute every user and item embedding with the frozen model.
 
     Histories must already obey the serving delay rule (the exporter does
@@ -111,16 +114,16 @@ def export_embeddings(params: ModelParams, user_histories: dict[int, UserHistory
     user_ids = sorted(user_histories)
     user_vecs = np.empty((len(user_ids), cfg.d), dtype=np.float32)
     with no_grad():
-        for lo in range(0, len(user_ids), batch_size):
-            chunk = user_ids[lo: lo + batch_size]
+        for lo in range(0, len(user_ids), EMBED_BATCH):
+            chunk = user_ids[lo: lo + EMBED_BATCH]
             hb = batch_histories([user_histories[u] for u in chunk], tokenize_fn, cfg)
             user_vecs[lo: lo + len(chunk)] = user_tower_forward_batch(hb, params).data
 
         item_ids = sorted(titles)
         item_vecs = np.empty((len(item_ids), cfg.d), dtype=np.float32)
-        # a title is one event's text, so a batch of batch_size * max_history
+        # a title is one event's text, so a batch of EMBED_BATCH * max_history
         # titles holds no more tokens than a full user batch
-        item_batch = batch_size * cfg.max_history
+        item_batch = EMBED_BATCH * cfg.max_history
         for lo in range(0, len(item_ids), item_batch):
             chunk = item_ids[lo: lo + item_batch]
             ids, mask = pad_tokens([tokenize_fn(titles[i]) for i in chunk])

@@ -207,18 +207,21 @@ def _slate(world: SynthWorld, cat: int, rng) -> tuple[list[int], dict[str, list[
     return items, {s: [0] * len(items) for s in SIGNALS}
 
 
-def _funnel_events(user: int, day: int, item: int, title: str, surface, rng,
-                   p_cart=0.3, p_prch=0.35, p_fvrt=0.12):
+# a click's chance to go on to favorites, to the cart, and from the cart to a purchase
+P_FVRT, P_CART, P_PRCH = 0.12, 0.3, 0.35
+
+
+def _funnel_events(user: int, day: int, item: int, title: str, surface, rng):
     """Click plus optional deeper funnel steps, in funnel order."""
     events = [Event(day, EventType.CLICK, title, int(item), surface)]
     signals = {"click": 1, "cart": 0, "fvrt": 0, "prch": 0}
-    if rng.random() < p_fvrt:
+    if rng.random() < P_FVRT:
         events.append(Event(day, EventType.ADD_TO_FAVORITES, title, int(item), surface))
         signals["fvrt"] = 1
-    if rng.random() < p_cart:
+    if rng.random() < P_CART:
         events.append(Event(day, EventType.ADD_TO_CART, title, int(item), surface))
         signals["cart"] = 1
-        if rng.random() < p_prch:
+        if rng.random() < P_PRCH:
             events.append(Event(day, EventType.PURCHASE, title, int(item), surface))
             signals["prch"] = 1
     return events, signals
@@ -369,14 +372,14 @@ def _check_impression(items: list, signals: dict) -> None:
 
 def read_logs(path):
     """Returns (catalog: {item_id: (title, category)}, records). A bad line
-    (not JSON, a missing or mistyped field, a negative surface or device id)
-    raises ValueError naming it."""
+    (not UTF-8, not JSON, a missing or mistyped field, a negative surface or
+    device id) raises ValueError naming it."""
     catalog: dict[int, tuple[str, int]] = {}
     records: list[LogRecord] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # decoded line by line, so that an error names its line
         for lineno, line in enumerate(fh, 1):
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.decode("utf-8"))
                 kind = obj.get("type") if isinstance(obj, dict) else None
                 if not isinstance(kind, str) or kind not in _LOG_FIELDS:
                     raise ValueError(f"unknown log record type {kind!r}")

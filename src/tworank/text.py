@@ -48,9 +48,14 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-        return cls(tokens)
+        """Read a vocabulary; an undecodable or invalid file raises
+        ValueError naming `path`."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+            return cls(tokens)
+        except ValueError as exc:  # UnicodeDecodeError too
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _word_pieces(word: str) -> list[str]:

@@ -6,7 +6,6 @@ groupwise gradient norm clipping and a warmup + linear-decay schedule.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,19 +63,14 @@ def _default_lrs():
             "candidate_tower": 3e-3, "loss_params": 3e-2}
 
 
-def _default_clips():
-    return {g: 1.0 for g in GROUP_NAMES}
-
-
 @dataclass
 class TrainConfig:
     batch_size: int = 64
     epochs: int = 3
     max_steps: int = 0  # 0 = no cap
     warmup_steps: int = 100
-    schedule_mode: str = "warmup_linear_decay"
+    schedule_mode: str = "warmup_linear_decay"  # continuous_finetune sets "constant"
     lrs: dict = field(default_factory=_default_lrs)
-    clips: dict = field(default_factory=_default_clips)
     pointwise_weight: float = 0.1
     use_context: bool = True
     seed: int = 0
@@ -87,9 +81,6 @@ class TrainConfig:
         check_least(vars(self) | lrs, (
             ("batch_size", 2), ("epochs", 1), ("max_steps", 0), ("warmup_steps", 0),
             ("pointwise_weight", 0), ("seed", 0), *((key, 0) for key in lrs)))
-        for g, clip in self.clips.items():
-            if not 0 < clip < math.inf:
-                raise ValueError(f"clip_{g} must be finite and > 0, got {clip}")
         if self.schedule_mode not in ("warmup_linear_decay", "constant"):
             raise ValueError(f"schedule_mode must be warmup_linear_decay or constant, "
                              f"got {self.schedule_mode!r}")
@@ -98,6 +89,7 @@ class TrainConfig:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+CLIP_NORM = 1.0  # each group's joint gradient norm is clipped to this
 
 
 class AdamOptimizer:
@@ -122,7 +114,7 @@ class AdamOptimizer:
         for group, group_grads in by_group.items():
             if not group_grads:
                 continue
-            clipped = clip_group(group_grads, cfg.clips[group])
+            clipped = clip_group(group_grads, CLIP_NORM)
             lr = lr_at(t, self.schedule, cfg.lrs[group])
             for name, g in clipped.items():
                 m = self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
@@ -226,8 +218,7 @@ def finetune_run(groups: list[ImpressionGroup], init: ModelParams,
 
 
 def continuous_finetune(prev: ModelParams, new_groups: list[ImpressionGroup],
-                        config: TrainConfig, tokenize_fn, titles: dict[int, str],
-                        group_batch: int = 16) -> ModelParams:
+                        config: TrainConfig, tokenize_fn, titles: dict[int, str]) -> ModelParams:
     """Continuous fine-tuning contract: sigmoid inner scalars frozen (a
     constant gets no gradient), constant learning rate, fresh optimizer
     state, fine-tune objective only. Every returned tensor trains again."""
@@ -235,7 +226,7 @@ def continuous_finetune(prev: ModelParams, new_groups: list[ImpressionGroup],
     for name, t in start.tensors.items():
         t.requires_grad = not name.startswith(FROZEN_IN_CONTINUOUS)
     params = finetune_run(new_groups, start, replace(config, schedule_mode="constant"),
-                          tokenize_fn, titles, group_batch=group_batch)
+                          tokenize_fn, titles)
     for t in params.tensors.values():
         t.requires_grad = True
     return params

@@ -65,13 +65,16 @@ def test_metrics_file_contents(workspace):
 
 
 def test_score_reads_stdin(workspace, monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("3\n999\n5\n"))
+    """An unknown id and a line that is no integer are error lines in input
+    order; blank lines are skipped and the other lines are scored."""
+    monkeypatch.setattr("sys.stdin", io.StringIO("3\n999\n\nabc\n5\n"))
     assert run("score", workspace, "--user", "1") == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 4
     assert lines[0].split("\t")[0] == "3"
     assert lines[1] == "999\tERROR\tunknown item id 999"
-    float(lines[2].split("\t")[1])  # parses as a score
+    assert lines[2] == "abc\tERROR\tstdin line 4: not an integer id"
+    float(lines[3].split("\t")[1])  # parses as a score
 
 
 def test_score_unknown_user(workspace, monkeypatch, capsys):
@@ -92,6 +95,11 @@ def _first_records_swapped(raw: bytes) -> bytes:
 @pytest.mark.parametrize("command, artifact, corrupt", [
     pytest.param("score", "users.emb", lambda raw: raw[:10], id="score-users.emb"),
     pytest.param("evaluate", "finetune.ckpt", lambda raw: raw[:10], id="evaluate-finetune.ckpt"),
+    pytest.param("evaluate", "finetune.ckpt", lambda raw: raw[:-3],
+                 id="evaluate-finetune.ckpt-mid-tensor"),
+    pytest.param("evaluate", "finetune.ckpt", lambda raw: raw + b"\x00",
+                 id="evaluate-finetune.ckpt-trailing-byte"),
+    pytest.param("score", "users.emb", lambda raw: raw[:9], id="score-users.emb-mid-header"),
     # an EMB file whose size disagrees with its header's record count
     pytest.param("score", "users.emb", lambda raw: raw[:-1], id="score-users.emb-short"),
     pytest.param("score", "users.emb", lambda raw: raw + b"\x00", id="score-users.emb-long"),
@@ -116,6 +124,7 @@ def test_truncated_artifact_exit_code(workspace, tmp_path, monkeypatch, capsys,
     assert run(command, out, *extra) == EXIT_INVARIANT
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
+    assert str(out / artifact) in captured.err
 
 
 @pytest.mark.parametrize("wrong", ["users.emb", "items.emb"])
@@ -333,7 +342,7 @@ def test_tower_that_cannot_be_built_exit_code(tmp_path, capsys, override):
     ("pretrain", ["--seed", "-1"], "[world] seed"),
     ("ablate", ["--set", "eval.seeds="], "[eval] seeds"),
     ("pretrain", ["--set", "data.test_days=10"], "[data] test_days"),
-    ("pretrain", ["--set", "pretrain.schedule_mode=foo"], "[pretrain] schedule_mode"),
+    ("pretrain", ["--set", "pretrain.batch_size=1"], "[pretrain] batch_size"),
     ("finetune", ["--set", "finetune.pointwise_weight=-1"], "[finetune] pointwise_weight"),
     ("export", ["--set", "world.n_users=0"], "[world] n_users"),
 ])

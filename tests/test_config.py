@@ -12,8 +12,8 @@ from tworank.config import ConfigError, load_config
 from tworank.model import GROUP_NAMES
 from tworank.pipeline import ABLATION_CELLS
 
-_GROUP_KEYS = [f"{kind}_{g}" for kind in ("lr", "clip") for g in GROUP_NAMES]
-_TRAIN_KEYS = ["epochs", "max_steps", "warmup_steps", "schedule_mode", "seed", *_GROUP_KEYS]
+_GROUP_KEYS = [f"lr_{g}" for g in GROUP_NAMES]
+_TRAIN_KEYS = ["epochs", "max_steps", "warmup_steps", "seed", *_GROUP_KEYS]
 
 # every key each section takes; a new knob has to be added here
 SETTABLE = {
@@ -31,8 +31,9 @@ SETTABLE = {
 # keys that a section took before they were dropped or derived from another
 # section; each is a configuration error now
 REMOVED = ["model.item_hidden", "model.max_positions", "model.n_surfaces", "model.n_devices",
-           "data.vocab_size", *[f"{stage}.adam_{k}" for stage in ("pretrain", "finetune")
-                                for k in ("beta1", "beta2", "eps")]]
+           "data.vocab_size", *[f"{stage}.{key}" for stage in ("pretrain", "finetune")
+                                for key in ("adam_beta1", "adam_beta2", "adam_eps",
+                                            "schedule_mode", *(f"clip_{g}" for g in GROUP_NAMES))]]
 
 
 def test_defaults_without_file():
@@ -158,7 +159,6 @@ def test_settable_keys_are_pinned():
                     if not isinstance(getattr(obj, f.name), dict)}
         if section in ("pretrain", "finetune"):
             defaults.update({f"lr_{g}": v for g, v in obj.lrs.items()})
-            defaults.update({f"clip_{g}": v for g, v in obj.clips.items()})
         accepted = {k for k, v in defaults.items() if _accepts(section, k, v)}
         assert accepted == set(keys), section
 
@@ -183,8 +183,6 @@ def test_stage_keys_never_read_are_rejected(tmp_path, key):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("pretrain.clip_embeddings", "0"), ("pretrain.clip_loss_params", "-1"),
-    ("finetune.clip_transformer", "0"), ("finetune.clip_candidate_tower", "nan"),
     ("pretrain.batch_size", "1"), ("pretrain.batch_size", "0"),
     ("pretrain.epochs", "0"), ("finetune.epochs", "-1"),
     ("pretrain.max_steps", "-3"), ("finetune.max_steps", "-1"),
@@ -266,9 +264,8 @@ def _loaded(section: str, key: str, raw: str):
     rc, ec = load_config(None, overrides=[f"{section}.{key}={raw}"])
     if section == "eval":
         return ec.seed_list() if key == "seeds" else ec.cell_list() or []
-    if key.startswith(("lr_", "clip_")):
-        kind, group = key.split("_", 1)
-        return getattr(getattr(rc, section), kind + "s")[group]
+    if key.startswith("lr_"):
+        return getattr(rc, section).lrs[key[3:]]
     return getattr(getattr(rc, section), key)
 
 

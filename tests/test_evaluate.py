@@ -136,7 +136,8 @@ def test_score_table_encodes_each_history_once(small_world, small_logs, monkeypa
         return user_tower_forward_batch(hb, p)
 
     monkeypatch.setattr(pipeline, "user_tower_forward_batch", counted)
-    scores = score_table(bundle, params, groups, batch_size=8)
+    monkeypatch.setattr(pipeline, "EMBED_BATCH", 8)
+    scores = score_table(bundle, params, groups)
     monkeypatch.undo()
     assert sum(rows) == len(distinct) and max(rows) <= 8
 

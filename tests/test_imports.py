@@ -1,7 +1,7 @@
 """Import hygiene of the package: every imported name is used, the
-serving path does not depend on the trainer, and every public function,
+serving path does not depend on the trainer, every public function,
 class, method or property is named by the program or is a listed test
-oracle."""
+oracle, and every attribute the package stores on `self` is read."""
 
 import ast
 from pathlib import Path
@@ -121,6 +121,37 @@ def test_every_public_name_is_used_or_an_oracle():
     assert TEST_ORACLES.keys().isdisjoint(named), "a listed oracle is now used"
     unused = sorted(defined - named - TEST_ORACLES.keys())
     assert not unused, f"public names that nothing runs: {unused}"
+
+
+def _stored_self_attributes(tree: ast.Module) -> dict[str, int]:
+    """Name -> line of every `self.<name>` that `tree` assigns."""
+    return {n.attr: n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+            and isinstance(n.value, ast.Name) and n.value.id == "self"}
+
+
+def _read_attributes(tree: ast.Module) -> set[str]:
+    """Every attribute name that `tree` reads, off any object."""
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store)}
+
+
+def test_every_stored_attribute_is_read():
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"))
+             for p in MODULES + sorted(PERFBENCH.glob("*.py"))}
+    read = set().union(*map(_read_attributes, trees.values()))
+    unread = sorted(f"{p.name}:{line} self.{name}" for p in MODULES
+                    for name, line in _stored_self_attributes(trees[p]).items()
+                    if name not in read)
+    assert not unread, f"attributes that nothing reads: {unread}"
+
+
+def test_scanner_catches_an_attribute_nothing_reads():
+    tree = ast.parse("class Box:\n    def __init__(self):\n        self.kept = 1\n"
+                     "        self.lost = 2\n        self.count = 0\n"
+                     "        self.count += self.kept\n")
+    assert set(_stored_self_attributes(tree)) == {"kept", "lost", "count"}
+    assert set(_stored_self_attributes(tree)) - _read_attributes(tree) == {"lost", "count"}
 
 
 def test_scanner_catches_a_public_name_nothing_runs():

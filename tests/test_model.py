@@ -149,6 +149,22 @@ def test_checkpoint_load_draws_no_random_numbers(tiny_params, tmp_path, monkeypa
     assert ModelParams.load(path).names() == tiny_params.names()
 
 
+def test_checkpoint_cut_at_every_byte_names_its_file(tmp_path):
+    """A checkpoint cut anywhere, or with bytes after its last tensor, is a
+    ValueError naming the file, never a bare struct or reshape error."""
+    path = tmp_path / "tiny.ckpt"
+    tower = TowerConfig(d=2, user_layers=1, user_heads=1, user_ffn_hidden=2, item_layers=1,
+                        max_history=1, vocab_size=4, n_surfaces=1, n_devices=1)
+    init_params(tower, seed=0).save(path)
+    raw = path.read_bytes()
+    for cut in [raw[:k] for k in range(len(raw))] + [raw + b"\x00"]:
+        path.write_bytes(cut)
+        with pytest.raises(ValueError) as info:
+            ModelParams.load(path)
+        assert str(info.value).startswith(f"{path}: "), (len(cut), info.value)
+    assert "1 bytes after the last tensor" in str(info.value)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_checkpoint_save_refuses_non_finite(tiny_params, tmp_path, bad):
     path = tmp_path / "model.ckpt"

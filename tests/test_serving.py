@@ -165,6 +165,18 @@ def test_table_file_rejects_bad_records(tables, tmp_path, corrupt, match):
     assert str(path) in str(info.value)
 
 
+def test_table_file_cut_at_every_byte_names_its_file(tables, tmp_path):
+    _, _, _, users, _ = tables
+    path = tmp_path / "users.emb"
+    users.save(path)
+    raw = path.read_bytes()
+    for k in range(len(raw)):
+        path.write_bytes(raw[:k])
+        with pytest.raises(ValueError) as info:
+            EmbeddingTable.load(path)
+        assert str(info.value).startswith(f"{path}: "), (k, info.value)
+
+
 def test_missing_id_raises(tables):
     _, _, _, users, _ = tables
     with pytest.raises(KeyError):

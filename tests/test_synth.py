@@ -223,12 +223,14 @@ def _impression(items, drop=None, extra=None, click=None, surface=0, device=0):
     _impression([1, 2], device=-1),
     '{"type": "event", "day": 1, "user": 2, "event": "click", "text": "a", "item": 1,'
     ' "surface": -2}',
+    '{"type": "item", "id": 1, "title": "\udcff", "category": 0}',  # written as byte 0xff
 ], ids=["missing", "string-day", "bool-user", "null-category", "not-object", "list-type",
         "not-json", "string-item", "bool-item", "signal-missing", "signal-extra",
         "signal-short", "signal-not-binary", "signal-bool", "signal-not-list",
-        "negative-surface", "negative-device", "negative-event-surface"])
+        "negative-surface", "negative-device", "negative-event-surface", "not-utf8"])
 def test_read_logs_names_the_bad_line(tmp_path, line):
     path = tmp_path / "bad.ndjson"
-    path.write_text('{"type": "item", "id": 0, "title": "a b", "category": 0}\n' + line + "\n")
+    path.write_text('{"type": "item", "id": 0, "title": "a b", "category": 0}\n' + line + "\n",
+                    encoding="utf-8", errors="surrogateescape")
     with pytest.raises(ValueError, match=r"bad.ndjson line 2: "):
         read_logs(path)

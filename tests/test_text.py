@@ -87,6 +87,18 @@ def test_save_load_roundtrip(tmp_path):
     assert lines[:3] == SPECIALS
 
 
+@pytest.mark.parametrize("body, match", [
+    (b"\xff\xfe\n", "can't decode byte 0xff"),
+    (b"ab\nab\n", "duplicate tokens"),
+], ids=["undecodable", "duplicate"])
+def test_vocab_load_names_its_file(tmp_path, body, match):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes("\n".join(SPECIALS).encode() + b"\n" + body)
+    with pytest.raises(ValueError, match=match) as info:
+        Vocab.load(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_vocab_requires_specials_first():
     with pytest.raises(ValueError):
         Vocab(["a", "b", "c"])

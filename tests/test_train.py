@@ -115,12 +115,10 @@ def test_adam_first_step_hand_computed():
     name = "loss_params.tau_raw"
     before = float(params[name].data)
     cfg = TrainConfig(lrs={g: 0.0 for g in ("embeddings", "transformer", "candidate_tower")}
-                      | {"loss_params": 0.01},
-                      clips={g: 1.0 for g in ("embeddings", "transformer",
-                                              "candidate_tower", "loss_params")},
-                      schedule_mode="constant")
+                      | {"loss_params": 0.01}, schedule_mode="constant")
     opt = AdamOptimizer(params, cfg, Schedule(0, 10, mode="constant"))
-    g = 0.5  # group norm 0.5 < clip, no rescale
+    g = 0.5
+    assert g < train.CLIP_NORM  # no rescale
     opt.step({name: np.asarray(g)})
     # first Adam step: mhat = g, vhat = g^2, update = lr * g / (|g| + eps)
     expect = before - 0.01 * g / (abs(g) + ADAM_EPS)
@@ -131,13 +129,11 @@ def test_adam_respects_group_clip():
     params = init_params(TINY, seed=0)
     name = "loss_params.tau_raw"
     before = float(params[name].data)
-    cfg = TrainConfig(schedule_mode="constant",
-                      clips={g: 1.0 for g in ("embeddings", "transformer",
-                                              "candidate_tower", "loss_params")})
+    cfg = TrainConfig(schedule_mode="constant")
     opt = AdamOptimizer(params, cfg, Schedule(0, 10, mode="constant"))
-    opt.step({name: np.asarray(500.0)})  # clipped to norm 1
+    opt.step({name: np.asarray(500.0)})  # clipped to norm CLIP_NORM
     lr = cfg.lrs["loss_params"]
-    expect = before - lr * 1.0 / (1.0 + ADAM_EPS)
+    expect = before - lr * train.CLIP_NORM / (train.CLIP_NORM + ADAM_EPS)
     assert float(params[name].data) == pytest.approx(expect, rel=1e-9)
 
 
