@@ -183,6 +183,8 @@ def test_stage_keys_never_read_are_rejected(tmp_path, key):
 
 
 @pytest.mark.parametrize("key, value", [
+    ("pretrain.clip_embeddings", "0"), ("pretrain.clip_loss_params", "-1"),
+    ("finetune.clip_transformer", "0"), ("finetune.clip_candidate_tower", "nan"),
     ("pretrain.batch_size", "1"), ("pretrain.batch_size", "0"),
     ("pretrain.epochs", "0"), ("finetune.epochs", "-1"),
     ("pretrain.max_steps", "-3"), ("finetune.max_steps", "-1"),
@@ -288,11 +290,17 @@ def test_readme_documents_every_settable_key():
         {s: set(keys) for s, keys in SETTABLE.items()}
 
 
-@pytest.mark.parametrize("section, key", [(s, k) for s, keys in SETTABLE.items() for k in keys])
+@pytest.mark.parametrize("section, key", [(s, k) for s, keys in SETTABLE.items() for k in keys]
+                         + [tuple(k.split(".")) for k in REMOVED])
 @pytest.mark.parametrize("raw", ["0", "-1", "nan", "inf", "x"])
 def test_every_key_rejects_or_loads_a_documented_value(section, key, raw):
     """Each probe value is a config error or loads as a value that the
-    README calls legal; nothing else gets through to a command."""
+    README calls legal; nothing else gets through to a command. A removed
+    key takes no value at all."""
+    if key not in SETTABLE[section]:
+        with pytest.raises(ConfigError, match=key):
+            _loaded(section, key, raw)
+        return
     try:
         value = _loaded(section, key, raw)
     except ConfigError:
