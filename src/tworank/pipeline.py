@@ -23,7 +23,6 @@ from .train import TrainConfig, finetune_run, item_embeddings_for, pretrain_run
 from .types import ImpressionGroup
 
 TEST_DAYS = 10
-REGIMES = ("pretrain_only", "finetune_only", "both")
 
 
 @dataclass
@@ -58,12 +57,8 @@ class Bundle:
 def build_bundle(world_cfg: SynthConfig, vocab_size: int = 2048,
                  max_history: int = 64, include_web: bool = True,
                  delay: int = 1, test_days: int = TEST_DAYS,
-                 eval_groups_per_user: int = 2, world: SynthWorld | None = None,
-                 records=None, vocab: Vocab | None = None) -> Bundle:
-    if world is None:
-        world = generate_world(world_cfg)
-    if records is None:
-        records = simulate_logs(world)
+                 eval_groups_per_user: int = 2, *, world: SynthWorld, records,
+                 vocab: Vocab | None = None) -> Bundle:
     titles = dict(enumerate(world.titles))
     # every item id the logs name lies in the catalog, before any is looked up
     events = [r for r in records if isinstance(r, EventRecord) and r.event.item_id is not None]
@@ -101,22 +96,6 @@ def build_bundle(world_cfg: SynthConfig, vocab_size: int = 2048,
                   interacted_categories=dict(interacted), include_web=include_web)
 
 
-def train_regime(bundle: Bundle, regime: str, tower_cfg: TowerConfig,
-                 pre_cfg: TrainConfig, ft_cfg: TrainConfig) -> ModelParams:
-    """One of: pretrain_only, finetune_only (random init), both."""
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
-    if regime == "finetune_only":
-        params = init_params(tower_cfg, seed=ft_cfg.seed)
-    else:
-        params = pretrain_run(bundle.pretrain_train, pre_cfg, tower_cfg,
-                              bundle.tokenize_fn, bundle.titles)
-    if regime in ("finetune_only", "both"):
-        params = finetune_run(bundle.finetune_train, params, ft_cfg,
-                              bundle.tokenize_fn, bundle.titles)
-    return params
-
-
 def score_table(bundle: Bundle, params: ModelParams, groups) -> dict[int, np.ndarray]:
     """Similarity scores for every group's items, keyed by id(group). Groups
     that share one history object share one user vector."""
@@ -143,12 +122,11 @@ def score_table(bundle: Bundle, params: ModelParams, groups) -> dict[int, np.nda
     return out
 
 
-def eval_metrics(bundle: Bundle, params: ModelParams, groups=None) -> dict[str, float]:
+def eval_metrics(bundle: Bundle, params: ModelParams) -> dict[str, float]:
     """Test nDCG on the context-balanced evaluation groups, for the
     retargeting-like (all items) and discovery-like (previously
     undiscovered categories) filters."""
-    if groups is None:
-        groups = bundle.eval_groups
+    groups = bundle.eval_groups
     scores = score_table(bundle, params, groups)
     retarget = mean_ndcg(groups, lambda g: scores[id(g)])
     disc_groups, disc_scores = [], {}
@@ -202,25 +180,42 @@ ABLATION_CELLS = (
 )
 
 
-def run_ablation_cell(cell: str, world_cfg: SynthConfig, tower_cfg: TowerConfig,
-                      pre_cfg: TrainConfig, ft_cfg: TrainConfig, seed: int,
-                      test_days: int = TEST_DAYS, delay: int = 1) -> dict[str, float]:
-    """Train one ablation cell on a fresh world for `seed` and return its
-    test metrics."""
+def train_ablation(cells, world_cfg: SynthConfig, tower_cfg: TowerConfig,
+                   pre_cfg: TrainConfig, ft_cfg: TrainConfig, seed: int, *,
+                   delay: int = 1, include_web: bool = True, test_days: int = TEST_DAYS,
+                   eval_groups_per_user: int = 2) -> dict[str, tuple[Bundle, ModelParams]]:
+    """Train the ablation `cells` on one world for `seed`: cell -> (the
+    bundle it is evaluated on, its trained parameters). The world, its logs
+    and the vocabulary are made once; cells whose histories match share one
+    bundle, and the cells of one bundle share one pre-training."""
     wc = replace(world_cfg, seed=seed)
-    include_web = cell != "both_no_web"
-    max_history = tower_cfg.max_history
-    tc = tower_cfg
-    if cell == "both_short_history":
-        max_history = max(tower_cfg.max_history // 2, 4)
-        tc = replace(tower_cfg, max_history=max_history)
-    bundle = build_bundle(wc, vocab_size=tower_cfg.vocab_size, max_history=max_history,
-                          include_web=include_web, delay=delay,
-                          test_days=test_days)
-    regime = cell if cell in REGIMES else "both"
-    pc = replace(pre_cfg, seed=seed)
-    fc = replace(ft_cfg, seed=seed,
-                 use_context=(cell != "both_no_context") and ft_cfg.use_context)
-    params = train_regime(bundle, regime, tc, pc, fc)
-    return eval_metrics(bundle, params)
-
+    world = generate_world(wc)
+    records = simulate_logs(world)
+    vocab = build_vocab(world.title_corpus(), tower_cfg.vocab_size)
+    bundles, pretrained, out = {}, {}, {}
+    for cell in cells:
+        tc = tower_cfg
+        if cell == "both_short_history":
+            tc = replace(tower_cfg, max_history=max(tower_cfg.max_history // 2, 4))
+        key = (include_web and cell != "both_no_web", tc.max_history)
+        if key not in bundles:
+            bundles[key] = build_bundle(wc, vocab_size=tc.vocab_size, max_history=key[1],
+                                        include_web=key[0], delay=delay, test_days=test_days,
+                                        eval_groups_per_user=eval_groups_per_user,
+                                        world=world, records=records, vocab=vocab)
+        bundle = bundles[key]
+        if cell == "finetune_only":
+            params = init_params(tc, seed=seed)
+        elif key in pretrained:
+            params = pretrained[key]
+        else:
+            params = pretrained[key] = pretrain_run(bundle.pretrain_train,
+                                                    replace(pre_cfg, seed=seed), tc,
+                                                    bundle.tokenize_fn, bundle.titles)
+        if cell != "pretrain_only":
+            fc = replace(ft_cfg, seed=seed,
+                         use_context=cell != "both_no_context" and ft_cfg.use_context)
+            params = finetune_run(bundle.finetune_train, params, fc,
+                                  bundle.tokenize_fn, bundle.titles)
+        out[cell] = (bundle, params)
+    return out

@@ -2,13 +2,13 @@
 an explicit tolerance and a single pass/fail line on the terminal.
 
 The directional checks (two-stage training, context debiasing, web-query
-enrichment) share one small simulated world per seed and reuse the
-pre-trained checkpoint wherever the compared variants allow it.
+enrichment) train their variants through `pipeline.train_ablation`, as
+`tworank ablate` does: one small simulated world per seed, whose variants
+share a bundle and a pre-training wherever their inputs match.
 """
 
 import json
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,11 +22,11 @@ from tworank.losses import (bce_click, bpr_calibrated, bpr_original,
                             pretrain_loss)
 from tworank.model import (TowerConfig, batch_histories, init_params,
                            item_tower_forward_batch, similarity, user_tower_forward_batch)
-from tworank.pipeline import build_bundle, calibration_report, eval_metrics
+from tworank.pipeline import calibration_report, eval_metrics, train_ablation
 from tworank.serving import export_embeddings
 from tworank.synth import EventRecord, SynthConfig
 from tworank.text import content_embed
-from tworank.train import TrainConfig, finetune_run, pretrain_run
+from tworank.train import TrainConfig
 from tworank.types import UserHistory
 
 SEEDS = (0, 1, 2)
@@ -37,7 +37,8 @@ TOWER = TowerConfig(d=16, user_layers=1, user_heads=2, user_ffn_hidden=32,
                     item_layers=1, max_history=24, vocab_size=300,
                     n_surfaces=4, n_devices=2)
 PRETRAIN = TrainConfig(batch_size=32, epochs=2, max_steps=400, warmup_steps=40)
-FINETUNE = TrainConfig(batch_size=32, epochs=2, max_steps=250, warmup_steps=30)
+FINETUNE = TrainConfig(epochs=2, max_steps=250, warmup_steps=30)
+CELLS = ("pretrain_only", "finetune_only", "both", "both_no_context", "both_no_web")
 
 
 # One verdict line per criterion, printed by the pytest_terminal_summary
@@ -50,50 +51,20 @@ def _verdict(name: str, ok: bool, detail: str) -> None:
     VERDICTS.append(f"[{status}] {name}: {detail}")
 
 
-def _make_bundle(seed: int, include_web: bool = True, world=None, records=None,
-                 vocab=None):
-    return build_bundle(replace(WORLD, seed=seed), vocab_size=TOWER.vocab_size,
-                        max_history=TOWER.max_history, include_web=include_web,
-                        test_days=8, eval_groups_per_user=4,
-                        world=world, records=records, vocab=vocab)
-
-
 @pytest.fixture(scope="module")
 def directional():
-    """Per-seed metrics for the five training variants, sharing worlds and
-    pre-training checkpoints where the comparison allows."""
+    """Per-seed metrics for the five training variants, trained by the
+    ablation matrix's own function."""
     t0 = time.time()
     per_seed = {}
-    artifacts = {}
     for seed in SEEDS:
-        pre = replace(PRETRAIN, seed=seed)
-        ft = replace(FINETUNE, seed=seed)
-        bundle = _make_bundle(seed)
-        p0 = pretrain_run(bundle.pretrain_train, pre, TOWER,
-                          bundle.tokenize_fn, bundle.titles)
-        both = finetune_run(bundle.finetune_train, p0, ft,
-                            bundle.tokenize_fn, bundle.titles)
-        no_ctx = finetune_run(bundle.finetune_train, p0,
-                              replace(ft, use_context=False),
-                              bundle.tokenize_fn, bundle.titles)
-        ft_only = finetune_run(bundle.finetune_train, init_params(TOWER, seed=seed),
-                               ft, bundle.tokenize_fn, bundle.titles)
-        no_web_bundle = _make_bundle(seed, include_web=False, world=bundle.world,
-                                     records=bundle.records, vocab=bundle.vocab)
-        p0w = pretrain_run(no_web_bundle.pretrain_train, pre, TOWER,
-                           no_web_bundle.tokenize_fn, no_web_bundle.titles)
-        no_web = finetune_run(no_web_bundle.finetune_train, p0w, ft,
-                              no_web_bundle.tokenize_fn, no_web_bundle.titles)
-        per_seed[seed] = {
-            "pretrain_only": eval_metrics(bundle, p0),
-            "finetune_only": eval_metrics(bundle, ft_only),
-            "both": eval_metrics(bundle, both),
-            "both_no_context": eval_metrics(bundle, no_ctx),
-            "both_no_web": eval_metrics(no_web_bundle, no_web),
-        }
+        trained = train_ablation(CELLS, WORLD, TOWER, PRETRAIN, FINETUNE, seed,
+                                 test_days=8, eval_groups_per_user=4)
+        per_seed[seed] = {cell: eval_metrics(bundle, params)
+                          for cell, (bundle, params) in trained.items()}
         if seed == SEEDS[0]:
-            artifacts = {"bundle": bundle, "both": both}
-    return {"metrics": per_seed, "elapsed": time.time() - t0, **artifacts}
+            kept = trained["both"]  # criteria 6-8 read seed 0's `both`
+    return {"metrics": per_seed, "elapsed": time.time() - t0, "bundle": kept[0], "both": kept[1]}
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,20 @@
 """Command-line interface: artifact chain, exit codes, and output files."""
 
+import inspect
 import io
 import json
 import re
 import struct
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
 
-from tworank import cli
+from tworank import cli, pipeline
 from tworank.autodiff import Tensor
 from tworank.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_MISSING, EXIT_OK, main
 from tworank.model import ModelParams
+from tworank.pipeline import build_bundle
 from tworank.serving import KIND_ITEM, EmbeddingTable
 from tworank.text import Vocab
 from tworank.types import SIGNALS
@@ -389,6 +392,26 @@ def test_ablate_rows_carry_their_seed(workspace, tmp_path):
     assert [(r["surface"], r["seed"]) for r in rows] == [(r[1], int(r[2])) for r in tsv]
     # each seed trains its own world, so its retargeting value is its own
     assert tsv[0][3] != tsv[2][3]
+
+
+def test_ablate_reads_every_data_key(tmp_path, monkeypatch):
+    """Every bundle of the matrix gets the [data] values; with web queries
+    off, `both_no_web` is `both`."""
+    spy = Mock(wraps=build_bundle)
+    monkeypatch.setattr(pipeline, "build_bundle", spy)
+    assert run("ablate", tmp_path, "--set", "eval.seeds=0", "--set", "data.delay=2",
+               "--set", "data.include_web=false", "--set", "data.test_days=4",
+               "--set", "data.eval_groups_per_user=3") == EXIT_OK
+    data = {"delay": 2, "include_web": False, "test_days": 4, "eval_groups_per_user": 3}
+    for call in spy.call_args_list:
+        bound = inspect.signature(build_bundle).bind(*call.args, **call.kwargs)
+        bound.apply_defaults()
+        assert {k: bound.arguments[k] for k in data} == data
+    rows = json.loads((tmp_path / "results.json").read_text())
+    both, no_web = ([repr(r["value"]) for r in rows if r["metric"] == f"ndcg/{cell}"]
+                    for cell in ("both", "both_no_web"))
+    assert no_web == both
+    assert spy.call_count == 2  # (no web, 12 events) for five cells and (no web, 6)
 
 
 def test_diverged_finetune_saves_nothing_exit_code(workspace, tmp_path, capsys, monkeypatch):

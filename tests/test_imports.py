@@ -1,7 +1,8 @@
 """Import hygiene of the package: every imported name is used, the
 serving path does not depend on the trainer, every public function,
 class, method or property is named by the program or is a listed test
-oracle, and every attribute the package stores on `self` is read."""
+oracle, every attribute the package stores on `self` is read, and no
+check is an `assert`, which `python -O` strips."""
 
 import ast
 from pathlib import Path
@@ -169,3 +170,17 @@ def test_scanner_catches_a_method_nothing_runs():
                      "Box().called()\n")
     assert _public_definitions(tree) == {"Box", "called", "idle", "size"}
     assert _public_definitions(tree) - _named(tree) == {"idle", "size"}
+
+
+def _assert_lines(tree: ast.Module) -> list[int]:
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+
+
+def test_no_assert_statement():
+    found = [f"{p.name}:{line}" for p in MODULES
+             for line in _assert_lines(ast.parse(p.read_text(encoding="utf-8")))]
+    assert not found, f"assert statements, which python -O strips: {found}"
+
+
+def test_scanner_catches_an_assert():
+    assert _assert_lines(ast.parse("def f(x):\n    if x:\n        assert x > 0\n")) == [3]
