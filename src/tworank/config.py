@@ -8,7 +8,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, fields
 
-from .model import GROUP_NAMES, TowerConfig
+from .model import TowerConfig
 from .pipeline import ABLATION_CELLS
 from .synth import SynthConfig
 from .train import TrainConfig
@@ -70,19 +70,14 @@ class RunConfig:
 _TYPES = {"world": SynthConfig, "model": TowerConfig, "data": DataConfig,
           "pretrain": TrainConfig, "finetune": TrainConfig, "eval": EvalConfig}
 
-# TrainConfig.lrs is a dict; it surfaces as lr_<group>
-_DICT_KEYS = {f"lr_{g}": ("lrs", g) for g in GROUP_NAMES}
-
 # keys a section does not take, with the reason; fine-tuning takes its group
-# batch from finetune_run, and the stage picks its own schedule
+# batch from finetune_run
 _NOT_SETTABLE = {
     ("model", "n_surfaces"): "comes from [world] n_surfaces",
     ("model", "n_devices"): "comes from [world] n_devices",
     ("finetune", "batch_size"): "is never read by that stage",
     ("pretrain", "use_context"): "is never read by that stage",
     ("pretrain", "pointwise_weight"): "is never read by that stage",
-    ("pretrain", "schedule_mode"): "is decided by the stage",
-    ("finetune", "schedule_mode"): "is decided by the stage",
 }
 
 
@@ -102,15 +97,11 @@ def _set_key(values: dict, section: str, key: str, value: str) -> None:
     section's `values`."""
     if (section, key) in _NOT_SETTABLE:
         raise ConfigError(f"key {key!r} in section [{section}] {_NOT_SETTABLE[section, key]}")
-    specs = {f.name: f for f in fields(_TYPES[section])}
-    attr, group = _DICT_KEYS.get(key, (key, None))
-    if attr not in specs or (group is None and specs[attr].type == "dict"):
+    defaults = {f.name: f.default for f in fields(_TYPES[section])}
+    if key not in defaults:
         raise ConfigError(f"unknown key {key!r} in section [{section}]")
     try:
-        if group is None:
-            values[key] = _coerce(value, type(specs[key].default))
-        else:
-            values.setdefault(attr, specs[attr].default_factory())[group] = float(value)
+        values[key] = _coerce(value, type(defaults[key]))
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 

@@ -1,5 +1,5 @@
 """Loss terms: sampled-softmax pre-training, pointwise click BCE,
-original and calibrated BPR, and the combined fine-tuning objective.
+calibrated BPR, and the combined fine-tuning objective.
 
 All terms are expressed through the autodiff primitives so gradients flow
 to the towers and to the calibration scalars.
@@ -37,19 +37,6 @@ def pretrain_loss_matrix(scores: Tensor, tau: Tensor) -> Tensor:
     return ad.tmean(lse - diag)
 
 
-def pretrain_loss(r_up: Tensor, r_un: Tensor, tau: Tensor) -> Tensor:
-    """Single-sample sampled softmax: positive score r_up (scalar) against
-    negatives r_un (N,)."""
-    if r_un.data.size < 1:
-        raise ValueError("need at least one negative")
-    zp = ad.mul(r_up, tau)
-    zn = ad.mul(r_un, tau)
-    allz = ad.concat([ad.reshape(zp, (1,)), ad.reshape(zn, (-1,))])
-    m = float(allz.data.max())
-    lse = ad.log(ad.tsum(ad.exp(allz - Tensor(np.full((), m))))) + m
-    return lse - zp
-
-
 def click_logit(r_ui: Tensor, r_ctx: Tensor, params: ModelParams) -> Tensor:
     """alpha_cl * r + alpha_ctx * r_ctx + beta_cl, the logit of the click
     probability."""
@@ -65,12 +52,6 @@ def bce_click(r_ui: Tensor, r_ctx: Tensor, y, params: ModelParams) -> Tensor:
     z = click_logit(r_ui, r_ctx, params)
     y_t = Tensor(np.asarray(y, dtype=np.float64))
     return ad.softplus(z) - ad.mul(y_t, z)
-
-
-def bpr_original(r_up: Tensor, r_un: Tensor, gamma_k: Tensor) -> Tensor:
-    """-log sigmoid(gamma_k * (r_up - r_un)), via softplus(-z)."""
-    z = ad.mul(gamma_k, r_up - r_un)
-    return ad.softplus(-z)
 
 
 def _calibrated_f_logit(r: Tensor, r_ctx: Tensor, signal: str, params: ModelParams) -> Tensor:
@@ -120,44 +101,3 @@ def finetune_objective(r_items: Tensor, r_ctx: Tensor, labels: list[dict],
     bce = bce_click(r_items, r_ctx, np.concatenate([g["click"] for g in labels]), params)
     total = total + ad.tsum(ad.mul(bce, Tensor(pointwise_weight / sizes[owner])))
     return ad.scale(total, 1.0 / len(labels))
-
-
-def finetune_objective_bruteforce(r_items: np.ndarray, r_ctx: float,
-                                  labels: dict[str, np.ndarray], params: ModelParams,
-                                  pointwise_weight: float = 0.1) -> float:
-    """Independent oracle: explicit scalar enumeration of every pair and
-    impression, no tensor machinery."""
-
-    def sigmoid(x):
-        return 1.0 / (1.0 + np.exp(-x))
-
-    def scalar(name):
-        return float(params[name].data)
-
-    total = 0.0
-    for signal in SIGNALS:
-        y = list(labels[signal])
-        g = scalar(f"loss_params.gamma.{signal}")
-        gc = scalar(f"loss_params.gamma_ctx.{signal}")
-        b = scalar(f"loss_params.beta.{signal}")
-        pair_vals = []
-        for i, yi in enumerate(y):
-            if not yi:
-                continue
-            for j, yj in enumerate(y):
-                if yj:
-                    continue
-                f_p = sigmoid(g * r_items[i] + gc * r_ctx + b)
-                f_n = sigmoid(g * r_items[j] + gc * r_ctx + b)
-                pair_vals.append(-np.log(f_p / (f_p + f_n)))
-        if pair_vals:
-            total += float(np.mean(pair_vals))
-    a_cl = scalar("loss_params.alpha_cl")
-    a_ctx = scalar("loss_params.alpha_ctx")
-    b_cl = scalar("loss_params.beta_cl")
-    bce_vals = []
-    for i, yi in enumerate(labels["click"]):
-        f = sigmoid(a_cl * r_items[i] + a_ctx * r_ctx + b_cl)
-        bce_vals.append(-yi * np.log(f) - (1 - yi) * np.log(1 - f))
-    total += pointwise_weight * float(np.mean(bce_vals))
-    return total

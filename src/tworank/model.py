@@ -393,11 +393,6 @@ def context_score(surface_ids, device_ids, params: ModelParams) -> Tensor:
     return ad.reshape(s + t, (-1,))
 
 
-def similarity(v_u: Tensor, v_i: Tensor) -> Tensor:
-    """Inner product of unit-norm embeddings (cosine similarity)."""
-    return ad.tsum(ad.mul(v_u, v_i))
-
-
 def similarity_matrix(users: Tensor, items: Tensor) -> Tensor:
     """(B_u, d) x (B_i, d) -> (B_u, B_i) cosine similarities."""
     return ad.matmul(users, ad.transpose(items, (1, 0)))

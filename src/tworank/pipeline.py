@@ -135,7 +135,8 @@ def eval_metrics(bundle: Bundle, params: ModelParams) -> dict[str, float]:
         sub = discovery_subset(g, known, bundle.item_category)
         if sub is None:
             continue
-        keep = [i for i, item in enumerate(g.item_ids) if item in set(sub.item_ids)]
+        kept = set(sub.item_ids)
+        keep = [i for i, item in enumerate(g.item_ids) if item in kept]
         disc_scores[id(sub)] = scores[id(g)][keep]
         disc_groups.append(sub)
     discovery = (mean_ndcg(disc_groups, lambda g: disc_scores[id(g)])
@@ -187,12 +188,13 @@ def train_ablation(cells, world_cfg: SynthConfig, tower_cfg: TowerConfig,
     """Train the ablation `cells` on one world for `seed`: cell -> (the
     bundle it is evaluated on, its trained parameters). The world, its logs
     and the vocabulary are made once; cells whose histories match share one
-    bundle, and the cells of one bundle share one pre-training."""
+    bundle, the cells of one bundle share one pre-training, and cells whose
+    fine-tunings have the same bundle, start and context term share one."""
     wc = replace(world_cfg, seed=seed)
     world = generate_world(wc)
     records = simulate_logs(world)
     vocab = build_vocab(world.title_corpus(), tower_cfg.vocab_size)
-    bundles, pretrained, out = {}, {}, {}
+    bundles, pretrained, finetuned, out = {}, {}, {}, {}
     for cell in cells:
         tc = tower_cfg
         if cell == "both_short_history":
@@ -204,18 +206,18 @@ def train_ablation(cells, world_cfg: SynthConfig, tower_cfg: TowerConfig,
                                         eval_groups_per_user=eval_groups_per_user,
                                         world=world, records=records, vocab=vocab)
         bundle = bundles[key]
-        if cell == "finetune_only":
-            params = init_params(tc, seed=seed)
-        elif key in pretrained:
-            params = pretrained[key]
-        else:
-            params = pretrained[key] = pretrain_run(bundle.pretrain_train,
-                                                    replace(pre_cfg, seed=seed), tc,
-                                                    bundle.tokenize_fn, bundle.titles)
-        if cell != "pretrain_only":
-            fc = replace(ft_cfg, seed=seed,
-                         use_context=cell != "both_no_context" and ft_cfg.use_context)
-            params = finetune_run(bundle.finetune_train, params, fc,
-                                  bundle.tokenize_fn, bundle.titles)
-        out[cell] = (bundle, params)
+        if cell != "finetune_only" and key not in pretrained:
+            pretrained[key] = pretrain_run(bundle.pretrain_train, replace(pre_cfg, seed=seed),
+                                           tc, bundle.tokenize_fn, bundle.titles)
+        if cell == "pretrain_only":
+            out[cell] = (bundle, pretrained[key])
+            continue
+        use_context = cell != "both_no_context" and ft_cfg.use_context
+        ft_key = (key, cell == "finetune_only", use_context)
+        if ft_key not in finetuned:
+            start = init_params(tc, seed=seed) if cell == "finetune_only" else pretrained[key]
+            finetuned[ft_key] = finetune_run(bundle.finetune_train, start,
+                                             replace(ft_cfg, seed=seed, use_context=use_context),
+                                             bundle.tokenize_fn, bundle.titles)
+        out[cell] = (bundle, finetuned[ft_key])
     return out

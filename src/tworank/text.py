@@ -1,18 +1,14 @@
-"""Subword vocabulary, tokenizer, and CBOW content embeddings.
+"""Subword vocabulary and tokenizer.
 
 The vocabulary is built with greedy frequency-based pair merging over a
 corpus (wordpiece-style), with continuation pieces marked by a leading
-"##". Titles and web queries share one embedding matrix; a content
-embedding is the plain sum of its token rows.
+"##". Titles and web queries share one vocabulary and one embedding
+matrix; `model.content_embed_batch` sums a text's token rows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-
-import numpy as np
-
-from .autodiff import Tensor, gather, tsum
 
 PAD_ID = 0
 UNK_ID = 1
@@ -152,19 +148,3 @@ def _segment_word(word: str, vocab: Vocab) -> list[int]:
         out.append(piece_id)
         pos = end
     return out
-
-
-def pieces_of(word: str, vocab: Vocab) -> list[str]:
-    """Piece strings for a word (for round-trip checks)."""
-    return [vocab.tokens[i] for i in _segment_word(word, vocab)]
-
-
-def content_embed(token_ids, matrix: Tensor) -> Tensor:
-    """Sum of embedding rows; zero vector for an empty sequence."""
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.size == 0:
-        return Tensor(np.zeros(matrix.shape[1], dtype=matrix.data.dtype))
-    if ids.min() < 0 or ids.max() >= matrix.shape[0]:
-        raise IndexError(f"token id out of range [0, {matrix.shape[0]})")
-    rows = gather(matrix, ids)
-    return tsum(rows, axis=0)

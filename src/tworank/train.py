@@ -6,7 +6,7 @@ groupwise gradient norm clipping and a warmup + linear-decay schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,22 +20,23 @@ from .losses import finetune_objective, pretrain_loss_matrix, temperature
 from .types import ImpressionGroup, PretrainSample, check_least
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+CLIP_NORM = 1.0  # each group's joint gradient norm is clipped to this
+
+
 @dataclass
 class Schedule:
     warmup_steps: int
     total_steps: int
-    mode: str = "warmup_linear_decay"
-
-    def __post_init__(self):
-        if self.warmup_steps > self.total_steps:
-            raise ValueError("warmup_steps must be <= total_steps")
+    constant: bool = False
 
 
 def lr_at(step: int, schedule: Schedule, base: float) -> float:
-    """Linear warmup to `base`, then linear decay to zero at total_steps."""
-    if step < 0 or step > schedule.total_steps:
-        raise ValueError(f"step {step} outside [0, {schedule.total_steps}]")
-    if schedule.mode == "constant":
+    """Linear warmup to `base`, then linear decay to zero at total_steps;
+    `base` at every step of a constant schedule."""
+    if schedule.constant:
         return base
     if step < schedule.warmup_steps:
         return base * step / schedule.warmup_steps
@@ -45,22 +46,15 @@ def lr_at(step: int, schedule: Schedule, base: float) -> float:
     return base * (schedule.total_steps - step) / tail
 
 
-def clip_group(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
+def clip_group(grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Scale a parameter group's gradients so their joint L2 norm is at
-    most max_norm."""
-    if max_norm <= 0:
-        raise ValueError("max_norm must be > 0")
+    most CLIP_NORM."""
     sq = sum(float((g * g).sum()) for g in grads.values())
     norm = np.sqrt(sq)
-    if norm <= max_norm:
+    if norm <= CLIP_NORM:
         return grads
-    factor = max_norm / norm
+    factor = CLIP_NORM / norm
     return {k: g * factor for k, g in grads.items()}
-
-
-def _default_lrs():
-    return {"embeddings": 3e-3, "transformer": 3e-3,
-            "candidate_tower": 3e-3, "loss_params": 3e-2}
 
 
 @dataclass
@@ -69,27 +63,20 @@ class TrainConfig:
     epochs: int = 3
     max_steps: int = 0  # 0 = no cap
     warmup_steps: int = 100
-    schedule_mode: str = "warmup_linear_decay"  # continuous_finetune sets "constant"
-    lrs: dict = field(default_factory=_default_lrs)
+    # one learning rate per parameter group (model.GROUP_NAMES); 0 leaves
+    # the group as it is
+    lr_embeddings: float = 3e-3
+    lr_transformer: float = 3e-3
+    lr_candidate_tower: float = 3e-3
+    lr_loss_params: float = 3e-2
     pointwise_weight: float = 0.1
     use_context: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        # an lr of 0 leaves its group as it is; only the groups given are checked
-        lrs = {f"lr_{g}": lr for g, lr in self.lrs.items()}
-        check_least(vars(self) | lrs, (
+        check_least(vars(self), (
             ("batch_size", 2), ("epochs", 1), ("max_steps", 0), ("warmup_steps", 0),
-            ("pointwise_weight", 0), ("seed", 0), *((key, 0) for key in lrs)))
-        if self.schedule_mode not in ("warmup_linear_decay", "constant"):
-            raise ValueError(f"schedule_mode must be warmup_linear_decay or constant, "
-                             f"got {self.schedule_mode!r}")
-
-
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
-CLIP_NORM = 1.0  # each group's joint gradient norm is clipped to this
+            ("pointwise_weight", 0), ("seed", 0), *((f"lr_{g}", 0) for g in GROUP_NAMES)))
 
 
 class AdamOptimizer:
@@ -114,8 +101,8 @@ class AdamOptimizer:
         for group, group_grads in by_group.items():
             if not group_grads:
                 continue
-            clipped = clip_group(group_grads, CLIP_NORM)
-            lr = lr_at(t, self.schedule, cfg.lrs[group])
+            clipped = clip_group(group_grads)
+            lr = lr_at(t, self.schedule, getattr(cfg, f"lr_{group}"))
             for name, g in clipped.items():
                 m = self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
                 v = self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
@@ -141,16 +128,16 @@ def item_embeddings_for(item_ids, titles: dict[int, str], tokenize_fn,
 
 
 def _train(params: ModelParams, config: TrainConfig, n: int, batch_size: int,
-           n_batches: int, seed: int, batch_loss) -> ModelParams:
+           n_batches: int, seed: int, batch_loss, *, constant_lr: bool = False) -> ModelParams:
     """The step loop of both stages. Each epoch visits the n examples in a
     fresh `rng.permutation(n)` of `default_rng(seed)`, cut into n_batches
     slices of batch_size indices; `batch_loss(indices)` gives each slice's
     loss, and Adam steps once per slice until min(n_batches * epochs,
-    max_steps) steps are spent."""
+    max_steps) steps are spent, at a constant learning rate if `constant_lr`."""
     n_steps = n_batches * config.epochs
     if config.max_steps:
         n_steps = min(n_steps, config.max_steps)
-    schedule = Schedule(min(config.warmup_steps, n_steps), n_steps, config.schedule_mode)
+    schedule = Schedule(min(config.warmup_steps, n_steps), n_steps, constant_lr)
     opt = AdamOptimizer(params, config, schedule)
     rng = np.random.default_rng(seed)
     for step in range(n_steps):
@@ -188,9 +175,10 @@ def pretrain_run(samples: list[PretrainSample], config: TrainConfig,
 
 def finetune_run(groups: list[ImpressionGroup], init: ModelParams,
                  config: TrainConfig, tokenize_fn, titles: dict[int, str],
-                 group_batch: int = 16) -> ModelParams:
+                 group_batch: int = 16, *, constant_lr: bool = False) -> ModelParams:
     """Ranking fine-tuning on impression groups, `group_batch` groups a
-    step; the last batch of an epoch may be short. Tensors of `init` whose
+    step; the last batch of an epoch may be short. The learning rate warms
+    up and decays unless `constant_lr`. Tensors of `init` whose
     requires_grad is False stay as they are."""
     if not groups:
         raise ValueError("empty fine-tuning group stream")
@@ -214,7 +202,7 @@ def finetune_run(groups: list[ImpressionGroup], init: ModelParams,
 
     n_batches = (len(groups) + group_batch - 1) // group_batch
     return _train(params, config, len(groups), group_batch, n_batches, config.seed + 7,
-                  batch_loss)
+                  batch_loss, constant_lr=constant_lr)
 
 
 def continuous_finetune(prev: ModelParams, new_groups: list[ImpressionGroup],
@@ -225,8 +213,7 @@ def continuous_finetune(prev: ModelParams, new_groups: list[ImpressionGroup],
     start = prev.copy()
     for name, t in start.tensors.items():
         t.requires_grad = not name.startswith(FROZEN_IN_CONTINUOUS)
-    params = finetune_run(new_groups, start, replace(config, schedule_mode="constant"),
-                          tokenize_fn, titles)
+    params = finetune_run(new_groups, start, config, tokenize_fn, titles, constant_lr=True)
     for t in params.tensors.values():
         t.requires_grad = True
     return params

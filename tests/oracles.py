@@ -1,0 +1,97 @@
+"""Single-sample references that the tests hold the package's batched code
+against. No command runs them, so they live here and not in `tworank`."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from tworank import autodiff as ad
+from tworank.autodiff import Tensor
+from tworank.model import ModelParams
+from tworank.text import Vocab, _segment_word
+from tworank.types import SIGNALS
+
+
+def pieces_of(word: str, vocab: Vocab) -> list[str]:
+    """Piece strings for a word (for round-trip checks)."""
+    return [vocab.tokens[i] for i in _segment_word(word, vocab)]
+
+
+def content_embed(token_ids, matrix: Tensor) -> Tensor:
+    """Sum of embedding rows; zero vector for an empty sequence. The
+    reference for `model.content_embed_batch`."""
+    ids = np.asarray(token_ids, dtype=np.int64)
+    if ids.size == 0:
+        return Tensor(np.zeros(matrix.shape[1], dtype=matrix.data.dtype))
+    if ids.min() < 0 or ids.max() >= matrix.shape[0]:
+        raise IndexError(f"token id out of range [0, {matrix.shape[0]})")
+    rows = ad.gather(matrix, ids)
+    return ad.tsum(rows, axis=0)
+
+
+def similarity(v_u: Tensor, v_i: Tensor) -> Tensor:
+    """Inner product of unit-norm embeddings (cosine similarity). The
+    reference for `model.similarity_matrix`."""
+    return ad.tsum(ad.mul(v_u, v_i))
+
+
+def pretrain_loss(r_up: Tensor, r_un: Tensor, tau: Tensor) -> Tensor:
+    """Single-sample sampled softmax: positive score r_up (scalar) against
+    negatives r_un (N,). The reference for `losses.pretrain_loss_matrix`."""
+    if r_un.data.size < 1:
+        raise ValueError("need at least one negative")
+    zp = ad.mul(r_up, tau)
+    zn = ad.mul(r_un, tau)
+    allz = ad.concat([ad.reshape(zp, (1,)), ad.reshape(zn, (-1,))])
+    m = float(allz.data.max())
+    lse = ad.log(ad.tsum(ad.exp(allz - Tensor(np.full((), m))))) + m
+    return lse - zp
+
+
+def bpr_original(r_up: Tensor, r_un: Tensor, gamma_k: Tensor) -> Tensor:
+    """-log sigmoid(gamma_k * (r_up - r_un)), via softplus(-z): the
+    uncalibrated pairwise loss, the analytic check of the calibrated one."""
+    z = ad.mul(gamma_k, r_up - r_un)
+    return ad.softplus(-z)
+
+
+def finetune_objective_bruteforce(r_items: np.ndarray, r_ctx: float,
+                                  labels: dict[str, np.ndarray], params: ModelParams,
+                                  pointwise_weight: float = 0.1) -> float:
+    """Independent oracle of `losses.finetune_objective` for one group:
+    explicit scalar enumeration of every pair and impression, no tensor
+    machinery."""
+
+    def sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-x))
+
+    def scalar(name):
+        return float(params[name].data)
+
+    total = 0.0
+    for signal in SIGNALS:
+        y = list(labels[signal])
+        g = scalar(f"loss_params.gamma.{signal}")
+        gc = scalar(f"loss_params.gamma_ctx.{signal}")
+        b = scalar(f"loss_params.beta.{signal}")
+        pair_vals = []
+        for i, yi in enumerate(y):
+            if not yi:
+                continue
+            for j, yj in enumerate(y):
+                if yj:
+                    continue
+                f_p = sigmoid(g * r_items[i] + gc * r_ctx + b)
+                f_n = sigmoid(g * r_items[j] + gc * r_ctx + b)
+                pair_vals.append(-np.log(f_p / (f_p + f_n)))
+        if pair_vals:
+            total += float(np.mean(pair_vals))
+    a_cl = scalar("loss_params.alpha_cl")
+    a_ctx = scalar("loss_params.alpha_ctx")
+    b_cl = scalar("loss_params.beta_cl")
+    bce_vals = []
+    for i, yi in enumerate(labels["click"]):
+        f = sigmoid(a_cl * r_items[i] + a_ctx * r_ctx + b_cl)
+        bce_vals.append(-yi * np.log(f) - (1 - yi) * np.log(1 - f))
+    total += pointwise_weight * float(np.mean(bce_vals))
+    return total

@@ -17,17 +17,17 @@ from tworank import autodiff as ad
 from tworank.autodiff import Tensor
 from tworank.dataset import build_finetune_groups, build_pretrain_samples
 from tworank.gradsuite import run_gradcheck_suite
-from tworank.losses import (bce_click, bpr_calibrated, bpr_original,
-                            finetune_objective, finetune_objective_bruteforce,
-                            pretrain_loss)
+from tworank.losses import bce_click, bpr_calibrated, finetune_objective
 from tworank.model import (TowerConfig, batch_histories, init_params,
-                           item_tower_forward_batch, similarity, user_tower_forward_batch)
+                           item_tower_forward_batch, user_tower_forward_batch)
 from tworank.pipeline import calibration_report, eval_metrics, train_ablation
 from tworank.serving import export_embeddings
 from tworank.synth import EventRecord, SynthConfig
-from tworank.text import content_embed
 from tworank.train import TrainConfig
 from tworank.types import UserHistory
+
+from oracles import (bpr_original, content_embed, finetune_objective_bruteforce,
+                     pretrain_loss, similarity)
 
 SEEDS = (0, 1, 2)
 

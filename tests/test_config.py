@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from tworank.cli import EXIT_CONFIG, main
-from tworank.config import ConfigError, load_config
+from tworank.config import _NOT_SETTABLE, ConfigError, load_config
 from tworank.model import GROUP_NAMES
 from tworank.pipeline import ABLATION_CELLS
 
@@ -57,7 +57,7 @@ def test_file_parsing(tmp_path):
     assert rc.model.d == 16
     assert rc.model.user_ffn_hidden == 64  # derived from the file's d
     assert rc.pretrain.max_steps == 50
-    assert rc.pretrain.lrs["loss_params"] == 0.05
+    assert rc.pretrain.lr_loss_params == 0.05
     assert ec.seed_list() == [0, 1]
 
 
@@ -150,17 +150,16 @@ def _accepts(section: str, key: str, value) -> bool:
 
 
 def test_settable_keys_are_pinned():
-    """Each field of each section's dataclass, plus the per-group trainer
-    keys, is tried at its default value: exactly the pinned keys take it."""
+    """Each field of each section's dataclass is tried at its default
+    value: exactly the pinned keys take it, and every other field is a
+    key that the section names as not settable. So each field is a key."""
     rc, ec = load_config(None)
     for section, keys in SETTABLE.items():
         obj = ec if section == "eval" else getattr(rc, section)
-        defaults = {f.name: getattr(obj, f.name) for f in fields(obj)
-                    if not isinstance(getattr(obj, f.name), dict)}
-        if section in ("pretrain", "finetune"):
-            defaults.update({f"lr_{g}": v for g, v in obj.lrs.items()})
-        accepted = {k for k, v in defaults.items() if _accepts(section, k, v)}
+        names = {f.name for f in fields(obj)}
+        accepted = {n for n in names if _accepts(section, n, getattr(obj, n))}
         assert accepted == set(keys), section
+        assert names - accepted == {k for s, k in _NOT_SETTABLE if s == section}, section
 
 
 def _rejected_everywhere(tmp_path, key: str, value: str) -> None:
@@ -199,7 +198,7 @@ def test_trainer_values_that_cannot_run_are_rejected(tmp_path, key, value):
 def test_trainer_edge_values_that_run_are_accepted():
     rc, _ = load_config(None, overrides=["pretrain.lr_embeddings=0", "finetune.max_steps=0",
                                          "finetune.warmup_steps=0", "pretrain.epochs=1"])
-    assert rc.pretrain.lrs["embeddings"] == 0.0 and rc.finetune.max_steps == 0
+    assert rc.pretrain.lr_embeddings == 0.0 and rc.finetune.max_steps == 0
 
 
 @pytest.mark.parametrize("key, value", [
@@ -266,8 +265,6 @@ def _loaded(section: str, key: str, raw: str):
     rc, ec = load_config(None, overrides=[f"{section}.{key}={raw}"])
     if section == "eval":
         return ec.seed_list() if key == "seeds" else ec.cell_list() or []
-    if key.startswith("lr_"):
-        return getattr(rc, section).lrs[key[3:]]
     return getattr(getattr(rc, section), key)
 
 

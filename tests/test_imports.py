@@ -1,8 +1,9 @@
 """Import hygiene of the package: every imported name is used, the
 serving path does not depend on the trainer, every public function,
-class, method or property is named by the program or is a listed test
-oracle, every attribute the package stores on `self` is read, and no
-check is an `assert`, which `python -O` strips."""
+class, method or property is named by the program (the references that
+only tests call live in `tests/oracles.py`), every attribute the package
+stores on `self` is read, and no check is an `assert`, which `python -O`
+strips."""
 
 import ast
 from pathlib import Path
@@ -14,17 +15,6 @@ import tworank
 PACKAGE = Path(tworank.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-# public names that only tests call, each the reference a test compares
-# the program's code against
-TEST_ORACLES = {
-    "content_embed": "one sequence's CBOW sum, the reference for content_embed_batch",
-    "similarity": "one pair's cosine, the reference for similarity_matrix",
-    "pretrain_loss": "one sample's sampled softmax, the reference for pretrain_loss_matrix",
-    "bpr_original": "the uncalibrated pairwise loss, the analytic check of the calibrated one",
-    "finetune_objective_bruteforce": "the per-group loop oracle of finetune_objective",
-    "pieces_of": "a word's piece strings, for the vocabulary round trip",
-}
 
 
 def _bound_names(tree: ast.Module) -> dict[str, int]:
@@ -113,14 +103,12 @@ def test_scanner_catches_an_unused_import_and_a_trainer_import():
     assert _imported_modules(ast.parse("from tworank.train import x")) == {"train"}
 
 
-def test_every_public_name_is_used_or_an_oracle():
+def test_every_public_name_is_used():
     trees = [ast.parse(p.read_text(encoding="utf-8"))
              for p in MODULES + sorted(PERFBENCH.glob("*.py"))]
     defined = set().union(*(_public_definitions(t) for t in trees[:len(MODULES)]))
     named = set().union(*(_named(t) for t in trees))
-    assert TEST_ORACLES.keys() <= defined, "a listed oracle no longer exists"
-    assert TEST_ORACLES.keys().isdisjoint(named), "a listed oracle is now used"
-    unused = sorted(defined - named - TEST_ORACLES.keys())
+    unused = sorted(defined - named)
     assert not unused, f"public names that nothing runs: {unused}"
 
 

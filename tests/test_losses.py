@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from tworank.autodiff import Tensor, backward, gradcheck
-from tworank.losses import (bce_click, bpr_calibrated, bpr_original,
-                            finetune_objective, finetune_objective_bruteforce,
-                            pretrain_loss, pretrain_loss_matrix, temperature)
+from tworank.losses import (bce_click, bpr_calibrated, finetune_objective,
+                            pretrain_loss_matrix, temperature)
 from tworank.model import TowerConfig, init_params
+
+from oracles import bpr_original, finetune_objective_bruteforce, pretrain_loss
 
 LN2 = float(np.log(2.0))
 

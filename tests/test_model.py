@@ -16,11 +16,12 @@ from tworank.autodiff import Tensor
 from tworank.model import (FROZEN_IN_CONTINUOUS, GROUP_NAMES, ModelParams,
                            TowerConfig, batch_histories, content_embed_batch,
                            context_score, encode_events_batch, init_params,
-                           item_tower_forward_batch, pad_tokens, param_layout, similarity,
+                           item_tower_forward_batch, pad_tokens, param_layout,
                            similarity_matrix, user_tower_forward_batch)
-from tworank.text import content_embed
 from tworank.train import item_embeddings_for
 from tworank.types import EVENT_TYPE_IDS, Event, EventType, UserHistory
+
+from oracles import content_embed, similarity
 
 
 def _history(user=0, n=3):

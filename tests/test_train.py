@@ -10,7 +10,7 @@ import pytest
 
 from tworank import autodiff, train
 from tworank.dataset import build_finetune_groups, build_pretrain_samples
-from tworank.model import FROZEN_IN_CONTINUOUS, TowerConfig, init_params
+from tworank.model import FROZEN_IN_CONTINUOUS, GROUP_NAMES, TowerConfig, init_params
 from tworank.train import (ADAM_EPS, AdamOptimizer, Schedule, TrainConfig,
                            clip_group, continuous_finetune, finetune_run, lr_at,
                            pretrain_run)
@@ -61,24 +61,9 @@ def test_lr_linear_decay_to_zero():
 
 
 def test_lr_constant_mode():
-    sched = Schedule(warmup_steps=0, total_steps=100, mode="constant")
-    for step in (0, 50, 100):
+    sched = Schedule(warmup_steps=10, total_steps=100, constant=True)
+    for step in (1, 5, 50, 100):
         assert lr_at(step, sched, 2e-3) == 2e-3
-
-
-def test_lr_step_out_of_range():
-    sched = Schedule(warmup_steps=10, total_steps=100)
-    with pytest.raises(ValueError):
-        lr_at(-1, sched, 1e-3)
-    with pytest.raises(ValueError):
-        lr_at(101, sched, 1e-3)
-
-
-def test_schedule_validation():
-    with pytest.raises(ValueError):
-        Schedule(warmup_steps=10, total_steps=5)
-    with pytest.raises(ValueError):
-        TrainConfig(schedule_mode="cosine")
 
 
 # ---------------------------------------------------------------------------
@@ -88,21 +73,16 @@ def test_schedule_validation():
 
 def test_clip_group_scales_to_max_norm():
     grads = {"a": np.array([3.0, 0.0]), "b": np.array([0.0, 4.0])}  # joint norm 5
-    clipped = clip_group(grads, 1.0)
+    clipped = clip_group(grads)
     joint = np.sqrt(sum(float((g * g).sum()) for g in clipped.values()))
-    assert joint == pytest.approx(1.0, abs=1e-12)
+    assert joint == pytest.approx(train.CLIP_NORM, abs=1e-12)
     # direction preserved
     assert clipped["a"][0] / clipped["b"][1] == pytest.approx(0.75, abs=1e-12)
 
 
 def test_clip_group_leaves_small_gradients():
     grads = {"a": np.array([0.1, 0.1])}
-    assert clip_group(grads, 1.0) is grads
-
-
-def test_clip_group_rejects_nonpositive_norm():
-    with pytest.raises(ValueError):
-        clip_group({"a": np.ones(2)}, 0.0)
+    assert clip_group(grads) is grads
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +94,9 @@ def test_adam_first_step_hand_computed():
     params = init_params(TINY, seed=0)
     name = "loss_params.tau_raw"
     before = float(params[name].data)
-    cfg = TrainConfig(lrs={g: 0.0 for g in ("embeddings", "transformer", "candidate_tower")}
-                      | {"loss_params": 0.01}, schedule_mode="constant")
-    opt = AdamOptimizer(params, cfg, Schedule(0, 10, mode="constant"))
+    cfg = TrainConfig(lr_embeddings=0.0, lr_transformer=0.0, lr_candidate_tower=0.0,
+                      lr_loss_params=0.01)
+    opt = AdamOptimizer(params, cfg, Schedule(0, 10, constant=True))
     g = 0.5
     assert g < train.CLIP_NORM  # no rescale
     opt.step({name: np.asarray(g)})
@@ -129,10 +109,10 @@ def test_adam_respects_group_clip():
     params = init_params(TINY, seed=0)
     name = "loss_params.tau_raw"
     before = float(params[name].data)
-    cfg = TrainConfig(schedule_mode="constant")
-    opt = AdamOptimizer(params, cfg, Schedule(0, 10, mode="constant"))
+    cfg = TrainConfig()
+    opt = AdamOptimizer(params, cfg, Schedule(0, 10, constant=True))
     opt.step({name: np.asarray(500.0)})  # clipped to norm CLIP_NORM
-    lr = cfg.lrs["loss_params"]
+    lr = cfg.lr_loss_params
     expect = before - lr * train.CLIP_NORM / (train.CLIP_NORM + ADAM_EPS)
     assert float(params[name].data) == pytest.approx(expect, rel=1e-9)
 
@@ -166,12 +146,12 @@ def test_pretrain_moves_parameters(training_data, word_tokenizer):
 
 def test_zero_lr_is_identity(training_data, word_tokenizer):
     samples, groups, titles = training_data
-    zero = {g: 0.0 for g in ("embeddings", "transformer", "candidate_tower", "loss_params")}
+    zero = {f"lr_{g}": 0.0 for g in GROUP_NAMES}
     init = init_params(TINY, seed=0)
-    out = pretrain_run(samples, _run_cfg(lrs=dict(zero)), TINY, word_tokenizer, titles)
+    out = pretrain_run(samples, _run_cfg(**zero), TINY, word_tokenizer, titles)
     for n in init.names():
         assert np.array_equal(out[n].data, init[n].data), n
-    out = finetune_run(groups, init, _run_cfg(lrs=dict(zero)), word_tokenizer, titles)
+    out = finetune_run(groups, init, _run_cfg(**zero), word_tokenizer, titles)
     for n in init.names():
         assert np.array_equal(out[n].data, init[n].data), n
 
@@ -245,6 +225,37 @@ def test_continuous_finetune_marks_frozen_tensors_constant(training_data, word_t
     for n in prev.names():
         assert np.array_equal(prev[n].data, snapshot[n]), n
         assert prev[n].requires_grad and cont[n].requires_grad, n
+
+
+def test_continuous_steps_at_each_groups_configured_rate(training_data, word_tokenizer,
+                                                          monkeypatch):
+    """Every step of continuous fine-tuning takes each group's configured
+    learning rate, while fine-tuning on the same config warms up to it and
+    decays from it."""
+    _, groups, titles = training_data
+    rates = {"lr_embeddings": 1e-3, "lr_transformer": 2e-3, "lr_candidate_tower": 4e-3,
+             "lr_loss_params": 8e-3}
+    cfg = _run_cfg(max_steps=3, warmup_steps=2, **rates)
+    taken = []  # (optimizer step, the group's configured rate, the rate taken)
+    real = train.lr_at
+
+    def spy(step, schedule, base):
+        lr = real(step, schedule, base)
+        taken.append((step, base, lr))
+        return lr
+
+    monkeypatch.setattr(train, "lr_at", spy)
+    tuned = finetune_run(groups, init_params(TINY, seed=0), cfg, word_tokenizer, titles)
+    warm = taken[:]
+    taken.clear()
+    continuous_finetune(tuned, groups, cfg, word_tokenizer, titles)
+
+    for run in (warm, taken):
+        # every group steps at every step, each at its own configured rate
+        assert sorted((step, base) for step, base, _ in run) == \
+            sorted((step, base) for step in (1, 2, 3) for base in rates.values())
+    assert all(lr == base for _, base, lr in taken)
+    assert [lr / base for step, base, lr in warm if base == 1e-3] == [0.5, 1.0, 0.0]
 
 
 def test_empty_streams_rejected(training_data, word_tokenizer):
