@@ -11,12 +11,7 @@ from .types import ImpressionGroup, SIGNALS
 
 def group_relevance(group: ImpressionGroup) -> np.ndarray:
     """Binary relevance: 1 for an item with any signal (click or stronger)."""
-    rel = np.zeros(len(group.item_ids))
-    for s in SIGNALS:
-        for i, y in enumerate(group.labels[s]):
-            if y:
-                rel[i] = 1.0
-    return rel
+    return np.any([group.labels[s] for s in SIGNALS], axis=0).astype(np.float64)
 
 
 def ndcg(scores, relevances, item_ids) -> float:
@@ -27,7 +22,7 @@ def ndcg(scores, relevances, item_ids) -> float:
     ids = np.asarray(item_ids)
     if not np.any(rel > 0):
         raise ValueError("ndcg needs at least one positive relevance")
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], ids[i]))
+    order = np.lexsort((ids, -scores))
 
     def dcg(ranked_rel):
         ranks = np.arange(1, len(ranked_rel) + 1)

@@ -54,19 +54,22 @@ def bce_click(r_ui: Tensor, r_ctx: Tensor, y, params: ModelParams) -> Tensor:
     return ad.softplus(z) - ad.mul(y_t, z)
 
 
-def _calibrated_f_logit(r: Tensor, r_ctx: Tensor, signal: str, params: ModelParams) -> Tensor:
-    return (ad.mul(params[f"loss_params.gamma.{signal}"], r)
-            + ad.mul(params[f"loss_params.gamma_ctx.{signal}"], r_ctx)
-            + params[f"loss_params.beta.{signal}"])
+def calibrated_logits(r: Tensor, r_ctx: Tensor, params: ModelParams) -> Tensor:
+    """(N, S) logits gamma_s * r + gamma_ctx_s * r_ctx + beta_s of the
+    calibrated probabilities f, one column per signal of SIGNALS: the rows
+    [r, r_ctx, 1] times the (3, S) matrix of the calibration scalars."""
+    coeffs = ad.concat([ad.reshape(params[f"loss_params.{kind}.{signal}"], (1,))
+                        for kind in ("gamma", "gamma_ctx", "beta") for signal in SIGNALS])
+    rows = ad.concat([ad.reshape(r, (-1, 1)), ad.reshape(r_ctx, (-1, 1)),
+                      Tensor(np.ones((r.shape[0], 1)))], axis=1)
+    return ad.matmul(rows, ad.reshape(coeffs, (3, len(SIGNALS))))
 
 
-def bpr_calibrated(r_up: Tensor, r_un: Tensor, r_ctx: Tensor, signal: str,
-                   params: ModelParams) -> Tensor:
+def bpr_calibrated(z_up: Tensor, z_un: Tensor) -> Tensor:
     """-log( f_up / (f_up + f_un) ) with f = sigmoid of the calibrated
-    logit; the shared context score enters both items."""
-    f_up = ad.sigmoid(_calibrated_f_logit(r_up, r_ctx, signal, params))
-    f_un = ad.sigmoid(_calibrated_f_logit(r_un, r_ctx, signal, params))
-    return ad.log(f_up + f_un) - ad.log(f_up)
+    logits z, written as softplus(softplus(-z_up) - softplus(-z_un)) (log f
+    = -softplus(-z)), so that it and its gradient stay finite at any logit."""
+    return ad.softplus(ad.softplus(-z_up) - ad.softplus(-z_un))
 
 
 def finetune_objective(r_items: Tensor, r_ctx: Tensor, labels: list[dict],
@@ -78,26 +81,25 @@ def finetune_objective(r_items: Tensor, r_ctx: Tensor, labels: list[dict],
     `labels` holds one label dict per group. Per group: for each signal, the
     mean calibrated BPR over all (positive, non-positive) pairs (zero without
     a pair), plus `pointwise_weight` times the mean click BCE over its items.
+    All signals' pairs are scored in one vector; a signal without a pair in
+    the batch gets exactly zero gradient.
     """
     sizes = np.array([len(g["click"]) for g in labels])
     owner = np.repeat(np.arange(len(labels)), sizes)
-    r_col = ad.reshape(r_items, (-1, 1))
-    ctx_col = ad.reshape(r_ctx, (-1, 1))
-    total = Tensor(np.zeros(()))
-    for signal in SIGNALS:
+    up, un, weights = [], [], []
+    for s, signal in enumerate(SIGNALS):
         y = np.concatenate([g[signal] for g in labels])
         pos, neg = np.flatnonzero(y), np.flatnonzero(y == 0)
         # every (positive, negative) pair within a group, group by group
         pi, ni = np.nonzero(owner[pos, None] == owner[None, neg])
-        if pi.size == 0:
-            continue
-        p_idx, n_idx, pair_owner = pos[pi], neg[ni], owner[pos[pi]]
-        r_p = ad.reshape(ad.gather(r_col, p_idx), (-1,))
-        r_n = ad.reshape(ad.gather(r_col, n_idx), (-1,))
-        ctx = ad.reshape(ad.gather(ctx_col, p_idx), (-1,))
-        pair_losses = bpr_calibrated(r_p, r_n, ctx, signal, params)
-        weights = 1.0 / np.bincount(pair_owner)[pair_owner]  # 1 / pairs of the group
-        total = total + ad.tsum(ad.mul(pair_losses, Tensor(weights)))
+        pair_owner = owner[pos[pi]]
+        # cells (item, signal) of the flattened (N, S) logits
+        up.append(pos[pi] * len(SIGNALS) + s)
+        un.append(neg[ni] * len(SIGNALS) + s)
+        weights.append(1.0 / np.bincount(pair_owner)[pair_owner])  # 1 / pairs of the group
+    z = ad.reshape(calibrated_logits(r_items, r_ctx, params), (-1, 1))
+    pairs = bpr_calibrated(ad.gather(z, np.concatenate(up)), ad.gather(z, np.concatenate(un)))
+    total = ad.tsum(ad.mul(pairs, Tensor(np.concatenate(weights).reshape(-1, 1))))
     bce = bce_click(r_items, r_ctx, np.concatenate([g["click"] for g in labels]), params)
     total = total + ad.tsum(ad.mul(bce, Tensor(pointwise_weight / sizes[owner])))
     return ad.scale(total, 1.0 / len(labels))

@@ -94,7 +94,6 @@ class AdamOptimizer:
     def step(self, grads: dict[str, np.ndarray]) -> None:
         cfg = self.config
         self.step_count += 1
-        t = min(self.step_count, self.schedule.total_steps)
         by_group: dict[str, dict[str, np.ndarray]] = {g: {} for g in GROUP_NAMES}
         for name, g in grads.items():
             by_group[self.params.group_of(name)][name] = g
@@ -102,7 +101,7 @@ class AdamOptimizer:
             if not group_grads:
                 continue
             clipped = clip_group(group_grads)
-            lr = lr_at(t, self.schedule, getattr(cfg, f"lr_{group}"))
+            lr = lr_at(self.step_count, self.schedule, getattr(cfg, f"lr_{group}"))
             for name, g in clipped.items():
                 m = self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
                 v = self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g

@@ -60,7 +60,15 @@ def finetune_objective_bruteforce(r_items: np.ndarray, r_ctx: float,
                                   pointwise_weight: float = 0.1) -> float:
     """Independent oracle of `losses.finetune_objective` for one group:
     explicit scalar enumeration of every pair and impression, no tensor
-    machinery."""
+    machinery.
+
+    It keeps the paper's sigmoid form, so it is finite only while every
+    calibrated and click logit z is above about -709, where exp(-z)
+    overflows and f rounds to 0, and every click logit is below about 37,
+    where f rounds to 1 and the BCE takes log 0. Near that upper end
+    log(1 - f) also loses precision, by a relative error of about
+    e^z * 1e-16. `tests/test_losses.py` checks extreme logits against a
+    logaddexp closed form instead."""
 
     def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))

@@ -103,7 +103,7 @@ def test_criterion_2_analytic_loss_values():
     ln2 = np.log(2.0)
     errs.append(abs(float(bpr_original(zero, zero, Tensor(np.asarray(1.0))).data) - ln2))
     errs.append(abs(float(bce_click(zero, zero, 1.0, params).data) - ln2))
-    errs.append(abs(float(bpr_calibrated(zero, zero, zero, "click", params).data) - ln2))
+    errs.append(abs(float(bpr_calibrated(zero, zero).data) - ln2))
     # two-class softmax == sigmoid form across the logit range
     for z in np.linspace(-20.0, 20.0, 161):
         soft = float(pretrain_loss(Tensor(np.asarray(z)), Tensor(np.zeros(1)), tau).data)

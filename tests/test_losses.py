@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from tworank.autodiff import Tensor, backward, gradcheck
-from tworank.losses import (bce_click, bpr_calibrated, finetune_objective,
-                            pretrain_loss_matrix, temperature)
+from tworank.losses import (bce_click, bpr_calibrated, calibrated_logits,
+                            finetune_objective, pretrain_loss_matrix, temperature)
 from tworank.model import TowerConfig, init_params
+from tworank.types import SIGNALS
 
 from oracles import bpr_original, finetune_objective_bruteforce, pretrain_loss
 
@@ -140,10 +141,16 @@ def test_bpr_original_unit_margin():
     assert float(loss.data) == pytest.approx(np.log1p(np.exp(-1.0)), abs=1e-9)
 
 
+def _pair_loss(r_up, r_un, r_ctx, params, signal="click"):
+    """Calibrated BPR of one pair sharing the context score r_ctx, through
+    `calibrated_logits`."""
+    z = calibrated_logits(Tensor(np.array([r_up, r_un])), Tensor(np.full(2, r_ctx)), params)
+    z_up, z_un = z.data[:, SIGNALS.index(signal)]
+    return float(bpr_calibrated(Tensor(z_up), Tensor(z_un)).data)
+
+
 def test_bpr_calibrated_equal_scores_is_log_two(params):
-    same = Tensor(np.asarray(0.4))
-    loss = bpr_calibrated(same, same, Tensor(np.asarray(0.0)), "click", params)
-    assert float(loss.data) == pytest.approx(LN2, abs=1e-9)
+    assert _pair_loss(0.4, 0.4, 0.0, params) == pytest.approx(LN2, abs=1e-9)
 
 
 def test_bpr_calibrated_closed_form(params):
@@ -151,19 +158,30 @@ def test_bpr_calibrated_closed_form(params):
     r_up, r_un, r_ctx = 1.0, 0.0, 0.0
     f_up, f_un = _sigmoid(r_up + r_ctx), _sigmoid(r_un + r_ctx)
     expect = -np.log(f_up / (f_up + f_un))
-    loss = bpr_calibrated(Tensor(np.asarray(r_up)), Tensor(np.asarray(r_un)),
-                          Tensor(np.asarray(r_ctx)), "click", params)
-    assert float(loss.data) == pytest.approx(expect, abs=1e-9)
+    assert _pair_loss(r_up, r_un, r_ctx, params) == pytest.approx(expect, abs=1e-9)
 
 
 def test_bpr_calibrated_context_shifts_both_items(params):
     """A strongly negative shared context pushes both f toward 0 and the
     pair loss toward the original BPR value."""
-    up, un = Tensor(np.asarray(1.0)), Tensor(np.asarray(0.0))
-    base = float(bpr_calibrated(up, un, Tensor(np.asarray(0.0)), "click", params).data)
-    shifted = float(bpr_calibrated(up, un, Tensor(np.asarray(-8.0)), "click", params).data)
-    bpr = float(bpr_original(up, un, params["loss_params.gamma.click"]).data)
+    base = _pair_loss(1.0, 0.0, 0.0, params)
+    shifted = _pair_loss(1.0, 0.0, -8.0, params)
+    bpr = float(bpr_original(Tensor(np.asarray(1.0)), Tensor(np.asarray(0.0)),
+                             params["loss_params.gamma.click"]).data)
     assert abs(shifted - bpr) < abs(base - bpr)
+
+
+def test_bpr_calibrated_finite_at_extreme_logits():
+    """Where both sigmoids underflow to 0, the loss and its gradient stay
+    finite: ln(1 + e^10) at (-760, -750), 800 - ln 2 at (-800, 0)."""
+    for (z_up, z_un), expect in (((-760.0, -750.0), 10.0 + np.log1p(np.exp(-10.0))),
+                                 ((-800.0, 0.0), 800.0 - LN2)):
+        up = Tensor(np.asarray(z_up), requires_grad=True)
+        un = Tensor(np.asarray(z_un), requires_grad=True)
+        loss = bpr_calibrated(up, un)
+        assert float(loss.data) == pytest.approx(expect, rel=1e-12)
+        grads = backward(loss, [up, un])
+        assert all(np.isfinite(g) for g in grads.values())
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +286,9 @@ def test_batched_objective_is_mean_of_group_oracles(params):
     assert worst <= 1e-12
 
 
-def test_batched_objective_gradcheck(params):
-    """Gradients with respect to the item scores, the context scores and
-    the calibration scalars match central finite differences."""
-    rng = np.random.default_rng(12)
-    params = _perturbed(params, rng)
+def _objective_and_point(params, rng):
+    """The batched objective as a function of the item scores, the context
+    scores and the calibration scalars, and a random point for it."""
     r, group_ctx, sizes, labels = _random_batch(rng, 5)
     scalars = [n for n in params.names()
                if n.startswith("loss_params.") and n != "loss_params.tau_raw"
@@ -284,6 +300,77 @@ def test_batched_objective_gradcheck(params):
             p.tensors[name] = value
         return finetune_objective(r_items, r_ctx, labels, p)
 
-    report = gradcheck(objective, [r, np.repeat(group_ctx, sizes)]
-                       + [params[n].data for n in scalars])
+    return objective, [r, np.repeat(group_ctx, sizes)] + [params[n].data for n in scalars]
+
+
+def test_batched_objective_gradcheck(params):
+    """Gradients with respect to the item scores, the context scores and
+    the calibration scalars match central finite differences."""
+    rng = np.random.default_rng(12)
+    report = gradcheck(*_objective_and_point(_perturbed(params, rng), rng))
     assert report.passed, report
+
+
+def test_batched_objective_gradcheck_at_extreme_logits(params):
+    """Where every calibrated logit is far below -745, the gradients are
+    finite (gradcheck alone would not see a NaN) and match central finite
+    differences."""
+    rng = np.random.default_rng(12)
+    objective, point = _objective_and_point(_extreme(params, rng), rng)
+    inputs = [Tensor(np.asarray(p), requires_grad=True) for p in point]
+    grads = backward(objective(*inputs), inputs)
+    assert all(np.all(np.isfinite(g)) for g in grads.values())
+    report = gradcheck(objective, point)
+    assert report.passed, report
+
+
+def _extreme(params, rng):
+    """Calibration scalars that put every signal's logits far below -745,
+    where each sigmoid underflows to 0, and one signal's spread over
+    (-1600, 0)."""
+    params = _perturbed(params, rng)
+    for signal in SIGNALS:
+        params[f"loss_params.beta.{signal}"].data = np.asarray(-800.0 + rng.normal())
+    params["loss_params.gamma.cart"].data = np.asarray(400.0)
+    return params
+
+
+def _objective_closed_form(r, r_ctx, labels, params, pointwise_weight=0.1):
+    """One group's objective in float64 through np.logaddexp, with no
+    tensor machinery: log f = -logaddexp(0, -z), a pair's loss is
+    logaddexp(log f_p, log f_n) - log f_p, and the click BCE is
+    logaddexp(0, z) - y * z. Finite at any logit."""
+    def scalar(name):
+        return float(params[name].data)
+
+    total = 0.0
+    for signal in SIGNALS:
+        y = np.asarray(labels[signal])
+        z = (scalar(f"loss_params.gamma.{signal}") * r
+             + scalar(f"loss_params.gamma_ctx.{signal}") * r_ctx
+             + scalar(f"loss_params.beta.{signal}"))
+        log_f = -np.logaddexp(0.0, -z)
+        lp, ln = np.meshgrid(log_f[y != 0], log_f[y == 0], indexing="ij")
+        if lp.size:
+            total += float(np.mean(np.logaddexp(lp, ln) - lp))
+    z = (scalar("loss_params.alpha_cl") * r + scalar("loss_params.alpha_ctx") * r_ctx
+         + scalar("loss_params.beta_cl"))
+    y = np.asarray(labels["click"])
+    return total + pointwise_weight * float(np.mean(np.logaddexp(0.0, z) - y * z))
+
+
+def test_objective_matches_closed_form_at_extreme_logits(params):
+    """Far below the range of the sigmoid-form oracle, the objective
+    matches an independent logaddexp closed form."""
+    rng = np.random.default_rng(13)
+    params = _extreme(params, rng)
+    for _ in range(50):
+        n = int(rng.integers(2, 7))
+        r = rng.normal(size=n)
+        r_ctx = float(rng.normal())
+        labels = _random_group(rng, n)
+        got = float(_one_group(r, r_ctx, labels, params).data)
+        want = _objective_closed_form(r, r_ctx, labels, params)
+        assert np.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
