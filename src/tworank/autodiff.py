@@ -615,7 +615,7 @@ def gradcheck(f: Callable, point: Sequence[np.ndarray], tol: float = 1e-4) -> Gr
     inputs = [Tensor(np.asarray(p, dtype=np.float64), requires_grad=True) for p in point]
     out = f(*inputs)
     analytic = backward(out, inputs)
-    max_err = 0.0
+    errors = []
     for t in inputs:
         base = t.data.copy()
         num = np.zeros_like(base)
@@ -635,6 +635,6 @@ def gradcheck(f: Callable, point: Sequence[np.ndarray], tol: float = 1e-4) -> Gr
             nflat[i] = (fp - fm) / (2.0 * GRADCHECK_STEP)
         a = analytic[t]
         denom = np.maximum(np.abs(a) + np.abs(num), 1.0)
-        err = float(np.max(np.abs(a - num) / denom)) if a.size else 0.0
-        max_err = max(max_err, err)
-    return GradcheckReport(max_err, tol)
+        errors.append(float(np.max(np.abs(a - num) / denom)) if a.size else 0.0)
+    # np.max, unlike max, keeps a NaN error, so that it fails the check
+    return GradcheckReport(float(np.max(errors, initial=0.0)), tol)

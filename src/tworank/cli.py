@@ -10,6 +10,8 @@ import os
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from .config import ConfigError, EvalConfig, RunConfig, load_config
 from .dataset import serving_histories
 from .model import ModelParams, init_params
@@ -26,20 +28,10 @@ EXIT_MISSING = 3
 EXIT_INVARIANT = 4
 
 
-class MissingArtifact(FileNotFoundError):
-    pass
-
-
-def _artifact(out_dir: str, name: str, must_exist: bool = False) -> str:
-    path = os.path.join(out_dir, name)
-    if must_exist and not os.path.exists(path):
-        raise MissingArtifact(path)
-    return path
-
-
-def _load_inputs(cfg: RunConfig, out_dir: str):
+def _world_and_logs(cfg: RunConfig, out_dir: str):
+    """The [world] and the logs in `out_dir`, which must come from it."""
     world = generate_world(cfg.world)
-    logs_path = _artifact(out_dir, "logs.ndjson", must_exist=True)
+    logs_path = os.path.join(out_dir, "logs.ndjson")
     catalog, records = read_logs(logs_path)
     # the towers read titles from the world, so the logs must come from it
     world_catalog = dict(enumerate(zip(world.titles, world.item_categories.tolist())))
@@ -53,29 +45,26 @@ def _load_inputs(cfg: RunConfig, out_dir: str):
     if stranger is not None:
         raise ValueError(f"{logs_path}: logged user {stranger} is outside the [world] "
                          f"config's n_users of {n_users}")
-    vocab_path = _artifact(out_dir, "vocab.txt", must_exist=True)
+    return world, records
+
+
+def _bundle(cfg: RunConfig, out_dir: str):
+    world, records = _world_and_logs(cfg, out_dir)
+    vocab_path = os.path.join(out_dir, "vocab.txt")
     vocab = Vocab.load(vocab_path)
     # piece ids index the content table, which has [model] vocab_size rows
     if len(vocab) > cfg.model.vocab_size:
         raise ValueError(f"{vocab_path}: {len(vocab)} pieces, more than the [model] vocab_size "
                          f"of {cfg.model.vocab_size}; run build-vocab with this config")
-    return world, records, vocab
-
-
-def _bundle(cfg: RunConfig, out_dir: str):
-    world, records, vocab = _load_inputs(cfg, out_dir)
     return build_bundle(cfg.world, vocab_size=cfg.model.vocab_size,
-                        max_history=cfg.model.max_history,
-                        include_web=cfg.data.include_web, delay=cfg.data.delay,
-                        test_days=cfg.data.test_days,
-                        eval_groups_per_user=cfg.data.eval_groups_per_user,
+                        max_history=cfg.model.max_history, **asdict(cfg.data),
                         world=world, records=records, vocab=vocab)
 
 
 def cmd_gen_data(cfg: RunConfig, ec: EvalConfig, args) -> int:
     world = generate_world(cfg.world)
     records = simulate_logs(world)
-    path = _artifact(args.out, "logs.ndjson")
+    path = os.path.join(args.out, "logs.ndjson")
     write_logs(world, records, path)
     n_imp = sum(1 for r in records if not hasattr(r, "event"))
     print(f"gen-data: wrote {len(records)} records ({n_imp} impressions) to {path}")
@@ -83,20 +72,16 @@ def cmd_gen_data(cfg: RunConfig, ec: EvalConfig, args) -> int:
 
 
 def cmd_build_vocab(cfg: RunConfig, ec: EvalConfig, args) -> int:
-    logs_path = _artifact(args.out, "logs.ndjson", must_exist=True)
-    catalog, records = read_logs(logs_path)
-    corpus = [title for title, _cat in catalog.values()]
-    corpus += [r.event.text for r in records if hasattr(r, "event")]
-    vocab = build_vocab(corpus, cfg.model.vocab_size)
-    path = _artifact(args.out, "vocab.txt")
+    world, _ = _world_and_logs(cfg, args.out)
+    vocab = build_vocab(world.title_corpus(), cfg.model.vocab_size)
+    path = os.path.join(args.out, "vocab.txt")
     vocab.save(path)
     print(f"build-vocab: {len(vocab)} pieces -> {path}")
     return EXIT_OK
 
 
-def _checkpoint_to_train(cfg: RunConfig, out_dir: str, name: str) -> ModelParams:
-    """A checkpoint to train further: its tower must be the run's [model]."""
-    path = _artifact(out_dir, name, must_exist=True)
+def _checkpoint(cfg: RunConfig, path: str) -> ModelParams:
+    """The checkpoint at `path`; its tower must be the run's [model]."""
     params = ModelParams.load(path)
     ckpt, run = asdict(params.config), asdict(cfg.model)
     diff = [f"{k} = {ckpt[k]!r}, not {run[k]!r}" for k in run if ckpt[k] != run[k]]
@@ -110,7 +95,7 @@ def cmd_pretrain(cfg: RunConfig, ec: EvalConfig, args) -> int:
     bundle = _bundle(cfg, args.out)
     params = pretrain_run(bundle.pretrain_train, cfg.pretrain, cfg.model,
                           bundle.tokenize_fn, bundle.titles)
-    path = _artifact(args.out, "pretrain.ckpt")
+    path = os.path.join(args.out, "pretrain.ckpt")
     params.save(path)
     print(f"pretrain: {len(bundle.pretrain_train)} samples -> {path}")
     return EXIT_OK
@@ -119,12 +104,12 @@ def cmd_pretrain(cfg: RunConfig, ec: EvalConfig, args) -> int:
 def cmd_finetune(cfg: RunConfig, ec: EvalConfig, args) -> int:
     bundle = _bundle(cfg, args.out)
     if args.init == "pretrain":
-        params = _checkpoint_to_train(cfg, args.out, "pretrain.ckpt")
+        params = _checkpoint(cfg, os.path.join(args.out, "pretrain.ckpt"))
     else:
         params = init_params(cfg.model, seed=cfg.finetune.seed)
     params = finetune_run(bundle.finetune_train, params, cfg.finetune,
                           bundle.tokenize_fn, bundle.titles)
-    path = _artifact(args.out, "finetune.ckpt")
+    path = os.path.join(args.out, "finetune.ckpt")
     params.save(path)
     print(f"finetune: {len(bundle.finetune_train)} groups -> {path}")
     return EXIT_OK
@@ -132,41 +117,42 @@ def cmd_finetune(cfg: RunConfig, ec: EvalConfig, args) -> int:
 
 def cmd_continuous(cfg: RunConfig, ec: EvalConfig, args) -> int:
     bundle = _bundle(cfg, args.out)
-    prev = _checkpoint_to_train(cfg, args.out, "finetune.ckpt")
+    prev = _checkpoint(cfg, os.path.join(args.out, "finetune.ckpt"))
     params = continuous_finetune(prev, bundle.finetune_test, cfg.finetune,
                                  bundle.tokenize_fn, bundle.titles)
-    path = _artifact(args.out, "continuous.ckpt")
+    path = os.path.join(args.out, "continuous.ckpt")
     params.save(path)
     print(f"continuous: {len(bundle.finetune_test)} new groups -> {path}")
     return EXIT_OK
 
 
 def _best_checkpoint(out_dir: str) -> str:
-    for name in ("continuous.ckpt", "finetune.ckpt", "pretrain.ckpt"):
-        path = os.path.join(out_dir, name)
-        if os.path.exists(path):
-            return path
-    raise MissingArtifact(os.path.join(out_dir, "finetune.ckpt"))
+    """The last checkpoint of the chain in `out_dir`; finetune.ckpt's path
+    if there is none."""
+    paths = [os.path.join(out_dir, name)
+             for name in ("continuous.ckpt", "finetune.ckpt", "pretrain.ckpt")]
+    return next((p for p in paths if os.path.exists(p)), paths[1])
 
 
 def cmd_export(cfg: RunConfig, ec: EvalConfig, args) -> int:
     bundle = _bundle(cfg, args.out)
-    params = ModelParams.load(args.checkpoint or _best_checkpoint(args.out))
+    ckpt = args.checkpoint or _best_checkpoint(args.out)
+    params = _checkpoint(cfg, ckpt)
     histories = serving_histories(bundle.records, range(cfg.world.n_users),
                                   cfg.world.days, cfg.data.delay,
                                   cfg.model.max_history, bundle.include_web)
     users, items = export_embeddings(params, histories, bundle.titles,
                                      bundle.tokenize_fn)
-    upath = _artifact(args.out, "users.emb")
-    ipath = _artifact(args.out, "items.emb")
+    upath = os.path.join(args.out, "users.emb")
+    ipath = os.path.join(args.out, "items.emb")
     users.save(upath)
     items.save(ipath)
-    print(f"export: {len(users)} users -> {upath}, {len(items)} items -> {ipath}")
+    print(f"export: {ckpt}: {len(users)} users -> {upath}, {len(items)} items -> {ipath}")
     return EXIT_OK
 
 
 def _emb_table(out_dir: str, name: str, kind: int) -> EmbeddingTable:
-    path = _artifact(out_dir, name, must_exist=True)
+    path = os.path.join(out_dir, name)
     table = EmbeddingTable.load(path)
     if table.kind != kind:
         raise ValueError(f"{path}: holds {KIND_NAMES[table.kind]} embeddings, "
@@ -178,8 +164,8 @@ def cmd_score(cfg: RunConfig, ec: EvalConfig, args) -> int:
     users = _emb_table(args.out, "users.emb", KIND_USER)
     items = _emb_table(args.out, "items.emb", KIND_ITEM)
     if users.dim != items.dim:
-        raise ValueError(f"{_artifact(args.out, 'users.emb')} holds dim {users.dim}, but "
-                         f"{_artifact(args.out, 'items.emb')} holds dim {items.dim}")
+        raise ValueError(f"{os.path.join(args.out, 'users.emb')} holds dim {users.dim}, but "
+                         f"{os.path.join(args.out, 'items.emb')} holds dim {items.dim}")
     if args.user not in users:
         print(f"unknown user id {args.user}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -203,16 +189,17 @@ def cmd_score(cfg: RunConfig, ec: EvalConfig, args) -> int:
 
 def cmd_evaluate(cfg: RunConfig, ec: EvalConfig, args) -> int:
     bundle = _bundle(cfg, args.out)
-    params = ModelParams.load(args.checkpoint or _best_checkpoint(args.out))
+    ckpt = args.checkpoint or _best_checkpoint(args.out)
+    params = _checkpoint(cfg, ckpt)
     metrics = eval_metrics(bundle, params)
     calib = calibration_report(bundle, params, bundle.finetune_test,
                                use_context=cfg.finetune.use_context)
     payload = {"ndcg": metrics, "calibration": calib,
                "config": asdict(cfg)}
-    path = _artifact(args.out, "metrics.json")
+    path = os.path.join(args.out, "metrics.json")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
-    print(f"evaluate: retargeting={metrics['retargeting']:.4f} "
+    print(f"evaluate: {ckpt}: retargeting={metrics['retargeting']:.4f} "
           f"discovery={metrics['discovery']:.4f} -> {path}")
     return EXIT_OK
 
@@ -228,12 +215,12 @@ def cmd_ablate(cfg: RunConfig, ec: EvalConfig, args) -> int:
     rows = [{"metric": f"ndcg/{cell}", "surface": surface, "seed": seed, "value": value}
             for cell in cells for seed in seeds
             for surface, value in metrics[cell, seed].items()]
-    tsv = _artifact(args.out, "results.tsv")
+    tsv = os.path.join(args.out, "results.tsv")
     with open(tsv, "w") as fh:
         fh.write("metric\tsurface_filter\tseed\tvalue\n")
         for r in rows:
             fh.write(f"{r['metric']}\t{r['surface']}\t{r['seed']}\t{r['value']:.6f}\n")
-    jpath = _artifact(args.out, "results.json")
+    jpath = os.path.join(args.out, "results.json")
     with open(jpath, "w") as fh:
         json.dump(rows, fh, indent=2)
     print(f"ablate: {len(rows)} rows -> {tsv}")
@@ -243,7 +230,7 @@ def cmd_ablate(cfg: RunConfig, ec: EvalConfig, args) -> int:
 def cmd_gradcheck(cfg: RunConfig, ec: EvalConfig, args) -> int:
     from .gradsuite import run_gradcheck_suite
     results = run_gradcheck_suite()
-    worst = max(r.max_rel_error for r in results.values())
+    worst = np.max([r.max_rel_error for r in results.values()])  # a NaN error is the worst
     for name, rep in results.items():
         status = "pass" if rep.passed else "FAIL"
         print(f"gradcheck {name}: {status} (max rel err {rep.max_rel_error:.2e})")
@@ -284,22 +271,14 @@ def main(argv=None) -> int:
 
     try:
         cfg, ec = load_config(args.config, args.overrides, seed=args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"missing input: {exc}", file=sys.stderr)
-        return EXIT_MISSING
-
-    os.makedirs(args.out, exist_ok=True)
-    try:
+        os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](cfg, ec, args)
-    except MissingArtifact as exc:
-        print(f"missing input artifact: {exc}", file=sys.stderr)
-        return EXIT_MISSING
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        print(f"missing input: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_MISSING
     except ValueError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -115,13 +115,16 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
     values["finetune"]["epochs"] = 1  # the one default that differs from its type's
     if path is not None:
         parser = configparser.ConfigParser()
-        if not parser.read(path):
-            raise FileNotFoundError(path)
-        for section in parser.sections():
-            if section not in values:
-                raise ConfigError(f"unknown section [{section}]")
-            for key, value in parser.items(section):
-                _set_key(values[section], section, key, value)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
+            for section in parser.sections():
+                if section not in values:
+                    raise ConfigError(f"unknown section [{section}]")
+                for key, value in parser.items(section):
+                    _set_key(values[section], section, key, value)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     for ov in overrides or []:
         if "=" not in ov or "." not in ov.split("=", 1)[0]:

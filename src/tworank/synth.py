@@ -211,7 +211,7 @@ def _slate(world: SynthWorld, cat: int, rng) -> tuple[list[int], dict[str, list[
 P_FVRT, P_CART, P_PRCH = 0.12, 0.3, 0.35
 
 
-def _funnel_events(user: int, day: int, item: int, title: str, surface, rng):
+def _funnel_events(day: int, item: int, title: str, surface, rng):
     """Click plus optional deeper funnel steps, in funnel order."""
     events = [Event(day, EventType.CLICK, title, int(item), surface)]
     signals = {"click": 1, "cart": 0, "fvrt": 0, "prch": 0}
@@ -251,7 +251,7 @@ def simulate_logs(world: SynthWorld) -> list[LogRecord]:
                     item = int(cand[rng.integers(0, len(cand))])
                 else:
                     item = int(rng.integers(0, cfg.n_items))
-                events, _ = _funnel_events(user, day, item, world.titles[item], None, rng)
+                events, _ = _funnel_events(day, item, world.titles[item], None, rng)
                 records.extend(EventRecord(user, e) for e in events)
 
             # impressions with context bias in the labels
@@ -271,7 +271,7 @@ def simulate_logs(world: SynthWorld) -> list[LogRecord]:
                                        + b_ctx + cfg.click_offset)
                     if rng.random() < p_click:
                         events, signals = _funnel_events(
-                            user, day, item, world.titles[item], surface, rng)
+                            day, item, world.titles[item], surface, rng)
                         records.extend(EventRecord(user, e) for e in events)
                         for s, v in signals.items():
                             labels[s][pos] = v

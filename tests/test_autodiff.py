@@ -203,6 +203,14 @@ def test_gradcheck_detects_wrong_gradient():
     assert not rep.passed
 
 
+def test_gradcheck_fails_on_a_nan_error():
+    """log at -1 has a finite gradient but NaN finite differences; the NaN
+    is the reported error, not the 0 it started from."""
+    with np.errstate(invalid="ignore"):
+        rep = gradcheck(lambda x: ad.tsum(ad.log(x)), [np.array([-1.0, 2.0])])
+    assert np.isnan(rep.max_rel_error) and not rep.passed
+
+
 # ---------------------------------------------------------------------------
 # errors and modes
 # ---------------------------------------------------------------------------

@@ -10,13 +10,15 @@ from unittest.mock import Mock
 import numpy as np
 import pytest
 
-from tworank import cli, pipeline
-from tworank.autodiff import Tensor
+from tworank import cli, gradsuite, pipeline
+from tworank.autodiff import GradcheckReport, Tensor
 from tworank.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_MISSING, EXIT_OK, main
+from tworank.config import load_config
 from tworank.model import ModelParams
 from tworank.pipeline import build_bundle
 from tworank.serving import KIND_ITEM, EmbeddingTable
-from tworank.text import Vocab
+from tworank.synth import generate_world
+from tworank.text import Vocab, build_vocab
 from tworank.types import SIGNALS
 
 FAST = [
@@ -285,6 +287,10 @@ def test_logs_of_another_world_exit_code(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "logged item 0" in err and "seed 1" in err and "Traceback" not in err
     assert not (out / "pretrain.ckpt").exists()
+    assert run("build-vocab", out, "--seed", "1") == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "logged item 0" in err and "seed 1" in err and "Traceback" not in err
+    assert (out / "vocab.txt").read_bytes() == (workspace / "vocab.txt").read_bytes()
 
 
 @pytest.mark.parametrize("n_users", [1, 10])
@@ -325,6 +331,45 @@ def test_missing_artifact_exit_code(tmp_path):
     assert run("export", tmp_path / "empty2") == EXIT_MISSING
 
 
+def test_build_vocab_reads_the_world_titles(workspace):
+    """build-vocab builds the vocabulary the library builds: from the
+    [world]'s titles and category words, not from the logged texts."""
+    cfg, _ = load_config(None, FAST)
+    vocab = build_vocab(generate_world(cfg.world).title_corpus(), cfg.model.vocab_size)
+    assert Vocab.load(workspace / "vocab.txt").tokens == vocab.tokens
+
+
+@pytest.mark.parametrize("command", ["evaluate", "export"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_checkpoint_that_names_no_file_exit_code(workspace, tmp_path, capsys, command, kind):
+    """A --checkpoint that names no file exits 3 naming the path."""
+    out = tmp_path / "nockpt"
+    out.mkdir()
+    for name in ("logs.ndjson", "vocab.txt"):
+        (out / name).write_bytes((workspace / name).read_bytes())
+    ckpt = out / "given.ckpt"
+    if kind == "directory":
+        ckpt.mkdir()
+    assert run(command, out, "--checkpoint", str(ckpt)) == EXIT_MISSING
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert str(ckpt) in captured.err
+    assert {p.name for p in out.iterdir()} <= {"logs.ndjson", "vocab.txt", "given.ckpt"}
+
+
+def test_evaluate_and_export_name_the_checkpoint(workspace, tmp_path, capsys):
+    """Each prints the checkpoint it read; metrics.json does not name it, so
+    that two runs in different directories write the same bytes."""
+    out = tmp_path / "named"
+    out.mkdir()
+    for name in ("logs.ndjson", "vocab.txt", "finetune.ckpt"):
+        (out / name).write_bytes((workspace / name).read_bytes())
+    for command in ("evaluate", "export"):
+        assert run(command, out) == EXIT_OK
+        assert str(out / "finetune.ckpt") in capsys.readouterr().out
+    assert "finetune.ckpt" not in (out / "metrics.json").read_text()
+
+
 def test_bad_override_exit_code(tmp_path):
     assert main(["gen-data", "--out", str(tmp_path), "--set", "world.n_items=lots"]) \
         == EXIT_CONFIG
@@ -363,10 +408,37 @@ def test_missing_config_file_exit_code(tmp_path):
                  "--config", str(tmp_path / "none.ini")]) == EXIT_MISSING
 
 
+@pytest.mark.parametrize("raw", [
+    pytest.param(b"n_items = 50\n", id="no-section-header"),
+    pytest.param(b"[world]\nn_items = 50\nn_items = 60\n", id="key-given-twice"),
+    pytest.param(b"[world]\nn_items = 5\xff\n", id="not-utf-8"),
+    pytest.param(b"[eval]\nseeds = 5%\n", id="bare-percent-sign"),
+])
+def test_unreadable_config_file_exit_code(tmp_path, capsys, raw):
+    """A config file that cannot be parsed is a config error naming it."""
+    path = tmp_path / "bad.ini"
+    path.write_bytes(raw)
+    assert main(["gen-data", "--out", str(tmp_path / "out"), "--config", str(path)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_gradcheck_command(tmp_path, capsys):
     assert main(["gradcheck", "--out", str(tmp_path)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "all passed" in out
+
+
+def test_gradcheck_command_reports_a_nan_as_the_worst(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(gradsuite, "run_gradcheck_suite", lambda: {
+        "first": GradcheckReport(1e-9, 1e-4), "broken": GradcheckReport(float("nan"), 1e-4),
+        "last": GradcheckReport(1e-8, 1e-4)})
+    assert main(["gradcheck", "--out", str(tmp_path)]) == EXIT_INVARIANT
+    out = capsys.readouterr().out
+    assert "gradcheck broken: FAIL (max rel err nan)" in out
+    assert "gradcheck: FAILED (worst nan)" in out
 
 
 def test_ablate_single_cell(workspace, tmp_path):
@@ -456,18 +528,21 @@ def test_finetune_fresh_init(workspace, tmp_path):
     ("finetune", "model.user_layers=2", "user_layers = 1, not 2"),
     ("finetune", "model.max_history=24", "max_history = 12, not 24"),
     ("continuous", "model.max_history=24", "max_history = 12, not 24"),
+    ("evaluate", "model.max_history=8", "max_history = 12, not 8"),
+    ("export", "model.max_history=8", "max_history = 12, not 8"),
 ])
 def test_checkpoint_of_another_tower_exit_code(workspace, tmp_path, capsys, command,
                                                override, named):
-    """Training goes on from a checkpoint only with the [model] it was saved
-    with; the error names each field that differs."""
+    """A checkpoint is read only with the [model] it was saved with, to
+    train it further or to score with it; the error names each field that
+    differs, and the command writes nothing."""
     out = tmp_path / "othertower"
     out.mkdir()
-    start = {"finetune": "pretrain.ckpt", "continuous": "finetune.ckpt"}[command]
+    start = {"finetune": "pretrain.ckpt"}.get(command, "finetune.ckpt")
     for name in ("logs.ndjson", "vocab.txt", start):
         (out / name).write_bytes((workspace / name).read_bytes())
     assert run(command, out, "--set", override) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert named in captured.err and start in captured.err
-    assert not (out / f"{command}.ckpt").exists()
+    assert sorted(p.name for p in out.iterdir()) == sorted(["logs.ndjson", "vocab.txt", start])

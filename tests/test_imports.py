@@ -2,8 +2,8 @@
 serving path does not depend on the trainer, every public function,
 class, method or property is named by the program (the references that
 only tests call live in `tests/oracles.py`), every attribute the package
-stores on `self` is read, and no check is an `assert`, which `python -O`
-strips."""
+stores on `self` is read, every parameter of a private function is read,
+and no check is an `assert`, which `python -O` strips."""
 
 import ast
 from pathlib import Path
@@ -158,6 +158,37 @@ def test_scanner_catches_a_method_nothing_runs():
                      "Box().called()\n")
     assert _public_definitions(tree) == {"Box", "called", "idle", "size"}
     assert _public_definitions(tree) - _named(tree) == {"idle", "size"}
+
+
+def _unread_parameters(tree: ast.Module) -> list[str]:
+    """`function(parameter)` for each parameter that the body of an
+    undecorated, module-level, `_`-named function never reads. Decorated
+    functions (the autodiff kernels) take a fixed signature."""
+    out = []
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+                and not fn.decorator_list):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [f"{fn.name}({p.arg})" for p in params if p.arg not in read]
+    return out
+
+
+def test_every_parameter_of_a_private_function_is_read():
+    unread = [f"{p.name}: {entry}" for p in MODULES
+              for entry in _unread_parameters(ast.parse(p.read_text(encoding="utf-8")))]
+    assert not unread, f"parameters that nothing reads: {unread}"
+
+
+def test_scanner_catches_a_parameter_nothing_reads():
+    tree = ast.parse("def _f(a, b, *rest, c, **kw):\n    return a + c\n"
+                     "def _g(x, y):\n    def inner():\n        return y\n    x = 1\n"
+                     "@deco\ndef _h(unread): pass\ndef public(unread): pass\n"
+                     "class Box:\n    def _m(self, unread): pass\n")
+    assert _unread_parameters(tree) == ["_f(b)", "_f(rest)", "_f(kw)", "_g(x)"]
 
 
 def _assert_lines(tree: ast.Module) -> list[int]:
