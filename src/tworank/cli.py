@@ -271,12 +271,16 @@ def main(argv=None) -> int:
 
     try:
         cfg, ec = load_config(args.config, args.overrides, seed=args.seed)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:  # a file on the path, or no permission
+            raise ConfigError(f"--out {args.out}: cannot make the output directory: "
+                              f"{exc.strerror}") from None
         return _COMMANDS[args.command](cfg, ec, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"missing input: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_MISSING
     except ValueError as exc:

@@ -131,18 +131,24 @@ def generate_world(config: SynthConfig) -> SynthWorld:
             v = centers[c] + 1.0 * rng.normal(size=m)
             word_vectors[w] = v / np.linalg.norm(v)
 
+    # the per-item draws interleave in one stream, so they stay in this loop
     titles = []
-    item_latents = np.empty((config.n_items, m))
-    for i in range(config.n_items):
-        words = category_words[item_categories[i]]
-        picks = rng.choice(len(words), size=3, replace=False)
-        title_words = [words[j] for j in picks]
-        z = np.mean([word_vectors[w] for w in title_words], axis=0)
-        item_latents[i] = z / np.linalg.norm(z)
-        title = list(title_words)
-        title.append(_COMMON[rng.integers(0, len(_COMMON))])
-        title.append(f"sku{i % 97}")
-        titles.append(" ".join(title))
+    picks = np.empty((config.n_items, 3), dtype=np.intp)
+    for i, c in enumerate(item_categories.tolist()):
+        words = category_words[c]
+        p = picks[i] = rng.choice(per_cat, size=3, replace=False)
+        common = _COMMON[rng.integers(0, len(_COMMON))]
+        titles.append(f"{words[p[0]]} {words[p[1]]} {words[p[2]]} {common} sku{i % 97}")
+
+    # categories may share words (n_categories > 12); a word's vector is its
+    # last draw. The steps are np.mean's and the per-row np.linalg.norm's, so
+    # the latents are bit-equal to a per-item loop.
+    table = np.array([[word_vectors[w] for w in words] for words in category_words])
+    item_latents = table[item_categories, picks[:, 0]]
+    item_latents += table[item_categories, picks[:, 1]]
+    item_latents += table[item_categories, picks[:, 2]]
+    item_latents /= 3
+    item_latents /= np.sqrt(np.matmul(item_latents[:, None, :], item_latents[:, :, None])[:, 0])
 
     user_primary = rng.integers(0, C, size=config.n_users)
     shift = rng.integers(1, C, size=config.n_users)
@@ -191,15 +197,17 @@ def _query_text(world: SynthWorld, user: int, day: int, rng) -> str:
     return " ".join(words[j] for j in picks)
 
 
-def _items_of_category(world: SynthWorld, cat: int) -> np.ndarray:
-    return np.nonzero(world.item_categories == cat)[0]
+def _category_items(world: SynthWorld) -> list[np.ndarray]:
+    """Each category's item ids, ascending."""
+    return [np.nonzero(world.item_categories == c)[0]
+            for c in range(world.config.n_categories)]
 
 
-def _slate(world: SynthWorld, cat: int, rng) -> tuple[list[int], dict[str, list[int]]]:
+def _slate(world: SynthWorld, in_cat: np.ndarray, rng) -> tuple[list[int], dict[str, list[int]]]:
     """An impression group's items (up to group_size - 2 distinct ones from
-    category `cat`, the rest uniform over the catalog) and all-zero labels."""
+    `in_cat`, one category's items, the rest uniform over the catalog) and
+    all-zero labels."""
     cfg = world.config
-    in_cat = _items_of_category(world, cat)
     k_rel = max(cfg.group_size - 2, 1)
     rel = rng.choice(in_cat, size=min(k_rel, len(in_cat)), replace=False)
     rest = rng.integers(0, cfg.n_items, size=cfg.group_size - len(rel))
@@ -231,6 +239,7 @@ def simulate_logs(world: SynthWorld) -> list[LogRecord]:
     """Day-ordered stream of organic events, web queries, and impressions."""
     cfg = world.config
     rng = np.random.default_rng(cfg.seed + 1)
+    by_category = _category_items(world)
     records: list[LogRecord] = []
     for day in range(cfg.days):
         for user in range(cfg.n_users):
@@ -247,7 +256,7 @@ def simulate_logs(world: SynthWorld) -> list[LogRecord]:
             n_organic = rng.poisson(cfg.organic_rate)
             for _ in range(n_organic):
                 # a category with no item (a small catalog) draws from all items
-                if rng.random() < 0.8 and len(cand := _items_of_category(world, cat)):
+                if rng.random() < 0.8 and len(cand := by_category[cat]):
                     item = int(cand[rng.integers(0, len(cand))])
                 else:
                     item = int(rng.integers(0, cfg.n_items))
@@ -265,7 +274,7 @@ def simulate_logs(world: SynthWorld) -> list[LogRecord]:
                 else:
                     surface = int(rng.integers(0, cfg.n_surfaces))
                 b_ctx = float(world.bias_table[surface, device])
-                items, labels = _slate(world, cat, rng)
+                items, labels = _slate(world, by_category[cat], rng)
                 for pos, item in enumerate(items):
                     p_click = _sigmoid(cfg.relevance_scale * float(z_u @ world.item_latents[item])
                                        + b_ctx + cfg.click_offset)
@@ -287,6 +296,7 @@ def make_balanced_eval_groups(world: SynthWorld, start_day: int, end_day: int,
     with the stored bias removed, surfaces assigned round-robin."""
     cfg = world.config
     rng = np.random.default_rng(seed)
+    by_category = _category_items(world)
     out: list[ImpressionGroup] = []
     for user in range(cfg.n_users):
         switch = int(world.user_switch_day[user])
@@ -301,7 +311,7 @@ def make_balanced_eval_groups(world: SynthWorld, start_day: int, end_day: int,
             cat = world.user_category(user, day)
             surface = (user + g) % cfg.n_surfaces
             device = int(world.user_device[user])
-            items, labels = _slate(world, cat, rng)
+            items, labels = _slate(world, by_category[cat], rng)
             for pos, item in enumerate(items):
                 p = _sigmoid(cfg.relevance_scale * float(z_u @ world.item_latents[item])
                              + cfg.click_offset)

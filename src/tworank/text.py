@@ -15,6 +15,8 @@ UNK_ID = 1
 CLS_ID = 2
 SPECIALS = ["[PAD]", "[UNK]", "[CLS]"]
 CONTINUATION = "##"
+# lines that _count_words joins before counting their words
+_COUNT_RUN = 4096
 
 
 class Vocab:
@@ -63,6 +65,22 @@ def _merge_piece(a: str, b: str) -> str:
     return a + b[len(CONTINUATION):] if b.startswith(CONTINUATION) else a + b
 
 
+def _count_words(corpus) -> Counter:
+    """Lowercased whitespace-split word counts of an iterable of lines, keyed
+    in first-seen order. Counted over runs of joined lines: the same counts
+    as line by line, without one Python step per word or a copy of the whole
+    corpus."""
+    word_freq = Counter()
+    run: list[str] = []
+    for line in corpus:
+        run.append(line)
+        if len(run) == _COUNT_RUN:
+            word_freq.update(" ".join(run).lower().split())
+            run.clear()
+    word_freq.update(" ".join(run).lower().split())
+    return word_freq
+
+
 def build_vocab(corpus, target_size: int) -> Vocab:
     """Greedy pair-merge vocabulary construction.
 
@@ -71,10 +89,7 @@ def build_vocab(corpus, target_size: int) -> Vocab:
     weighted by word frequency, until target_size pieces exist or no pair
     repeats. Deterministic: ties break lexicographically.
     """
-    word_freq = Counter()
-    for line in corpus:
-        for w in line.lower().split():
-            word_freq[w] += 1
+    word_freq = _count_words(corpus)
     if not word_freq:
         raise ValueError("empty corpus")
 

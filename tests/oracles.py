@@ -8,6 +8,7 @@ import numpy as np
 from tworank import autodiff as ad
 from tworank.autodiff import Tensor
 from tworank.model import ModelParams
+from tworank.synth import _ADJECTIVES, _COMMON, _NOUNS
 from tworank.text import Vocab, _segment_word
 from tworank.types import SIGNALS
 
@@ -103,3 +104,38 @@ def finetune_objective_bruteforce(r_items: np.ndarray, r_ctx: float,
         bce_vals.append(-yi * np.log(f) - (1 - yi) * np.log(1 - f))
     total += pointwise_weight * float(np.mean(bce_vals))
     return total
+
+
+def world_items_per_item(config) -> tuple[np.ndarray, list[str]]:
+    """Item latents and titles as `synth.generate_world` made them one item at
+    a time, with np.mean and np.linalg.norm per item: the reference for its
+    batched latents. It replays the world's draws up to the item loop."""
+    rng = np.random.default_rng(config.seed)
+    m, C = config.latent_dim, config.n_categories
+    centers = rng.normal(size=(C, m))
+    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    item_categories = rng.integers(0, C, size=config.n_items)
+    flat = sorted({w for a in _ADJECTIVES for n in _NOUNS for w in (a, n)})
+    perm = rng.permutation(len(flat))
+    per_cat = max(4, len(flat) // C)
+    category_words = [[flat[perm[(c * per_cat + i) % len(flat)]] for i in range(per_cat)]
+                      for c in range(C)]
+    word_vectors = {}
+    for c in range(C):
+        for w in category_words[c]:
+            v = centers[c] + 1.0 * rng.normal(size=m)
+            word_vectors[w] = v / np.linalg.norm(v)
+
+    titles = []
+    item_latents = np.empty((config.n_items, m))
+    for i in range(config.n_items):
+        words = category_words[item_categories[i]]
+        picks = rng.choice(len(words), size=3, replace=False)
+        title_words = [words[j] for j in picks]
+        z = np.mean([word_vectors[w] for w in title_words], axis=0)
+        item_latents[i] = z / np.linalg.norm(z)
+        title = list(title_words)
+        title.append(_COMMON[rng.integers(0, len(_COMMON))])
+        title.append(f"sku{i % 97}")
+        titles.append(" ".join(title))
+    return item_latents, titles

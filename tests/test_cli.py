@@ -357,6 +357,32 @@ def test_checkpoint_that_names_no_file_exit_code(workspace, tmp_path, capsys, co
     assert {p.name for p in out.iterdir()} <= {"logs.ndjson", "vocab.txt", "given.ckpt"}
 
 
+@pytest.mark.parametrize("command, flag, under, code", [
+    pytest.param("gradcheck", "--out", "", EXIT_CONFIG, id="out-is-a-file"),
+    pytest.param("gen-data", "--out", "sub", EXIT_CONFIG, id="out-under-a-file"),
+    pytest.param("evaluate", "--checkpoint", "x", EXIT_MISSING, id="checkpoint-under-a-file"),
+])
+def test_path_through_a_file_exit_code(workspace, tmp_path, capsys, command, flag, under, code):
+    """A path that is a file, or that runs through one, cannot be an output
+    directory (exit 2) and names no input (exit 3). Either way the error
+    names the path and no traceback is printed."""
+    blocker = tmp_path / "afile"
+    blocker.write_text("not a directory\n")
+    path = blocker / under if under else blocker
+    out = tmp_path / "run"
+    out.mkdir()
+    for name in ("logs.ndjson", "vocab.txt"):
+        (out / name).write_bytes((workspace / name).read_bytes())
+    argv = ["--checkpoint", str(path)] if flag == "--checkpoint" else []
+    if flag == "--out":
+        out = path
+    assert run(command, out, *argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert str(path) in captured.err
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_evaluate_and_export_name_the_checkpoint(workspace, tmp_path, capsys):
     """Each prints the checkpoint it read; metrics.json does not name it, so
     that two runs in different directories write the same bytes."""

@@ -1,6 +1,7 @@
 """Generative world: determinism, latent structure, bias injection, log
 serialization."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -11,12 +12,63 @@ from tworank.synth import (EventRecord, SynthConfig, generate_world,
                            write_logs)
 from tworank.types import SIGNALS, EventType, ImpressionGroup
 
+from oracles import world_items_per_item
+
 
 def test_world_generation_deterministic(small_world):
     again = generate_world(small_world.config)
     assert np.array_equal(again.item_latents, small_world.item_latents)
     assert again.titles == small_world.titles
     assert np.array_equal(again.user_switch_day, small_world.user_switch_day)
+
+
+# shared category words (n_categories > 12), categories without items, and
+# several latent widths
+PER_ITEM_CONFIGS = [
+    dict(n_items=60, n_users=20, n_categories=4, days=10, seed=0),
+    dict(n_items=300, n_users=30, n_categories=20, days=8, seed=3),
+    dict(n_items=10, n_users=12, n_categories=30, days=6, seed=5),
+    dict(n_items=200, n_users=15, latent_dim=2, days=6, seed=7),
+    dict(n_items=200, n_users=15, latent_dim=16, days=6, seed=11),
+    dict(n_items=3000, n_users=40, n_categories=12, latent_dim=33, days=10, seed=4049),
+]
+
+
+@pytest.mark.parametrize("kw", PER_ITEM_CONFIGS, ids=["small", "shared-words",
+                                                     "empty-categories", "m2", "m16", "m33"])
+def test_world_items_match_the_per_item_loop(kw):
+    """The batched latents are bit-equal to a per-item np.mean and
+    np.linalg.norm, and the titles equal, over the same draws."""
+    world = generate_world(SynthConfig(**kw))
+    latents, titles = world_items_per_item(world.config)
+    assert world.item_latents.tobytes() == latents.tobytes()
+    assert world.titles == titles
+
+
+# SHA-256 of write_logs' bytes and of the eval groups at commit 2424dfa
+# (numpy 2.4.6), before the world and logs were built without per-item
+# Python. A change that moves one draw or one latent bit moves them.
+PINNED_LOGS = [
+    (dict(n_items=60, n_users=20, n_categories=4, days=10, organic_rate=0.8,
+          impressions_per_day=0.5, query_rate=0.4, seed=0),
+     "0c3845d398fce623e233d27b722aa9c8a24c7a54b5fefd134393acb84c888683",
+     "0f0cda46f511915e92217dc9097f291c093cb44cff263a488884dd3a29fdd492"),
+    (dict(n_items=300, n_users=30, n_categories=20, days=8, seed=3),
+     "16d18bad38dc1451e79106497dc12e384e380b0799b63ac63380ffb4969f0c7f",
+     "f804f6f328f88519eb8b74a769b59151f8f777f880767608cc8ba8ec1cd229da"),
+]
+
+
+@pytest.mark.parametrize("kw, logs_sha, groups_sha", PINNED_LOGS, ids=["small", "shared-words"])
+def test_logs_and_eval_groups_are_pinned(kw, logs_sha, groups_sha, tmp_path):
+    cfg = SynthConfig(**kw)
+    world = generate_world(cfg)
+    path = tmp_path / "logs.ndjson"
+    write_logs(world, simulate_logs(world), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == logs_sha
+    groups = make_balanced_eval_groups(world, cfg.days // 2, cfg.days)
+    rows = [[g.user_id, g.day, g.surface_id, g.device_id, g.item_ids, g.labels] for g in groups]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == groups_sha
 
 
 def test_item_latents_unit_norm(small_world):

@@ -1,10 +1,13 @@
 """Vocabulary construction, tokenization, and content embeddings."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tworank import text
 from tworank.autodiff import Tensor
 from tworank.text import CLS_ID, PAD_ID, SPECIALS, UNK_ID, Vocab, build_vocab, tokenize
 
@@ -110,6 +113,49 @@ def test_unknown_token_lookup():
     assert "nonexistent-piece" not in vocab
     assert tokenize("nonexistent-piece", vocab) == [UNK_ID]
     assert "red" in vocab and vocab.tokens[vocab.index["red"]] == "red"
+
+
+def _count_words_per_word(corpus) -> Counter:
+    """The word count as build_vocab kept it: one increment per word."""
+    word_freq = Counter()
+    for line in corpus:
+        for w in line.lower().split():
+            word_freq[w] += 1
+    return word_freq
+
+
+# more lines than one counting run, so that a run boundary falls inside
+_MANY_LINES = [f"Word{i % 613} {'ΟΔΟΣ' if i % 5 else 'ΣΑΣ'}\tsku{i % 97}" + " " * (i % 3)
+               for i in range(9001)]
+assert len(_MANY_LINES) > 2 * text._COUNT_RUN
+
+WORD_COUNT_CORPORA = {
+    "blanks": ["  red\tanchor  ", "\tred   beacon\t\t", " ", "blue\u3000anchor\xa0pro"],
+    "empty-and-upper": ["", "RED Anchor", "", "red ANCHOR", "Blue"],
+    "final-sigma": ["ΟΔΟΣ", "ΟΔΟΣ'", "Σ", "ΑΣ ΣΑ", "οδος Οδος"],
+    "many-lines": _MANY_LINES,
+}
+
+
+@pytest.mark.parametrize("corpus", WORD_COUNT_CORPORA.values(), ids=WORD_COUNT_CORPORA.keys())
+def test_word_count_matches_the_per_word_loop(corpus, monkeypatch):
+    """Counting runs of joined lines gives the per-word counts, keyed in the
+    same order, and so the same vocabulary."""
+    expected = _count_words_per_word(corpus)
+    assert list(text._count_words(corpus).items()) == list(expected.items())
+    assert list(text._count_words(line for line in corpus).items()) == list(expected.items())
+    target = len(SPECIALS) + len({p for w in expected for p in text._word_pieces(w)}) + 40
+    tokens = build_vocab(corpus, target).tokens
+    assert build_vocab((line for line in corpus), target).tokens == tokens
+    monkeypatch.setattr(text, "_count_words", _count_words_per_word)
+    assert build_vocab(corpus, target).tokens == tokens
+
+
+@given(st.lists(st.text(alphabet="aBΣσς' \t\n\xa0", max_size=12), max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_word_count_matches_the_per_word_loop_on_any_lines(lines):
+    assert (list(text._count_words(lines).items())
+            == list(_count_words_per_word(lines).items()))
 
 
 # ---------------------------------------------------------------------------
