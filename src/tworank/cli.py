@@ -31,21 +31,7 @@ EXIT_INVARIANT = 4
 def _world_and_logs(cfg: RunConfig, out_dir: str):
     """The [world] and the logs in `out_dir`, which must come from it."""
     world = generate_world(cfg.world)
-    logs_path = os.path.join(out_dir, "logs.ndjson")
-    catalog, records = read_logs(logs_path)
-    # the towers read titles from the world, so the logs must come from it
-    world_catalog = dict(enumerate(zip(world.titles, world.item_categories.tolist())))
-    if catalog != world_catalog:
-        i = min(i for i in catalog.keys() | world_catalog.keys()
-                if catalog.get(i) != world_catalog.get(i))
-        raise ValueError(f"{logs_path}: logged item {i} is {catalog.get(i)}, but the [world] "
-                         f"config (seed {cfg.world.seed}) makes it {world_catalog.get(i)}")
-    n_users = cfg.world.n_users
-    stranger = next((r.user_id for r in records if not 0 <= r.user_id < n_users), None)
-    if stranger is not None:
-        raise ValueError(f"{logs_path}: logged user {stranger} is outside the [world] "
-                         f"config's n_users of {n_users}")
-    return world, records
+    return world, read_logs(os.path.join(out_dir, "logs.ndjson"), world)
 
 
 def _bundle(cfg: RunConfig, out_dir: str):

@@ -29,18 +29,12 @@ def _delayed_histories(records: list[LogRecord], requests, delay: int,
         raise ValueError("delay must be >= 0")
     if max_history < 1:
         raise ValueError("max_history must be >= 1")
-    last_day: dict[int, int] = {}
     days: dict[int, list[int]] = defaultdict(list)
     events: dict[int, list[Event]] = defaultdict(list)
     for rec in records:
         if not isinstance(rec, EventRecord):
             continue
         ev = rec.event
-        if ev.day < last_day.get(rec.user_id, ev.day):
-            raise ValueError(f"user {rec.user_id}'s events go back from day "
-                             f"{last_day[rec.user_id]} to day {ev.day}; logs must be "
-                             "in day order per user")
-        last_day[rec.user_id] = ev.day
         if include_web or ev.event_type is not EventType.WEB_QUERY:
             days[rec.user_id].append(ev.day)
             events[rec.user_id].append(ev)

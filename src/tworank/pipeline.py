@@ -60,15 +60,6 @@ def build_bundle(world_cfg: SynthConfig, vocab_size: int = 2048,
                  eval_groups_per_user: int = 2, *, world: SynthWorld, records,
                  vocab: Vocab | None = None) -> Bundle:
     titles = dict(enumerate(world.titles))
-    # every item id the logs name lies in the catalog, before any is looked up
-    events = [r for r in records if isinstance(r, EventRecord) and r.event.item_id is not None]
-    event_items = [r.event.item_id for r in events]
-    n_items = world.config.n_items
-    bad = [i for i in event_items if not 0 <= i < n_items]
-    bad += [i for r in records if isinstance(r, ImpressionGroup) for i in r.item_ids
-            if not 0 <= i < n_items]
-    if bad:
-        raise ValueError(f"the logs name item {bad[0]}, outside the catalog's {n_items} items")
     if vocab is None:
         vocab = build_vocab(world.title_corpus(), vocab_size)
     boundary = world_cfg.days - test_days
@@ -87,6 +78,8 @@ def build_bundle(world_cfg: SynthConfig, vocab_size: int = 2048,
                    include_web=include_web)
 
     interacted = defaultdict(list)
+    events = [r for r in records if isinstance(r, EventRecord) and r.event.item_id is not None]
+    event_items = [r.event.item_id for r in events]
     for rec, cat in zip(events, world.item_categories[event_items].tolist()):
         interacted[rec.user_id].append((rec.event.day, cat))
 

@@ -380,11 +380,14 @@ def _check_impression(items: list, signals: dict) -> None:
             raise ValueError(f"impression signal {name!r} must be {len(items)} 0/1 ints")
 
 
-def read_logs(path):
-    """Returns (catalog: {item_id: (title, category)}, records). A bad line
-    (not UTF-8, not JSON, a missing or mistyped field, a negative surface or
-    device id) raises ValueError naming it."""
-    catalog: dict[int, tuple[str, int]] = {}
+def read_logs(path, world: SynthWorld) -> list[LogRecord]:
+    """The records of the logs at `path`, which must come from `world`. A
+    line that is not UTF-8 JSON with write_logs' fields and types, or that
+    breaks a rule of `world` or of day order, raises ValueError naming it."""
+    cfg = world.config
+    catalog = list(zip(world.titles, world.item_categories.tolist()))
+    seen = [False] * cfg.n_items
+    last_day: dict[int, int] = {}
     records: list[LogRecord] = []
     with open(path, "rb") as fh:  # decoded line by line, so that an error names its line
         for lineno, line in enumerate(fh, 1):
@@ -400,18 +403,42 @@ def read_logs(path):
                 negative = [k for k in ("surface", "device") if (obj.get(k) or 0) < 0]
                 if negative:
                     raise ValueError(f"{kind} line has negative context id(s) {negative}")
-                if kind == "impression":
-                    _check_impression(obj["items"], obj["signals"])
                 if kind == "item":
-                    catalog[obj["id"]] = (obj["title"], obj["category"])
-                elif kind == "event":
-                    records.append(EventRecord(obj["user"], Event(
-                        obj["day"], EventType(obj["event"]), obj["text"],
-                        obj["item"], obj["surface"])))
+                    # the towers read titles from the world, so the logs must come from it
+                    i, logged = obj["id"], (obj["title"], obj["category"])
+                    made = catalog[i] if 0 <= i < cfg.n_items else None
+                    if logged != made:
+                        raise ValueError(f"logged item {i} is {logged}, but the [world] "
+                                         f"config (seed {cfg.seed}) makes it {made}")
+                    seen[i] = True
+                    continue
+                user, day = obj["user"], obj["day"]
+                if not 0 <= user < cfg.n_users:
+                    raise ValueError(f"logged user {user} is outside the [world] "
+                                     f"config's n_users of {cfg.n_users}")
+                if kind == "event":
+                    if day < last_day.get(user, day):
+                        raise ValueError(f"user {user}'s events go back from day {last_day[user]} "
+                                         f"to day {day}; logs must be in day order per user")
+                    last_day[user] = day
+                    items = [] if obj["item"] is None else [obj["item"]]
+                    rec = EventRecord(user, Event(day, EventType(obj["event"]), obj["text"],
+                                                  obj["item"], obj["surface"]))
                 else:
-                    records.append(ImpressionGroup(
-                        user_id=obj["user"], day=obj["day"], surface_id=obj["surface"],
-                        device_id=obj["device"], item_ids=obj["items"], labels=obj["signals"]))
+                    items = obj["items"]
+                    _check_impression(items, obj["signals"])
+                    rec = ImpressionGroup(user_id=user, day=day, surface_id=obj["surface"],
+                                          device_id=obj["device"], item_ids=items,
+                                          labels=obj["signals"])
+                outside = [i for i in items if not 0 <= i < cfg.n_items]
+                if outside:
+                    raise ValueError(f"the logs name item {outside[0]}, outside the "
+                                     f"catalog's {cfg.n_items} items")
+                records.append(rec)
             except ValueError as exc:
                 raise ValueError(f"{path} line {lineno}: {exc}") from None
-    return catalog, records
+    if not all(seen):
+        i = seen.index(False)
+        raise ValueError(f"{path}: the logs lack item {i}, which the [world] config "
+                         f"(seed {cfg.seed}) makes {catalog[i]}")
+    return records

@@ -70,11 +70,6 @@ class UserHistory:
     user_id: int
     events: list[Event] = field(default_factory=list)
 
-    def __post_init__(self):
-        days = [e.day for e in self.events]
-        if any(a > b for a, b in zip(days, days[1:])):
-            raise ValueError("history events must be non-decreasing in time")
-
 
 @dataclass
 class ImpressionGroup:

@@ -234,26 +234,27 @@ def test_bad_checkpoint_exit_code(workspace, tmp_path, capsys, how):
 
 
 @pytest.mark.parametrize("command", ["pretrain", "build-vocab"])
-def test_log_line_missing_field_exit_code(tmp_path, capsys, command):
-    (tmp_path / "logs.ndjson").write_text('{"type": "item", "id": 0, "title": "a b", '
-                                          '"category": 0}\n{"type": "event", "day": 1}\n')
+def test_log_line_missing_field_exit_code(workspace, tmp_path, capsys, command):
+    item_0 = (workspace / "logs.ndjson").read_text().splitlines()[0]  # the world's item 0
+    (tmp_path / "logs.ndjson").write_text(item_0 + '\n{"type": "event", "day": 1}\n')
     assert run(command, tmp_path) == EXIT_INVARIANT
     err = capsys.readouterr().err
     assert "logs.ndjson line 2" in err and "'user'" in err
     assert "Traceback" not in err
 
 
-def _event_line(item, surface=0):
-    return json.dumps({"type": "event", "day": 9, "user": 0, "event": "click",
+def _event_line(item, surface=0, user=0, day=9):
+    return json.dumps({"type": "event", "day": day, "user": user, "event": "click",
                        "text": "a b", "item": item, "surface": surface})
 
 
-def _impression_line(items, labels=(0, 1), signals=SIGNALS, surface=0, device=0):
-    return json.dumps({"type": "impression", "day": 9, "user": 0, "surface": surface,
+def _impression_line(items, labels=(0, 1), signals=SIGNALS, surface=0, device=0, user=0):
+    return json.dumps({"type": "impression", "day": 9, "user": user, "surface": surface,
                        "device": device, "items": items,
                        "signals": {s: list(labels) for s in signals}})
 
 
+# the FAST world: 120 items, 30 users; user 0's last event is on day 9
 @pytest.mark.parametrize("line", [
     pytest.param(_event_line(99999), id="event-item-past-catalog"),
     pytest.param(_event_line(-1), id="event-item-negative"),
@@ -264,16 +265,43 @@ def _impression_line(items, labels=(0, 1), signals=SIGNALS, surface=0, device=0)
     pytest.param(_impression_line([3, 4], surface=-3), id="impression-surface-negative"),
     pytest.param(_impression_line([3, 4], device=-1), id="impression-device-negative"),
     pytest.param(_event_line(3, surface=-1), id="event-surface-negative"),
+    pytest.param(_event_line(120), id="event-item-at-catalog-size"),
+    pytest.param(_impression_line([-1, 3]), id="impression-item-negative"),
+    pytest.param(_event_line(3, user=30), id="event-user-outside"),
+    pytest.param(_impression_line([3, 4], user=-1), id="impression-user-negative"),
+    pytest.param(json.dumps({"type": "item", "id": 3, "title": "a b", "category": 0}),
+                 id="item-line-of-another-world"),
+    pytest.param(_event_line(3, day=0), id="event-goes-back-in-day"),
 ])
 def test_bad_log_record_exit_code(workspace, tmp_path, capsys, line):
+    """Every command that reads the logs refuses a line that breaks a log
+    rule, naming the file and the line, and writes nothing."""
+    logs = (workspace / "logs.ndjson").read_text()
     out = tmp_path / "bad"
     out.mkdir()
+    (out / "logs.ndjson").write_text(logs + line + "\n")
+    assert run("build-vocab", out) == EXIT_INVARIANT
+    assert not (out / "vocab.txt").exists()
     (out / "vocab.txt").write_bytes((workspace / "vocab.txt").read_bytes())
-    (out / "logs.ndjson").write_text((workspace / "logs.ndjson").read_text() + line + "\n")
     assert run("pretrain", out) == EXIT_INVARIANT
     assert run("finetune", out, "--init", "fresh") == EXIT_INVARIANT
     err = capsys.readouterr().err
-    assert err.count("invariant violation") == 2 and "Traceback" not in err
+    assert err.count(f"logs.ndjson line {len(logs.splitlines()) + 1}: ") == 3
+    assert "Traceback" not in err and not (out / "pretrain.ckpt").exists()
+
+
+def test_logs_lacking_a_world_item_exit_code(workspace, tmp_path, capsys):
+    lines = (workspace / "logs.ndjson").read_text().splitlines(keepends=True)
+    out = tmp_path / "noitem"
+    out.mkdir()
+    (out / "logs.ndjson").write_text("".join(lines[:7] + lines[8:]))
+    (out / "vocab.txt").write_bytes((workspace / "vocab.txt").read_bytes())
+    for command in ("build-vocab", "pretrain"):
+        assert run(command, out) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert "logs.ndjson: the logs lack item 7, which the [world] config (seed 0)" in err
+        assert "Traceback" not in err
+    assert not (out / "pretrain.ckpt").exists()
 
 
 def test_logs_of_another_world_exit_code(workspace, tmp_path, capsys):
@@ -285,11 +313,13 @@ def test_logs_of_another_world_exit_code(workspace, tmp_path, capsys):
         (out / name).write_bytes((workspace / name).read_bytes())
     assert run("pretrain", out, "--seed", "1") == EXIT_INVARIANT
     err = capsys.readouterr().err
-    assert "logged item 0" in err and "seed 1" in err and "Traceback" not in err
+    assert "logs.ndjson line 1: logged item 0" in err and "seed 1" in err
+    assert "Traceback" not in err
     assert not (out / "pretrain.ckpt").exists()
     assert run("build-vocab", out, "--seed", "1") == EXIT_INVARIANT
     err = capsys.readouterr().err
-    assert "logged item 0" in err and "seed 1" in err and "Traceback" not in err
+    assert "logs.ndjson line 1: logged item 0" in err and "seed 1" in err
+    assert "Traceback" not in err
     assert (out / "vocab.txt").read_bytes() == (workspace / "vocab.txt").read_bytes()
 
 
@@ -303,8 +333,9 @@ def test_logs_of_more_users_exit_code(workspace, tmp_path, capsys, n_users):
         (out / name).write_bytes((workspace / name).read_bytes())
     assert run("pretrain", out, "--set", f"world.n_users={n_users}") == EXIT_INVARIANT
     err = capsys.readouterr().err
-    assert "logs.ndjson" in err and f"n_users of {n_users}" in err and "Traceback" not in err
-    assert int(re.search(r"logged user (\d+) is outside", err).group(1)) >= n_users
+    assert f"n_users of {n_users}" in err and "Traceback" not in err
+    assert int(re.search(r"logs.ndjson line \d+: logged user (\d+) is outside",
+                         err).group(1)) >= n_users
     assert not (out / "pretrain.ckpt").exists()
 
 

@@ -1,12 +1,17 @@
 """Log-to-training-record construction: history delay, funnel closure,
 group filtering, and the temporal split."""
 
+import hashlib
+import json
+
 import pytest
 
 from tworank.dataset import (attach_history, build_finetune_groups,
                              build_pretrain_samples, close_funnel_labels,
                              serving_histories, time_split)
-from tworank.synth import EventRecord, make_balanced_eval_groups
+from tworank.pipeline import build_bundle
+from tworank.synth import (EventRecord, SynthConfig, generate_world,
+                           make_balanced_eval_groups, simulate_logs)
 from tworank.types import SIGNALS, Event, EventType, ImpressionGroup, UserHistory
 
 
@@ -62,17 +67,6 @@ def test_negative_delay_rejected(small_logs):
             build(small_logs, max_history=0)
 
 
-def test_events_out_of_day_order_rejected():
-    # the cutoff of every request drops the day-4 event, so only the order
-    # check sees that user 7 goes back from day 4 to day 1
-    records = [EventRecord(7, Event(4, EventType.CLICK, "thing", 1)),
-               EventRecord(7, Event(1, EventType.CLICK, "thing", 1)),
-               _group(7, 3)]
-    for build in HISTORY_FNS:
-        with pytest.raises(ValueError, match="day order"):
-            build(records)
-
-
 def _scan_histories(records, user_ids, cutoff, max_history, include_web):
     """The delayed-history rule as one plain scan over the logs, for one
     cutoff day (the loop `tworank export` once spelled out on its own)."""
@@ -116,6 +110,51 @@ def test_samples_with_one_cut_share_one_history():
     assert fourth.history is not second.history
     assert [e.item_id for e in fourth.history.events] == [1, 2, 3]
     assert first.history.events == []
+
+
+def _bundle_digest(bundle) -> str:
+    """SHA-256 of what set-up builds: every sample's and group's fields and
+    history events, how many distinct history objects each list holds
+    (score_table and batch_histories share work by object), and each
+    user's interacted categories."""
+    def events(h):
+        return [[e.day, e.event_type.value, e.text, e.item_id, e.surface_id] for e in h.events]
+
+    def groups(gs):
+        return [[g.user_id, g.day, g.surface_id, g.device_id, g.item_ids, g.labels,
+                 events(g.history)] for g in gs]
+
+    lists = [bundle.pretrain_train, bundle.finetune_train, bundle.finetune_test,
+             bundle.eval_groups]
+    rows = [[[s.user_id, s.day, s.item_id, s.signal, events(s.history)]
+             for s in bundle.pretrain_train],
+            groups(bundle.finetune_train), groups(bundle.finetune_test),
+            groups(bundle.eval_groups),
+            [len({id(x.history) for x in xs}) for xs in lists],
+            sorted(bundle.interacted_categories.items())]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+# SHA-256 of build_bundle's output at commit e3f06b9 (numpy 2.4.6). A
+# change to how set-up cuts, shares or orders histories moves them.
+PINNED_BUNDLES = [
+    (dict(n_items=60, n_users=20, n_categories=4, days=10, organic_rate=0.8,
+          impressions_per_day=0.5, query_rate=0.4, seed=0),
+     dict(max_history=5, delay=1, include_web=True, test_days=3),
+     "5061aa0aed1adec51de9611dd4f20bcd259adae5735939c142fc53d6770e5ef9"),
+    (dict(n_items=300, n_users=30, n_categories=20, days=8, seed=3),
+     dict(max_history=64, delay=2, include_web=False, test_days=2, eval_groups_per_user=3),
+     "5113fb6b95e63c8ea1576e73a8635b500479ca6deba890afd54555df00f23b9c"),
+]
+
+
+@pytest.mark.parametrize("world_kw, data_kw, digest", PINNED_BUNDLES,
+                         ids=["small", "shared-words"])
+def test_bundle_is_pinned(world_kw, data_kw, digest):
+    world = generate_world(SynthConfig(**world_kw))
+    bundle = build_bundle(world.config, vocab_size=64, **data_kw,
+                          world=world, records=simulate_logs(world))
+    assert _bundle_digest(bundle) == digest
 
 
 # ---------------------------------------------------------------------------

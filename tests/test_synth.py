@@ -223,9 +223,7 @@ def test_balanced_groups_deterministic(small_world):
 def test_log_roundtrip(small_world, small_logs, tmp_path):
     path = tmp_path / "logs.ndjson"
     write_logs(small_world, small_logs, path)
-    catalog, records = read_logs(path)
-    assert len(catalog) == small_world.config.n_items
-    assert catalog[0] == (small_world.titles[0], int(small_world.item_categories[0]))
+    records = read_logs(path, small_world)
     assert len(records) == len(small_logs)
     for a, b in zip(records, small_logs):
         if isinstance(b, EventRecord):
@@ -236,11 +234,16 @@ def test_log_roundtrip(small_world, small_logs, tmp_path):
             assert a.item_ids == b.item_ids and a.labels == b.labels
 
 
-def test_read_logs_rejects_unknown_record(tmp_path):
+def test_read_logs_rejects_unknown_record(small_world, tmp_path):
     path = tmp_path / "bad.ndjson"
     path.write_text('{"type": "mystery"}\n')
     with pytest.raises(ValueError):
-        read_logs(path)
+        read_logs(path, small_world)
+
+
+def _item_line(world, i):
+    return json.dumps({"type": "item", "id": i, "title": world.titles[i],
+                       "category": int(world.item_categories[i])})
 
 
 def _impression(items, drop=None, extra=None, click=None, surface=0, device=0):
@@ -276,13 +279,61 @@ def _impression(items, drop=None, extra=None, click=None, surface=0, device=0):
     '{"type": "event", "day": 1, "user": 2, "event": "click", "text": "a", "item": 1,'
     ' "surface": -2}',
     '{"type": "item", "id": 1, "title": "\udcff", "category": 0}',  # written as byte 0xff
+    '{"type": "event", "day": 1, "user": 2, "event": "click", "text": "a", "item": null,'
+    ' "surface": 0}',
+    '{"type": "event", "day": 1, "user": 2, "event": "purchase", "text": "", "item": 1,'
+    ' "surface": 0}',
+    '{"type": "event", "day": 1, "user": 2, "event": "web_query", "text": "a", "item": 1,'
+    ' "surface": null}',
 ], ids=["missing", "string-day", "bool-user", "null-category", "not-object", "list-type",
         "not-json", "string-item", "bool-item", "signal-missing", "signal-extra",
         "signal-short", "signal-not-binary", "signal-bool", "signal-not-list",
-        "negative-surface", "negative-device", "negative-event-surface", "not-utf8"])
-def test_read_logs_names_the_bad_line(tmp_path, line):
+        "negative-surface", "negative-device", "negative-event-surface", "not-utf8",
+        "click-no-item", "purchase-no-title", "web-query-item"])
+def test_read_logs_names_the_bad_line(small_world, tmp_path, line):
     path = tmp_path / "bad.ndjson"
-    path.write_text('{"type": "item", "id": 0, "title": "a b", "category": 0}\n' + line + "\n",
+    path.write_text(_item_line(small_world, 0) + "\n" + line + "\n",
                     encoding="utf-8", errors="surrogateescape")
     with pytest.raises(ValueError, match=r"bad.ndjson line 2: "):
-        read_logs(path)
+        read_logs(path, small_world)
+
+
+def _event(user=2, day=1, item=1):
+    return json.dumps({"type": "event", "day": day, "user": user, "event": "click",
+                       "text": "a", "item": item, "surface": None})
+
+
+# the world is small_world: seed 0, 60 items, 20 users
+@pytest.mark.parametrize("lines, lineno, message", [
+    ([json.dumps({"type": "item", "id": 1, "title": "a b", "category": 0})], 2,
+     r"logged item 1 is \('a b', 0\), but the \[world\] config \(seed 0\) makes it \("),
+    ([json.dumps({"type": "item", "id": 60, "title": "a b", "category": 0})], 2,
+     r"logged item 60 is .* makes it None"),
+    ([_event(item=60)], 2, r"the logs name item 60, outside the catalog's 60 items"),
+    ([_event(item=-1)], 2, r"the logs name item -1,"),
+    ([_impression([1, 60])], 2, r"the logs name item 60,"),
+    ([_impression([-1, 1])], 2, r"the logs name item -1,"),
+    ([_event(user=20)], 2, r"logged user 20 is outside the \[world\] config's n_users of 20"),
+    ([_event(user=-1)], 2, r"logged user -1 is outside"),
+    ([_impression([1, 2]).replace('"user": 2', '"user": 20')], 2, r"logged user 20 is outside"),
+    ([_event(day=5), _event(user=3, day=1), _impression([1, 2]), _event(day=4)], 5,
+     r"user 2's events go back from day 5 to day 4; logs must be in day order per user"),
+], ids=["item-of-another-world", "item-past-catalog", "event-item-past-catalog",
+        "event-item-negative", "impression-item-past-catalog", "impression-item-negative",
+        "event-user-outside", "event-user-negative", "impression-user-outside",
+        "day-goes-back"])
+def test_read_logs_holds_the_logs_to_the_world(small_world, tmp_path, lines, lineno, message):
+    path = tmp_path / "bad.ndjson"
+    path.write_text("\n".join([_item_line(small_world, 0)] + lines) + "\n")
+    with pytest.raises(ValueError, match=rf"bad.ndjson line {lineno}: {message}"):
+        read_logs(path, small_world)
+
+
+def test_read_logs_names_a_missing_item(small_world, small_logs, tmp_path):
+    path = tmp_path / "logs.ndjson"
+    write_logs(small_world, small_logs, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:5] + lines[6:]))
+    with pytest.raises(ValueError, match=r"logs.ndjson: the logs lack item 5, which the "
+                                         r"\[world\] config \(seed 0\) makes \("):
+        read_logs(path, small_world)
