@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -173,6 +174,11 @@ def cmd_score(cfg: RunConfig, ec: EvalConfig, args) -> int:
     return EXIT_OK
 
 
+def _json_metric(value: float) -> float | None:
+    """An undefined (NaN) metric is null in strict JSON (RFC 8259)."""
+    return None if math.isnan(value) else value
+
+
 def cmd_evaluate(cfg: RunConfig, ec: EvalConfig, args) -> int:
     bundle = _bundle(cfg, args.out)
     ckpt = args.checkpoint or _best_checkpoint(args.out)
@@ -180,11 +186,11 @@ def cmd_evaluate(cfg: RunConfig, ec: EvalConfig, args) -> int:
     metrics = eval_metrics(bundle, params)
     calib = calibration_report(bundle, params, bundle.finetune_test,
                                use_context=cfg.finetune.use_context)
-    payload = {"ndcg": metrics, "calibration": calib,
-               "config": asdict(cfg)}
+    payload = {"ndcg": {k: _json_metric(v) for k, v in metrics.items()},
+               "calibration": calib, "config": asdict(cfg)}
     path = os.path.join(args.out, "metrics.json")
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
     print(f"evaluate: {ckpt}: retargeting={metrics['retargeting']:.4f} "
           f"discovery={metrics['discovery']:.4f} -> {path}")
     return EXIT_OK
@@ -208,7 +214,8 @@ def cmd_ablate(cfg: RunConfig, ec: EvalConfig, args) -> int:
             fh.write(f"{r['metric']}\t{r['surface']}\t{r['seed']}\t{r['value']:.6f}\n")
     jpath = os.path.join(args.out, "results.json")
     with open(jpath, "w") as fh:
-        json.dump(rows, fh, indent=2)
+        json.dump([{**r, "value": _json_metric(r["value"])} for r in rows], fh, indent=2,
+                  allow_nan=False)
     print(f"ablate: {len(rows)} rows -> {tsv}")
     return EXIT_OK
 

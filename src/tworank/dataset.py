@@ -1,9 +1,10 @@
 """Log stream -> training records.
 
-Turns raw logs into pre-training samples (one per positive interaction,
-with the delayed history rule) and packed fine-tuning impression groups
-(filtered to groups with at least one positive, with funnel label
-closure). Splits are strictly temporal.
+Turns raw logs into pre-training samples (one per positive interaction)
+and packed fine-tuning impression groups (filtered to groups with at least
+one positive, with funnel label closure). Both are built bare;
+`attach_history` then cuts every history by the delayed-history rule in
+one pass. Splits are strictly temporal.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from collections import defaultdict
 from .synth import EventRecord, LogRecord
 from .types import (Event, EventType, ImpressionGroup, PretrainSample,
                     UserHistory, signal_of)
-
-DEFAULT_DELAY = 1
 
 
 def _delayed_histories(records: list[LogRecord], requests, delay: int,
@@ -44,17 +43,12 @@ def _delayed_histories(records: list[LogRecord], requests, delay: int,
     return [built[cut] for cut in cuts]
 
 
-def build_pretrain_samples(records: list[LogRecord], delay: int = DEFAULT_DELAY,
-                           max_history: int = 64, include_web: bool = True):
+def build_pretrain_samples(records: list[LogRecord]) -> list[PretrainSample]:
     """One sample per positive interaction (organic and impressed alike),
-    each with the user's history older than target_day - delay."""
-    positives = [rec for rec in records
-                 if isinstance(rec, EventRecord) and signal_of(rec.event.event_type)]
-    histories = _delayed_histories(records, [(r.user_id, r.event.day) for r in positives],
-                                   delay, max_history, include_web)
+    without a history: `attach_history` cuts it."""
     return [PretrainSample(user_id=r.user_id, day=r.event.day, item_id=r.event.item_id,
-                           signal=signal_of(r.event.event_type), history=h)
-            for r, h in zip(positives, histories)]
+                           signal=signal_of(r.event.event_type))
+            for r in records if isinstance(r, EventRecord) and signal_of(r.event.event_type)]
 
 
 def close_funnel_labels(labels: dict[str, list[int]]) -> dict[str, list[int]]:
@@ -70,29 +64,25 @@ def close_funnel_labels(labels: dict[str, list[int]]) -> dict[str, list[int]]:
     return out
 
 
-def build_finetune_groups(records: list[LogRecord], delay: int = DEFAULT_DELAY,
-                          max_history: int = 64,
-                          include_web: bool = True) -> list[ImpressionGroup]:
-    """Impression groups with delayed histories attached; groups with no
-    positive signal are dropped."""
-    groups = [ImpressionGroup(user_id=rec.user_id, day=rec.day, surface_id=rec.surface_id,
-                              device_id=rec.device_id, item_ids=list(rec.item_ids),
-                              labels=close_funnel_labels(rec.labels))
-              for rec in records if isinstance(rec, ImpressionGroup)]
-    return attach_history([g for g in groups if g.has_positive()], records, delay,
-                          max_history, include_web)
+def build_finetune_groups(records: list[LogRecord]) -> list[ImpressionGroup]:
+    """The logged impression groups with at least one positive signal,
+    labels closed, without a history: `attach_history` cuts it."""
+    return [ImpressionGroup(user_id=rec.user_id, day=rec.day, surface_id=rec.surface_id,
+                            device_id=rec.device_id, item_ids=list(rec.item_ids),
+                            labels=close_funnel_labels(rec.labels))
+            for rec in records if isinstance(rec, ImpressionGroup) and rec.has_positive()]
 
 
-def attach_history(groups: list[ImpressionGroup], records: list[LogRecord],
-                   delay: int = DEFAULT_DELAY, max_history: int = 64,
-                   include_web: bool = True) -> list[ImpressionGroup]:
-    """Attach each group's delayed history (also used for evaluation sets
-    that are not part of the logs); returns `groups`."""
-    histories = _delayed_histories(records, [(g.user_id, g.day) for g in groups],
+def attach_history(xs: list, records: list[LogRecord], delay: int, max_history: int,
+                   include_web: bool) -> list:
+    """Give each sample or group in `xs` its delayed history as of its own
+    day, in one pass over `records` (evaluation groups need not be in the
+    logs); returns `xs`."""
+    histories = _delayed_histories(records, [(x.user_id, x.day) for x in xs],
                                    delay, max_history, include_web)
-    for g, h in zip(groups, histories):
-        g.history = h
-    return groups
+    for x, h in zip(xs, histories):
+        x.history = h
+    return xs
 
 
 def serving_histories(records: list[LogRecord], user_ids, day: int, delay: int,

@@ -64,18 +64,15 @@ def build_bundle(world_cfg: SynthConfig, vocab_size: int = 2048,
         vocab = build_vocab(world.title_corpus(), vocab_size)
     boundary = world_cfg.days - test_days
 
-    samples = build_pretrain_samples(records, delay=delay, max_history=max_history,
-                                     include_web=include_web)
-    groups = build_finetune_groups(records, delay=delay, max_history=max_history,
-                                   include_web=include_web)
-    pre_train, _ = time_split(samples, boundary)
-    ft_train, ft_test = time_split(groups, boundary)
-
+    samples = build_pretrain_samples(records)
+    groups = build_finetune_groups(records)
     eval_groups = make_balanced_eval_groups(world, boundary, world_cfg.days,
                                             seed=world_cfg.seed + 17,
                                             groups_per_user=eval_groups_per_user)
-    attach_history(eval_groups, records, delay=delay, max_history=max_history,
-                   include_web=include_web)
+    pre_train, _ = time_split(samples, boundary)
+    ft_train, ft_test = time_split(groups, boundary)
+    # one cut for every history the bundle holds; test-window samples get none
+    attach_history(pre_train + groups + eval_groups, records, delay, max_history, include_web)
 
     interacted = defaultdict(list)
     events = [r for r in records if isinstance(r, EventRecord) and r.event.item_id is not None]

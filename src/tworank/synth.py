@@ -416,6 +416,9 @@ def read_logs(path, world: SynthWorld) -> list[LogRecord]:
                 if not 0 <= user < cfg.n_users:
                     raise ValueError(f"logged user {user} is outside the [world] "
                                      f"config's n_users of {cfg.n_users}")
+                if not 0 <= day < cfg.days:
+                    raise ValueError(f"logged day {day} is outside the [world] "
+                                     f"config's days of {cfg.days}")
                 if kind == "event":
                     if day < last_day.get(user, day):
                         raise ValueError(f"user {user}'s events go back from day {last_day[user]} "

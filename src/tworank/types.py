@@ -95,4 +95,4 @@ class PretrainSample:
     day: int
     item_id: int
     signal: str
-    history: UserHistory
+    history: UserHistory | None = None

@@ -15,7 +15,7 @@ import pytest
 
 from tworank import autodiff as ad
 from tworank.autodiff import Tensor
-from tworank.dataset import build_finetune_groups, build_pretrain_samples
+from tworank.dataset import attach_history, build_finetune_groups, build_pretrain_samples
 from tworank.gradsuite import run_gradcheck_suite
 from tworank.losses import bce_click, bpr_calibrated, finetune_objective
 from tworank.model import (TowerConfig, batch_histories, init_params,
@@ -223,8 +223,10 @@ def test_criterion_7_serving_parity(directional):
 
 def test_criterion_8_dataset_contracts(directional):
     records = directional["bundle"].records
-    samples = build_pretrain_samples(records, delay=1, max_history=TOWER.max_history)
-    groups = build_finetune_groups(records, delay=1, max_history=TOWER.max_history)
+    samples = build_pretrain_samples(records)
+    groups = build_finetune_groups(records)
+    attach_history(samples + groups, records, delay=1, max_history=TOWER.max_history,
+                   include_web=True)
     delay_violations = sum(1 for s in samples for e in s.history.events
                            if e.day > s.day - 1)
     delay_violations += sum(1 for g in groups for e in g.history.events

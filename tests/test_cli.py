@@ -15,7 +15,7 @@ from tworank.autodiff import GradcheckReport, Tensor
 from tworank.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_MISSING, EXIT_OK, main
 from tworank.config import load_config
 from tworank.model import ModelParams
-from tworank.pipeline import build_bundle
+from tworank.pipeline import build_bundle, eval_metrics
 from tworank.serving import KIND_ITEM, EmbeddingTable
 from tworank.synth import generate_world
 from tworank.text import Vocab, build_vocab
@@ -248,8 +248,9 @@ def _event_line(item, surface=0, user=0, day=9):
                        "text": "a b", "item": item, "surface": surface})
 
 
-def _impression_line(items, labels=(0, 1), signals=SIGNALS, surface=0, device=0, user=0):
-    return json.dumps({"type": "impression", "day": 9, "user": user, "surface": surface,
+def _impression_line(items, labels=(0, 1), signals=SIGNALS, surface=0, device=0, user=0,
+                     day=9):
+    return json.dumps({"type": "impression", "day": day, "user": user, "surface": surface,
                        "device": device, "items": items,
                        "signals": {s: list(labels) for s in signals}})
 
@@ -272,6 +273,8 @@ def _impression_line(items, labels=(0, 1), signals=SIGNALS, surface=0, device=0,
     pytest.param(json.dumps({"type": "item", "id": 3, "title": "a b", "category": 0}),
                  id="item-line-of-another-world"),
     pytest.param(_event_line(3, day=0), id="event-goes-back-in-day"),
+    pytest.param(_event_line(3, day=10), id="event-day-at-days"),
+    pytest.param(_impression_line([3, 4], day=-1), id="impression-day-negative"),
 ])
 def test_bad_log_record_exit_code(workspace, tmp_path, capsys, line):
     """Every command that reads the logs refuses a line that breaks a log
@@ -507,6 +510,34 @@ def test_ablate_single_cell(workspace, tmp_path):
     assert len(tsv) == 3  # header + retargeting + discovery
     rows = json.loads((out / "results.json").read_text())
     assert {r["surface"] for r in rows} == {"retargeting", "discovery"}
+
+
+def _no_nan(constant):
+    raise ValueError(f"{constant} is not JSON (RFC 8259)")
+
+
+def test_undefined_discovery_is_null_in_json(workspace, tmp_path, capsys, monkeypatch):
+    """A discovery nDCG with no group to score is NaN; the JSON files write
+    it as null, and stdout and results.tsv keep `nan`."""
+    def nan_discovery(bundle, params):
+        return {**eval_metrics(bundle, params), "discovery": float("nan")}
+
+    monkeypatch.setattr(cli, "eval_metrics", nan_discovery)
+    out = tmp_path / "nan"
+    out.mkdir()
+    for name in ("logs.ndjson", "vocab.txt", "finetune.ckpt"):
+        (out / name).write_bytes((workspace / name).read_bytes())
+    assert run("evaluate", out) == EXIT_OK
+    assert "discovery=nan" in capsys.readouterr().out
+    payload = json.loads((out / "metrics.json").read_text(), parse_constant=_no_nan)
+    assert payload["ndcg"]["discovery"] is None
+    assert isinstance(payload["ndcg"]["retargeting"], float)
+    assert run("ablate", out, "--set", "eval.seeds=0", "--set", "eval.cells=pretrain_only") \
+        == EXIT_OK
+    rows = json.loads((out / "results.json").read_text(), parse_constant=_no_nan)
+    assert [(r["surface"], r["value"] is None) for r in rows] == [("retargeting", False),
+                                                                  ("discovery", True)]
+    assert (out / "results.tsv").read_text().splitlines()[2].endswith("\tnan")
 
 
 def test_ablate_rows_carry_their_seed(workspace, tmp_path):

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from tworank import dataset
 from tworank.dataset import (attach_history, build_finetune_groups,
                              build_pretrain_samples, close_funnel_labels,
                              serving_histories, time_split)
@@ -20,18 +21,38 @@ def _group(user_id, day):
                            item_ids=[1, 2], labels={s: [1, 0] for s in SIGNALS})
 
 
+def _samples(records, delay=1, max_history=64, include_web=True):
+    """The pre-training samples of `records` with their delayed histories."""
+    return attach_history(build_pretrain_samples(records), records, delay, max_history,
+                          include_web)
+
+
+def _groups(records, delay=1, max_history=64, include_web=True):
+    """The fine-tuning groups of `records` with their delayed histories."""
+    return attach_history(build_finetune_groups(records), records, delay, max_history,
+                          include_web)
+
+
 def _serving(records, delay=1, max_history=64):
     return serving_histories(records, [7], 3, delay, max_history, True)
 
 
-# every function that builds delayed histories, called with records and options
-HISTORY_FNS = (build_pretrain_samples, build_finetune_groups,
-            lambda records, **kw: attach_history([_group(7, 3)], records, **kw),
-            _serving)
+# every way to cut delayed histories, called with records and options
+HISTORY_FNS = (_samples, _groups,
+               lambda records, delay=1, max_history=64:
+               attach_history([_group(7, 3)], records, delay, max_history, True),
+               _serving)
+
+
+def test_builders_leave_the_history_to_attach_history(small_logs):
+    samples = build_pretrain_samples(small_logs)
+    groups = build_finetune_groups(small_logs)
+    assert samples and groups
+    assert all(x.history is None for x in samples + groups)
 
 
 def test_pretrain_samples_obey_delay(small_logs):
-    samples = build_pretrain_samples(small_logs, delay=1)
+    samples = _samples(small_logs, delay=1)
     assert samples
     violations = sum(1 for s in samples for e in s.history.events
                      if e.day > s.day - 1)
@@ -46,16 +67,16 @@ def test_pretrain_samples_one_per_positive(small_logs):
 
 
 def test_pretrain_history_can_contain_web_queries(small_logs):
-    samples = build_pretrain_samples(small_logs, include_web=True)
+    samples = _samples(small_logs, include_web=True)
     kinds = {e.event_type for s in samples for e in s.history.events}
     assert EventType.WEB_QUERY in kinds
-    samples = build_pretrain_samples(small_logs, include_web=False)
+    samples = _samples(small_logs, include_web=False)
     kinds = {e.event_type for s in samples for e in s.history.events}
     assert EventType.WEB_QUERY not in kinds
 
 
 def test_pretrain_history_truncated(small_logs):
-    samples = build_pretrain_samples(small_logs, max_history=5)
+    samples = _samples(small_logs, max_history=5)
     assert max(len(s.history.events) for s in samples) <= 5
 
 
@@ -86,13 +107,13 @@ def test_histories_match_scan_rule(small_world, small_logs, delay, max_history,
     users = range(cfg.n_users)
     want = {day: _scan_histories(small_logs, users, day - delay, max_history, include_web)
             for day in range(cfg.days)}
-    kw = dict(delay=delay, max_history=max_history, include_web=include_web)
-    samples = build_pretrain_samples(small_logs, **kw)
-    groups = build_finetune_groups(small_logs, **kw)
-    eval_groups = attach_history(make_balanced_eval_groups(small_world, 6, cfg.days),
-                                 small_logs, **kw)
+    samples = build_pretrain_samples(small_logs)
+    groups = build_finetune_groups(small_logs)
+    eval_groups = make_balanced_eval_groups(small_world, 6, cfg.days)
     assert samples and groups and eval_groups
-    for x in samples + groups + eval_groups:
+    xs = samples + groups + eval_groups
+    assert attach_history(xs, small_logs, delay, max_history, include_web) is xs
+    for x in xs:
         assert x.history == want[x.day][x.user_id]
     assert any(len(x.history.events) == max_history for x in samples)
 
@@ -104,7 +125,7 @@ def test_samples_with_one_cut_share_one_history():
                EventRecord(7, Event(3, EventType.CLICK, "first thing", 2)),
                EventRecord(7, Event(3, EventType.PURCHASE, "second thing", 3)),
                EventRecord(7, Event(5, EventType.CLICK, "late thing", 4))]
-    first, second, third, fourth = build_pretrain_samples(records, delay=1)
+    first, second, third, fourth = _samples(records, delay=1)
     assert second.history is third.history
     assert [e.item_id for e in second.history.events] == [1]
     assert fourth.history is not second.history
@@ -157,6 +178,26 @@ def test_bundle_is_pinned(world_kw, data_kw, digest):
     assert _bundle_digest(bundle) == digest
 
 
+def test_bundle_cuts_every_history_in_one_pass(small_world, small_logs, monkeypatch):
+    """build_bundle runs the delayed-history rule once, on the training-window
+    samples, every fine-tuning group and every evaluation group."""
+    calls = []
+
+    def spy(records, requests, *rule):
+        calls.append((list(requests), rule))
+        return cut(records, requests, *rule)
+
+    cut = dataset._delayed_histories
+    monkeypatch.setattr(dataset, "_delayed_histories", spy)
+    bundle = build_bundle(small_world.config, vocab_size=64, max_history=5, delay=2,
+                          include_web=False, test_days=3, world=small_world, records=small_logs)
+    want = [(x.user_id, x.day) for x in bundle.pretrain_train + bundle.finetune_train
+            + bundle.finetune_test + bundle.eval_groups]
+    assert bundle.pretrain_train and bundle.finetune_test and bundle.eval_groups
+    assert [(sorted(requests), rule) for requests, rule in calls] == [(sorted(want),
+                                                                       (2, 5, False))]
+
+
 # ---------------------------------------------------------------------------
 # funnel closure
 # ---------------------------------------------------------------------------
@@ -187,7 +228,7 @@ def test_finetune_groups_all_have_positives(small_logs):
 
 
 def test_finetune_groups_obey_delay(small_logs):
-    for g in build_finetune_groups(small_logs, delay=1):
+    for g in _groups(small_logs, delay=1):
         assert g.history is not None
         assert all(e.day <= g.day - 1 for e in g.history.events)
 
@@ -202,7 +243,7 @@ def test_positive_free_group_dropped():
 def test_attach_history_delay():
     events = [EventRecord(7, Event(d, EventType.CLICK, "thing", 1)) for d in range(6)]
     groups = [_group(7, 4)]
-    assert attach_history(groups, events, delay=2, max_history=10) is groups
+    assert attach_history(groups, events, delay=2, max_history=10, include_web=True) is groups
     assert [e.day for e in groups[0].history.events] == [0, 1, 2]
 
 
@@ -210,7 +251,7 @@ def test_attach_history_to_several_groups():
     events = [EventRecord(u, Event(d, EventType.CLICK, f"thing {u}", 1))
               for d in range(6) for u in (7, 8)]
     groups = [_group(7, 4), _group(9, 4), _group(8, 6), _group(7, 1)]
-    attach_history(groups, events, delay=1, max_history=2)
+    attach_history(groups, events, delay=1, max_history=2, include_web=True)
     assert [[(e.day, e.text) for e in g.history.events] for g in groups] == [
         [(2, "thing 7"), (3, "thing 7")], [], [(4, "thing 8"), (5, "thing 8")],
         [(0, "thing 7")]]

@@ -318,10 +318,13 @@ def _event(user=2, day=1, item=1):
     ([_impression([1, 2]).replace('"user": 2', '"user": 20')], 2, r"logged user 20 is outside"),
     ([_event(day=5), _event(user=3, day=1), _impression([1, 2]), _event(day=4)], 5,
      r"user 2's events go back from day 5 to day 4; logs must be in day order per user"),
+    ([_event(day=9), _event(day=10)], 3,
+     r"logged day 10 is outside the \[world\] config's days of 10"),
+    ([_impression([1, 2]).replace('"day": 1', '"day": -1')], 2, r"logged day -1 is outside"),
 ], ids=["item-of-another-world", "item-past-catalog", "event-item-past-catalog",
         "event-item-negative", "impression-item-past-catalog", "impression-item-negative",
         "event-user-outside", "event-user-negative", "impression-user-outside",
-        "day-goes-back"])
+        "day-goes-back", "event-day-at-days", "impression-day-negative"])
 def test_read_logs_holds_the_logs_to_the_world(small_world, tmp_path, lines, lineno, message):
     path = tmp_path / "bad.ndjson"
     path.write_text("\n".join([_item_line(small_world, 0)] + lines) + "\n")

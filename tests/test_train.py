@@ -10,7 +10,7 @@ import pytest
 
 from tworank import autodiff, train
 from tworank.autodiff import Tensor
-from tworank.dataset import build_finetune_groups, build_pretrain_samples
+from tworank.dataset import attach_history, build_finetune_groups, build_pretrain_samples
 from tworank.losses import finetune_objective
 from tworank.model import FROZEN_IN_CONTINUOUS, GROUP_NAMES, TowerConfig, init_params
 from tworank.train import (ADAM_EPS, AdamOptimizer, Schedule, TrainConfig,
@@ -27,8 +27,9 @@ TINY = TowerConfig(d=8, user_layers=1, user_heads=2, user_ffn_hidden=16,
 
 @pytest.fixture(scope="module")
 def training_data(small_world, small_logs, word_tokenizer):
-    samples = build_pretrain_samples(small_logs, max_history=4)[:96]
-    groups = build_finetune_groups(small_logs, max_history=4)[:48]
+    samples = build_pretrain_samples(small_logs)[:96]
+    groups = build_finetune_groups(small_logs)[:48]
+    attach_history(samples + groups, small_logs, delay=1, max_history=4, include_web=True)
     titles = dict(enumerate(small_world.titles))
     return samples, groups, titles
 
