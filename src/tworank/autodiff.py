@@ -223,8 +223,8 @@ def _p_scale(inputs, attrs):
 def _p_relu(inputs, attrs):
     (a,) = inputs
     out = np.maximum(a.data, 0.0)
-    mask = a.data > 0
-    return out, lambda g: (g * mask,)
+    # out > 0 exactly where a > 0 (NaN stays NaN), so no mask is kept
+    return out, lambda g: (g * (out > 0),)
 
 
 @_primitive("sigmoid")
@@ -286,21 +286,29 @@ def _p_layer_norm(inputs, attrs):
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("layer_norm", "gain/bias must match last axis",
                          (x.shape, gain.shape, bias.shape))
-    xd = x.data
-    # np.var's own steps, so var is bit-equal to it, with one subtraction shared
-    xc = xd - xd.mean(axis=-1, keepdims=True)
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    xd, gd = x.data, gain.data
+    # np.var's own steps, so var is bit-equal to it, with one subtraction
+    # shared; the centered array becomes xhat and the square's buffer the
+    # output, in place
+    xhat = xd - xd.mean(axis=-1, keepdims=True)
+    out = xhat * xhat
+    var = out.sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
-    gd = gain.data
+    xhat *= inv
+    np.multiply(xhat, gd, out=out)
+    out += bias.data
 
     def vjp(g):
-        gx_hat = g * gd
-        dmean = gx_hat.mean(axis=-1, keepdims=True)
-        dproj = (gx_hat * xhat).mean(axis=-1, keepdims=True)
-        gx = inv * (gx_hat - dmean - xhat * dproj)
-        ggain = (g * xhat).reshape(-1, d).sum(axis=0)
+        # gx = inv * (g*gd - mean(g*gd) - xhat * mean(g*gd*xhat)); one
+        # scratch array holds each product with xhat in turn
+        gx = g * gd
+        dmean = gx.mean(axis=-1, keepdims=True)
+        scratch = gx * xhat
+        dproj = scratch.mean(axis=-1, keepdims=True)
+        gx -= dmean
+        gx -= np.multiply(xhat, dproj, out=scratch)
+        gx *= inv
+        ggain = np.multiply(g, xhat, out=scratch).reshape(-1, d).sum(axis=0)
         gbias = g.reshape(-1, d).sum(axis=0)
         return gx, ggain, gbias
 
@@ -419,23 +427,30 @@ def _p_attention(inputs, attrs):
     mask = attrs.get("mask")
     dh = q.shape[-1]
     invsqrt = 1.0 / np.sqrt(dh)
-    logits = (q.data @ np.swapaxes(k.data, -1, -2)) * invsqrt
+    # the plain formula's steps in its order, so its bits, done in place in
+    # the logits' own array: scale, mask, shift, exp, divide
+    att = q.data @ np.swapaxes(k.data, -1, -2)
+    att *= invsqrt
     if mask is not None:
         mask = np.asarray(mask, dtype=q.data.dtype)
         # broadcast over heads and query positions; padding keys get -1e9
-        logits = logits + (1.0 - mask)[..., None, None, :] * ATTN_MASK_VALUE
-    m = logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits - m)
-    att = e / e.sum(axis=-1, keepdims=True)
+        att += (1.0 - mask)[..., None, None, :] * ATTN_MASK_VALUE
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
     out = att @ v.data
 
     def vjp(g):
         gv = np.swapaxes(att, -1, -2) @ g
-        gatt = g @ np.swapaxes(v.data, -1, -2)
-        dot = (gatt * att).sum(axis=-1, keepdims=True)
-        glogits = att * (gatt - dot)
-        gq = (glogits @ k.data) * invsqrt
-        gk = (np.swapaxes(glogits, -1, -2) @ q.data) * invsqrt
+        # glogits = att * (gatt - dot), built in gatt's own buffer
+        glogits = g @ np.swapaxes(v.data, -1, -2)
+        dot = (glogits * att).sum(axis=-1, keepdims=True)
+        glogits -= dot
+        glogits *= att
+        gq = glogits @ k.data
+        gq *= invsqrt
+        gk = np.swapaxes(glogits, -1, -2) @ q.data
+        gk *= invsqrt
         return gq, gk, gv
 
     return out, vjp

@@ -363,3 +363,110 @@ def test_layer_norm_matches_two_pass_formula(case):
     assert out.tobytes() == want_out.tobytes()
     for got, want in zip(vjp(g), want_vjp(g)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _plain_attention(qd, kd, vd, mask=None):
+    """The attention forward and VJP written with a fresh array per step:
+    the reference for the primitive's in-place softmax."""
+    invsqrt = 1.0 / np.sqrt(qd.shape[-1])
+    logits = (qd @ np.swapaxes(kd, -1, -2)) * invsqrt
+    if mask is not None:
+        logits = logits + (1.0 - mask)[..., None, None, :] * ad.ATTN_MASK_VALUE
+    m = logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits - m)
+    att = e / e.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        gv = np.swapaxes(att, -1, -2) @ g
+        gatt = g @ np.swapaxes(vd, -1, -2)
+        dot = (gatt * att).sum(axis=-1, keepdims=True)
+        glogits = att * (gatt - dot)
+        gq = (glogits @ kd) * invsqrt
+        gk = (np.swapaxes(glogits, -1, -2) @ qd) * invsqrt
+        return gq, gk, gv
+
+    return att @ vd, vjp
+
+
+@st.composite
+def _attention_cases(draw):
+    """q, k, v of shape (B, H, T, Dh), a key mask of 0s and 1s or None (a
+    row may be all padding), and an output gradient."""
+    b, h, tq, tk, dh = (draw(st.integers(1, n)) for n in (3, 3, 5, 6, 4))
+    floats = st.floats(-1e3, 1e3)
+    q, g = (draw(arrays(np.float64, (b, h, tq, dh), elements=floats)) for _ in range(2))
+    k, v = (draw(arrays(np.float64, (b, h, tk, dh), elements=floats)) for _ in range(2))
+    mask = draw(st.none() | arrays(np.float64, (b, tk), elements=st.sampled_from([0.0, 1.0])))
+    return q, k, v, mask, g
+
+
+def _tower_attention_case(b, h, tq, tk, dh, padded=None):
+    """Normal q, k, v and gradient at a tower shape, and a mask (None when
+    `padded` is) whose rows keep key 0 (the [CLS] slot) and pad their
+    tails, `padded` of all keys in total."""
+    rng = np.random.default_rng(0)
+    q, g = rng.normal(size=(b, h, tq, dh)), rng.normal(size=(b, h, tq, dh))
+    k, v = rng.normal(size=(b, h, tk, dh)), rng.normal(size=(b, h, tk, dh))
+    pads = rng.multinomial(round((padded or 0.0) * b * tk), np.full(b, 1.0 / b))
+    mask = (np.arange(tk) < tk - np.minimum(pads, tk - 1)[:, None]).astype(np.float64)
+    return q, k, v, None if padded is None else mask, g
+
+
+@given(_attention_cases())
+@example(_tower_attention_case(32, 2, 25, 25, 8, 0.21))
+@example(_tower_attention_case(64, 2, 65, 65, 16, 0.09))
+@example(_tower_attention_case(64, 2, 1, 65, 16, 0.09))
+@example(_tower_attention_case(64, 2, 65, 65, 16, 0.51))
+@example(_tower_attention_case(32, 2, 25, 25, 8))
+@example((np.ones((2, 1, 3, 2)), np.ones((2, 1, 4, 2)), np.arange(16.0).reshape(2, 1, 4, 2),
+          np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 1.0, 1.0]]), np.ones((2, 1, 3, 2))))
+@settings(max_examples=100, deadline=None)
+def test_attention_matches_plain_formula(case):
+    q, k, v, mask, g = case
+    attrs = {} if mask is None else {"mask": mask}
+    out, vjp = ad.PRIMITIVES["attention"]((Tensor(q), Tensor(k), Tensor(v)), attrs)
+    want_out, want_vjp = _plain_attention(q, k, v, mask)
+    assert out.tobytes() == want_out.tobytes()
+    for got, want in zip(vjp(g), want_vjp(g)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@given(arrays(np.float64, array_shapes(min_dims=0, max_dims=3, max_side=6)).flatmap(
+    lambda a: st.tuples(st.just(a), arrays(np.float64, a.shape))))
+@example((np.array([-1.0, -0.0, 0.0, 5e-324, np.nan, np.inf, -np.inf]), np.arange(7.0) - 3))
+@settings(max_examples=100, deadline=None)
+def test_relu_matches_mask_formula(case):
+    """relu's VJP reads out > 0, which holds exactly where a > 0, NaN and
+    signed zeros included."""
+    a, g = case
+    out, vjp = ad.PRIMITIVES["relu"]((Tensor(a),), {})
+    assert out.tobytes() == np.maximum(a, 0.0).tobytes()
+    with np.errstate(invalid="ignore"):  # inf * 0
+        (got,) = vjp(g)
+        assert got.tobytes() == (g * (a > 0)).tobytes()
+
+
+_SQUARE, _ONE_QUERY = (_tower_attention_case(4, 2, tq, 5, 4, 0.2) for tq in (5, 1))
+_HYGIENE_CASES = {
+    "attention": (_SQUARE[:3], {}),
+    "attention-mask": (_SQUARE[:3], {"mask": _SQUARE[3]}),
+    "attention-one-query": (_ONE_QUERY[:3], {"mask": _ONE_QUERY[3]}),
+    "layer_norm": (_normal_case(4, 5, 6)[:3], {}),
+    "relu": ((np.random.default_rng(0).normal(size=(4, 5, 6)),), {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HYGIENE_CASES))
+def test_vjp_writes_into_nothing_it_reads(case):
+    """A VJP runs twice to the same bytes (gradcheck calls it more than
+    once), and leaves the output gradient, every input and the forward
+    output as they were."""
+    arrays_in, attrs = _HYGIENE_CASES[case]
+    inputs = tuple(Tensor(a) for a in arrays_in)
+    out, vjp = ad.PRIMITIVES[case.split("-")[0]](inputs, attrs)
+    g = np.random.default_rng(1).normal(size=out.shape)
+    before = [a.tobytes() for a in (g, out, *arrays_in)]
+    first = [r.tobytes() for r in vjp(g)]
+    second = [r.tobytes() for r in vjp(g)]
+    assert first == second
+    assert [a.tobytes() for a in (g, out, *arrays_in)] == before

@@ -2,6 +2,7 @@
 freezing, and run-level determinism."""
 
 import copy
+import hashlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -433,3 +434,29 @@ def test_runs_tokenize_only_their_own_titles(training_data, word_tokenizer):
     finetune_run(groups, init_params(TINY, seed=0), _run_cfg(max_steps=1),
                  only([i for g in groups for i in g.item_ids], [g.history for g in groups]),
                  titles)
+
+
+# Two user layers, so that the square attention of the first layer runs as
+# well as the last layer's one-query attention (TINY's only layer)
+TWO_LAYERS = replace(TINY, user_layers=2)
+
+# SHA-256 of the parameters after 4 pre-training steps and after 3 further
+# fine-tuning steps, taken with numpy 2.4.6 and the plain-formula attention,
+# layer_norm and relu kernels; a kernel that moves one bit moves them
+TRAINED_DIGESTS = ("d153408116c9737b52ff57666bc359cb4dc5661907b005097541c593222828be",
+                   "c3f17dffd1c07bc89eb926aaacc15e9e2712c8480612e9f515c8819dfc2d8dcd")
+
+
+def _params_digest(params):
+    h = hashlib.sha256()
+    for name, t in params.tensors.items():
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def test_trained_bits_are_pinned(training_data, word_tokenizer):
+    samples, groups, titles = training_data
+    pre = pretrain_run(samples, _run_cfg(), TWO_LAYERS, word_tokenizer, titles)
+    tuned = finetune_run(groups, pre, _run_cfg(max_steps=3), word_tokenizer, titles)
+    assert (_params_digest(pre), _params_digest(tuned)) == TRAINED_DIGESTS
