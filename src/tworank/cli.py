@@ -186,13 +186,16 @@ def cmd_evaluate(cfg: RunConfig, ec: EvalConfig, args) -> int:
     metrics = eval_metrics(bundle, params)
     calib = calibration_report(bundle, params, bundle.finetune_test,
                                use_context=cfg.finetune.use_context)
-    payload = {"ndcg": {k: _json_metric(v) for k, v in metrics.items()},
+    kept = metrics["groups"]  # filter -> evaluation groups it kept
+    payload = {"ndcg": {f: _json_metric(metrics[f]) for f in kept}, "groups": kept,
                "calibration": calib, "config": asdict(cfg)}
     path = os.path.join(args.out, "metrics.json")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
     print(f"evaluate: {ckpt}: retargeting={metrics['retargeting']:.4f} "
           f"discovery={metrics['discovery']:.4f} -> {path}")
+    print("evaluate: groups kept: " + ", ".join(
+        f"{f} {n} of {len(bundle.eval_groups)}" for f, n in kept.items()))
     return EXIT_OK
 
 
@@ -204,9 +207,9 @@ def cmd_ablate(cfg: RunConfig, ec: EvalConfig, args) -> int:
                                  seed, **asdict(cfg.data))
         for cell, (bundle, params) in trained.items():
             metrics[cell, seed] = eval_metrics(bundle, params)
-    rows = [{"metric": f"ndcg/{cell}", "surface": surface, "seed": seed, "value": value}
-            for cell in cells for seed in seeds
-            for surface, value in metrics[cell, seed].items()]
+    rows = [{"metric": f"ndcg/{cell}", "surface": surface, "seed": seed,
+             "value": metrics[cell, seed][surface]}
+            for cell in cells for seed in seeds for surface in metrics[cell, seed]["groups"]]
     tsv = os.path.join(args.out, "results.tsv")
     with open(tsv, "w") as fh:
         fh.write("metric\tsurface_filter\tseed\tvalue\n")

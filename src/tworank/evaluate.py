@@ -33,33 +33,29 @@ def ndcg(scores, relevances, item_ids) -> float:
     return got / ideal
 
 
-def mean_ndcg(groups, score_fn) -> float:
-    """Average nDCG over groups; score_fn(group) -> array of item scores."""
+def mean_ndcg(groups, scores, keep=None) -> float:
+    """Average nDCG over groups, scores[k] holding groups[k]'s item scores;
+    with keep, group k counts only its item positions keep[k]. Groups with
+    no positive are skipped."""
     vals = []
-    for g in groups:
-        rel = group_relevance(g)
-        if not np.any(rel > 0):
-            continue
-        vals.append(ndcg(score_fn(g), rel, g.item_ids))
+    for k, (g, s) in enumerate(zip(groups, scores)):
+        rel, ids = group_relevance(g), np.asarray(g.item_ids)
+        if keep is not None:
+            rel, ids, s = rel[keep[k]], ids[keep[k]], s[keep[k]]
+        if np.any(rel > 0):
+            vals.append(ndcg(s, rel, ids))
     if not vals:
         raise ValueError("no scorable groups")
     return float(np.mean(vals))
 
 
-def discovery_subset(group: ImpressionGroup, known_categories: set[int],
-                     item_category) -> ImpressionGroup | None:
-    """Restrict a group to items whose category the user never interacted
-    with before the request; None if fewer than 2 items or no positive
-    survives."""
-    keep = [i for i, item in enumerate(group.item_ids)
-            if item_category(item) not in known_categories]
-    if len(keep) < 2:
+def discovery_subset(group: ImpressionGroup, first_touch: np.ndarray,
+                     item_categories: np.ndarray) -> np.ndarray | None:
+    """Positions of the group's items whose category the user first touched
+    on or after the request day, or never: `first_touch` is the user's
+    first touch day per category. None if fewer than 2 items or no positive
+    survive."""
+    keep = np.flatnonzero(first_touch[item_categories[group.item_ids]] >= group.day)
+    if len(keep) < 2 or not group_relevance(group)[keep].any():
         return None
-    sub = ImpressionGroup(
-        user_id=group.user_id, day=group.day, surface_id=group.surface_id,
-        device_id=group.device_id,
-        item_ids=[group.item_ids[i] for i in keep],
-        labels={s: [group.labels[s][i] for i in keep] for s in SIGNALS},
-        history=group.history)
-    return sub if sub.has_positive() else None
-
+    return keep

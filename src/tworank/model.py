@@ -393,6 +393,16 @@ def context_score(surface_ids, device_ids, params: ModelParams) -> Tensor:
     return ad.reshape(s + t, (-1,))
 
 
+def item_context(groups, owner, params: ModelParams, use_context: bool) -> Tensor:
+    """(N,) context term of N items, item n shown in groups[owner[n]]: the
+    context_score of that group's surface and device, or zeros without the
+    context term."""
+    if not use_context:
+        return Tensor(np.zeros(len(owner)))
+    return context_score(np.array([g.surface_id for g in groups])[owner],
+                         np.array([g.device_id for g in groups])[owner], params)
+
+
 def similarity_matrix(users: Tensor, items: Tensor) -> Tensor:
     """(B_u, d) x (B_i, d) -> (B_u, B_i) cosine similarities."""
     return ad.matmul(users, ad.transpose(items, (1, 0)))

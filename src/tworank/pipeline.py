@@ -4,7 +4,6 @@ the ablation matrix. Shared by the CLI and the acceptance suite."""
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -14,8 +13,8 @@ from .dataset import (attach_history, build_finetune_groups,
                       build_pretrain_samples, time_split)
 from .evaluate import discovery_subset, mean_ndcg
 from .losses import click_logit, temperature
-from .model import (EMBED_BATCH, ModelParams, TowerConfig, batch_histories, context_score,
-                    init_params, user_tower_forward_batch)
+from .model import (EMBED_BATCH, ModelParams, TowerConfig, batch_histories, init_params,
+                    item_context, user_tower_forward_batch)
 from .synth import (EventRecord, SynthConfig, SynthWorld, generate_world,
                     make_balanced_eval_groups, simulate_logs)
 from .text import Vocab, build_vocab, tokenize
@@ -37,7 +36,7 @@ class Bundle:
     finetune_train: list
     finetune_test: list
     eval_groups: list[ImpressionGroup]
-    interacted_categories: dict[int, list[tuple[int, int]]]
+    first_touch: np.ndarray  # (n_users, n_categories) first item-event day; `days` if none
     include_web: bool
     _tok_cache: dict = field(default_factory=dict)
 
@@ -46,12 +45,6 @@ class Bundle:
         if out is None:
             out = self._tok_cache[text] = tokenize(text, self.vocab)
         return out
-
-    def item_category(self, item_id: int) -> int:
-        return int(self.world.item_categories[item_id])
-
-    def known_categories(self, user_id: int, day: int) -> set[int]:
-        return {c for d, c in self.interacted_categories.get(user_id, []) if d < day}
 
 
 def build_bundle(world_cfg: SynthConfig, vocab_size: int = 2048,
@@ -74,21 +67,23 @@ def build_bundle(world_cfg: SynthConfig, vocab_size: int = 2048,
     # one cut for every history the bundle holds; test-window samples get none
     attach_history(pre_train + groups + eval_groups, records, delay, max_history, include_web)
 
-    interacted = defaultdict(list)
-    events = [r for r in records if isinstance(r, EventRecord) and r.event.item_id is not None]
-    event_items = [r.event.item_id for r in events]
-    for rec, cat in zip(events, world.item_categories[event_items].tolist()):
-        interacted[rec.user_id].append((rec.event.day, cat))
+    touches = np.array([(r.user_id, r.event.item_id, r.event.day) for r in records
+                        if isinstance(r, EventRecord) and r.event.item_id is not None],
+                       dtype=np.int64).reshape(-1, 3)
+    cfg = world.config
+    first_touch = np.full((cfg.n_users, cfg.n_categories), cfg.days)
+    np.minimum.at(first_touch, (touches[:, 0], world.item_categories[touches[:, 1]]),
+                  touches[:, 2])
 
     return Bundle(world=world, records=records, titles=titles, vocab=vocab,
                   pretrain_train=pre_train, finetune_train=ft_train,
                   finetune_test=ft_test, eval_groups=eval_groups,
-                  interacted_categories=dict(interacted), include_web=include_web)
+                  first_touch=first_touch, include_web=include_web)
 
 
-def score_table(bundle: Bundle, params: ModelParams, groups) -> dict[int, np.ndarray]:
-    """Similarity scores for every group's items, keyed by id(group). Groups
-    that share one history object share one user vector."""
+def score_table(bundle: Bundle, params: ModelParams, groups) -> list[np.ndarray]:
+    """Similarity scores of every group's items, in group order. Groups that
+    share one history object share one user vector."""
     histories = list({id(g.history): g.history for g in groups}.values())
     user_row = {id(h): r for r, h in enumerate(histories)}
     with no_grad():
@@ -105,33 +100,24 @@ def score_table(bundle: Bundle, params: ModelParams, groups) -> dict[int, np.nda
             item_vecs[lo: lo + len(chunk)] = item_embeddings_for(
                 chunk, bundle.titles, bundle.tokenize_fn, params).data
     item_row = {item: r for r, item in enumerate(unique_items)}
-    out = {}
-    for g in groups:
-        rows = [item_row[i] for i in g.item_ids]
-        out[id(g)] = item_vecs[rows] @ user_vecs[user_row[id(g.history)]]
-    return out
+    return [item_vecs[[item_row[i] for i in g.item_ids]] @ user_vecs[user_row[id(g.history)]]
+            for g in groups]
 
 
 def eval_metrics(bundle: Bundle, params: ModelParams) -> dict[str, float]:
     """Test nDCG on the context-balanced evaluation groups, for the
     retargeting-like (all items) and discovery-like (previously
-    undiscovered categories) filters."""
+    undiscovered categories) filters, and under "groups" how many groups
+    each filter kept. Discovery is NaN when it keeps none."""
     groups = bundle.eval_groups
     scores = score_table(bundle, params, groups)
-    retarget = mean_ndcg(groups, lambda g: scores[id(g)])
-    disc_groups, disc_scores = [], {}
-    for g in groups:
-        known = bundle.known_categories(g.user_id, g.day)
-        sub = discovery_subset(g, known, bundle.item_category)
-        if sub is None:
-            continue
-        kept = set(sub.item_ids)
-        keep = [i for i, item in enumerate(g.item_ids) if item in kept]
-        disc_scores[id(sub)] = scores[id(g)][keep]
-        disc_groups.append(sub)
-    discovery = (mean_ndcg(disc_groups, lambda g: disc_scores[id(g)])
-                 if disc_groups else float("nan"))
-    return {"retargeting": retarget, "discovery": discovery}
+    retarget = mean_ndcg(groups, scores)
+    keeps = [discovery_subset(g, bundle.first_touch[g.user_id], bundle.world.item_categories)
+             for g in groups]
+    kept = [(g, s, keep) for g, s, keep in zip(groups, scores, keeps) if keep is not None]
+    discovery = mean_ndcg(*zip(*kept)) if kept else float("nan")
+    return {"retargeting": retarget, "discovery": discovery,
+            "groups": {"retargeting": len(groups), "discovery": len(kept)}}
 
 
 def calibration_report(bundle: Bundle, params: ModelParams, groups,
@@ -141,15 +127,10 @@ def calibration_report(bundle: Bundle, params: ModelParams, groups,
     if not groups:
         raise ValueError("calibration report needs at least one impression group")
     scores = score_table(bundle, params, groups)
-    sizes = [len(g.item_ids) for g in groups]
+    owner = np.repeat(np.arange(len(groups)), [len(g.item_ids) for g in groups])
     with no_grad():
-        if use_context:
-            r_ctx = context_score(np.repeat([g.surface_id for g in groups], sizes),
-                                  np.repeat([g.device_id for g in groups], sizes), params)
-        else:
-            r_ctx = Tensor(np.zeros(sum(sizes)))
-        z = click_logit(Tensor(np.concatenate([scores[id(g)] for g in groups])),
-                        r_ctx, params).data
+        z = click_logit(Tensor(np.concatenate(scores)),
+                        item_context(groups, owner, params, use_context), params).data
     preds = 1.0 / (1.0 + np.exp(-z))
     ys = np.concatenate([g.labels["click"] for g in groups])
     return {"mean_predicted": float(np.mean(preds)),

@@ -13,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .model import (FROZEN_IN_CONTINUOUS, GROUP_NAMES, ModelParams, TowerConfig,
-                    batch_histories, content_embed_batch, context_score, init_params,
+                    batch_histories, content_embed_batch, init_params, item_context,
                     item_tower_forward_batch, pad_tokens, similarity_matrix,
                     user_tower_forward_batch)
 from .losses import finetune_objective, pretrain_loss_matrix, temperature
@@ -191,13 +191,8 @@ def finetune_run(groups: list[ImpressionGroup], init: ModelParams,
         item_embs = item_embeddings_for([i for g in batch for i in g.item_ids], titles,
                                         tokenize_fn, params)
         r_items = ad.tsum(ad.mul(item_embs, ad.gather(users, owner)), axis=1)
-        if config.use_context:
-            r_ctx = context_score(np.array([g.surface_id for g in batch])[owner],
-                                  np.array([g.device_id for g in batch])[owner], params)
-        else:
-            r_ctx = Tensor(np.zeros(owner.size))
-        return finetune_objective(r_items, r_ctx, [g.labels for g in batch], params,
-                                  config.pointwise_weight)
+        return finetune_objective(r_items, item_context(batch, owner, params, config.use_context),
+                                  [g.labels for g in batch], params, config.pointwise_weight)
 
     n_batches = (len(groups) + group_batch - 1) // group_batch
     return _train(params, config, len(groups), group_batch, n_batches, config.seed + 7,

@@ -430,6 +430,24 @@ def test_evaluate_and_export_name_the_checkpoint(workspace, tmp_path, capsys):
     assert "finetune.ckpt" not in (out / "metrics.json").read_text()
 
 
+def test_evaluate_reports_groups_kept(workspace, tmp_path, capsys):
+    """evaluate prints and records how many evaluation groups each nDCG
+    filter kept: retargeting keeps every group, discovery those with at
+    least 2 items of undiscovered categories and a positive among them."""
+    out = tmp_path / "kept"
+    out.mkdir()
+    for name in ("logs.ndjson", "vocab.txt", "finetune.ckpt"):
+        (out / name).write_bytes((workspace / name).read_bytes())
+    assert run("evaluate", out) == EXIT_OK
+    printed = re.search(r"groups kept: retargeting (\d+) of (\d+), discovery (\d+) of (\d+)$",
+                        capsys.readouterr().out.strip())
+    n, total, kept, total2 = map(int, printed.groups())
+    assert n == total == total2 > 0 and 0 <= kept <= total
+    payload = json.loads((out / "metrics.json").read_text())
+    assert payload["groups"] == {"retargeting": n, "discovery": kept}
+    assert set(payload["ndcg"]) == set(payload["groups"])
+
+
 def test_bad_override_exit_code(tmp_path):
     assert main(["gen-data", "--out", str(tmp_path), "--set", "world.n_items=lots"]) \
         == EXIT_CONFIG

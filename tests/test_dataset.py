@@ -137,7 +137,7 @@ def _bundle_digest(bundle) -> str:
     """SHA-256 of what set-up builds: every sample's and group's fields and
     history events, how many distinct history objects each list holds
     (score_table and batch_histories share work by object), and each
-    user's interacted categories."""
+    user's first touch day per category."""
     def events(h):
         return [[e.day, e.event_type.value, e.text, e.item_id, e.surface_id] for e in h.events]
 
@@ -152,20 +152,21 @@ def _bundle_digest(bundle) -> str:
             groups(bundle.finetune_train), groups(bundle.finetune_test),
             groups(bundle.eval_groups),
             [len({id(x.history) for x in xs}) for xs in lists],
-            sorted(bundle.interacted_categories.items())]
+            bundle.first_touch.tolist()]
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
-# SHA-256 of build_bundle's output at commit e3f06b9 (numpy 2.4.6). A
-# change to how set-up cuts, shares or orders histories moves them.
+# SHA-256 of build_bundle's output at commit 2317c31 (numpy 2.4.6), the
+# first-touch table there derived from its per-user (day, category) lists.
+# A change to how set-up cuts, shares or orders histories moves them.
 PINNED_BUNDLES = [
     (dict(n_items=60, n_users=20, n_categories=4, days=10, organic_rate=0.8,
           impressions_per_day=0.5, query_rate=0.4, seed=0),
      dict(max_history=5, delay=1, include_web=True, test_days=3),
-     "5061aa0aed1adec51de9611dd4f20bcd259adae5735939c142fc53d6770e5ef9"),
+     "37b273530ba4fc43e6fbfae520f1d8664cf3a184e4f95b0bde6ce0f3ea13fd09"),
     (dict(n_items=300, n_users=30, n_categories=20, days=8, seed=3),
      dict(max_history=64, delay=2, include_web=False, test_days=2, eval_groups_per_user=3),
-     "5113fb6b95e63c8ea1576e73a8635b500479ca6deba890afd54555df00f23b9c"),
+     "542cdac10c7705c972da29c472ee89dc8fc6ce74fa8f84e919c925bfc393d965"),
 ]
 
 
