@@ -106,10 +106,12 @@ def finetune_objective_bruteforce(r_items: np.ndarray, r_ctx: float,
     return total
 
 
-def world_items_per_item(config) -> tuple[np.ndarray, list[str]]:
-    """Item latents and titles as `synth.generate_world` made them one item at
-    a time, with np.mean and np.linalg.norm per item: the reference for its
-    batched latents. It replays the world's draws up to the item loop."""
+def world_per_item(config) -> dict:
+    """Every drawn array of `synth.generate_world`'s world, with the titles
+    drawn one item at a time by `rng.choice` and `rng.integers` and the
+    latents made per item with np.mean and np.linalg.norm: the reference for
+    its batched title draws and latents. It replays all of the world's
+    draws, the users' after the item loop included."""
     rng = np.random.default_rng(config.seed)
     m, C = config.latent_dim, config.n_categories
     centers = rng.normal(size=(C, m))
@@ -138,4 +140,31 @@ def world_items_per_item(config) -> tuple[np.ndarray, list[str]]:
         title.append(_COMMON[rng.integers(0, len(_COMMON))])
         title.append(f"sku{i % 97}")
         titles.append(" ".join(title))
-    return item_latents, titles
+
+    user_primary = rng.integers(0, C, size=config.n_users)
+    user_secondary = (user_primary + rng.integers(1, C, size=config.n_users)) % C
+    lo = int(config.days * 0.3)
+    user_switch_day = rng.integers(lo, max(int(config.days * 0.95), lo + 1), size=config.n_users)
+    user_base = 0.25 * rng.normal(size=(config.n_users, m))
+    user_device = rng.integers(0, config.n_devices, size=config.n_users)
+    return dict(category_centers=centers, item_categories=item_categories,
+                category_words=category_words, item_latents=item_latents, titles=titles,
+                user_primary=user_primary, user_secondary=user_secondary,
+                user_switch_day=user_switch_day, user_base=user_base, user_device=user_device)
+
+
+def world_items_per_item(config) -> tuple[np.ndarray, list[str]]:
+    """The item latents and titles of `world_per_item`."""
+    world = world_per_item(config)
+    return world["item_latents"], world["titles"]
+
+
+def title_draws_per_item(rng, per_cat: int, n_items: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each item's title picks and `_COMMON` index drawn one item at a time:
+    the reference for `synth._title_draws`."""
+    picks = np.empty((n_items, 3), dtype=np.intp)
+    common = np.empty(n_items, dtype=np.intp)
+    for i in range(n_items):
+        picks[i] = rng.choice(per_cat, size=3, replace=False)
+        common[i] = rng.integers(0, len(_COMMON))
+    return picks, common

@@ -6,13 +6,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tworank.synth import (EventRecord, SynthConfig, generate_world,
-                           make_balanced_eval_groups, read_logs, simulate_logs,
-                           write_logs)
+from tworank.synth import (_ADJECTIVES, _NOUNS, EventRecord, SynthConfig, _title_draws,
+                           generate_world, make_balanced_eval_groups, read_logs,
+                           simulate_logs, write_logs)
 from tworank.types import SIGNALS, EventType, ImpressionGroup
 
-from oracles import world_items_per_item
+from oracles import title_draws_per_item, world_items_per_item, world_per_item
 
 
 def test_world_generation_deterministic(small_world):
@@ -43,6 +45,118 @@ def test_world_items_match_the_per_item_loop(kw):
     latents, titles = world_items_per_item(world.config)
     assert world.item_latents.tobytes() == latents.tobytes()
     assert world.titles == titles
+
+
+@pytest.mark.parametrize("kw", PER_ITEM_CONFIGS, ids=["small", "shared-words",
+                                                     "empty-categories", "m2", "m16", "m33"])
+def test_world_matches_the_per_item_loop(kw):
+    """Every drawn array of the world, the users' drawn after the titles
+    included, equals the per-item loop's."""
+    world = generate_world(SynthConfig(**kw))
+    for name, want in world_per_item(world.config).items():
+        got = getattr(world, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        else:
+            assert got == want, name
+
+
+def test_catalog_world_is_pinned():
+    """The 100k-item world, digest taken at commit af0c7b8 (numpy 2.4.6),
+    where the titles were drawn by a per-item rng.choice/rng.integers loop."""
+    world = generate_world(SynthConfig(n_items=100_000, n_users=100, days=24,
+                                       impressions_per_day=0.35, seed=4049))
+    h = hashlib.sha256()
+    for name in ("category_centers", "item_categories", "item_latents", "user_base",
+                 "user_primary", "user_secondary", "user_switch_day", "user_device",
+                 "bias_table"):
+        h.update(getattr(world, name).tobytes())
+    h.update(json.dumps([world.titles, world.category_words]).encode())
+    assert h.hexdigest() == "598e8f80ac404f8b86a27bd12aae03eb24c252e79570466c00206c31ff6ae476"
+
+
+_N_WORDS = len(set(_ADJECTIVES) | set(_NOUNS))
+
+
+@given(n_items=st.integers(1, 400), n_categories=st.integers(2, 60),
+       seed=st.integers(0, 2**63), prior=st.integers(0, 1))
+@example(n_items=4096 * 2 + 5, n_categories=8, seed=4049, prior=0)
+@example(n_items=4096 * 2 + 5, n_categories=8, seed=4049, prior=1)
+@settings(max_examples=80, deadline=None)
+def test_title_draws_match_the_per_item_loop(n_items, n_categories, seed, prior):
+    """Picks, common words and the generator's state afterwards equal the
+    per-item loop's, with the 32-bit buffer empty or full on entry, and
+    across the helper's passes of 4096 items."""
+    per_cat = max(4, _N_WORDS // n_categories)
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (fast, slow):
+        for _ in range(prior):
+            rng.integers(0, 2**31)
+    picks, common = _title_draws(fast, per_cat, n_items)
+    want_picks, want_common = title_draws_per_item(slow, per_cat, n_items)
+    assert np.array_equal(picks, want_picks) and np.array_equal(common, want_common)
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+# numpy's PCG64 steps its 128-bit state s to s * M + inc and outputs the
+# XSL-RR of the new state, (hi ^ lo) rotated right by hi >> 58
+_PCG_M = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_state_with(inc, position, value, rng):
+    """A PCG64 state whose 32-bit stream (low half of each output first)
+    holds `value` at `position`."""
+    hi = int(rng.integers(0, 2**58))  # rotation 0, so the output is hi ^ lo
+    other = int(rng.integers(0, 2**32))
+    out = (other << 32 | value) if position % 2 == 0 else (value << 32 | other)
+    s = hi << 64 | (out ^ hi)
+    m_inv = pow(_PCG_M, -1, 1 << 128)
+    for _ in range(position // 2 + 1):
+        s = (s - inc) * m_inv % (1 << 128)
+    return s
+
+
+@pytest.mark.parametrize("per_cat", [12, 24])
+@pytest.mark.parametrize("buffered", [False, True], ids=["empty-buffer", "full-buffer"])
+@pytest.mark.parametrize("item", [0, 5])
+@pytest.mark.parametrize("slot", range(6))
+def test_title_draws_redraw_like_the_loop(slot, item, buffered, per_cat):
+    """A 32-bit value of 0 in one item's draw slot is rejected (0 * n mod
+    2**32 is below 2**32 mod n) and drawn again, except in the shuffle's
+    draw over two values, where 2**32 mod 2 is 0. The round with it goes
+    through the generator's own calls, and the rounds after it resume from
+    its state. A full buffer holds 0 too, which rejects item 0's first draw,
+    so every later draw reads the raw stream one place on: the forced value
+    sits at the same raw index."""
+    n_items, rng = 12, np.random.default_rng([slot, item, per_cat])
+    inc = np.random.default_rng(per_cat).bit_generator.state["state"]["inc"]
+    first = buffered and item == slot == 0  # the buffer already rejects this draw
+    raw_index = 6 * item + slot
+    value = int(rng.integers(1, 2**32)) if first else 0
+    state = {"bit_generator": "PCG64",
+             "state": {"state": _pcg64_state_with(inc, raw_index, value, rng), "inc": inc},
+             "has_uint32": int(buffered), "uinteger": 0}
+    raw = np.random.PCG64()
+    raw.state = state
+    assert raw.random_raw(3 * n_items).view("<u4")[raw_index] == value
+
+    fast, slow = np.random.default_rng(), np.random.default_rng()
+    fast.bit_generator.state = slow.bit_generator.state = state
+    picks, common = _title_draws(fast, per_cat, n_items)
+    want_picks, want_common = title_draws_per_item(slow, per_cat, n_items)
+    assert np.array_equal(picks, want_picks) and np.array_equal(common, want_common)
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+    # the rounds take 6 values each, plus one per redraw
+    end = slow.bit_generator.state
+    raw.state = state
+    outputs = 0
+    while raw.state["state"] != end["state"]:
+        raw.advance(1)
+        outputs += 1
+    taken = buffered + 2 * outputs - end["has_uint32"]
+    assert taken == 6 * n_items + (slot != 4 and not first) + buffered
 
 
 # SHA-256 of write_logs' bytes and of the eval groups at commit 2424dfa
