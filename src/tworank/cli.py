@@ -22,6 +22,7 @@ from .serving import KIND_ITEM, KIND_NAMES, KIND_USER, EmbeddingTable, export_em
 from .synth import generate_world, read_logs, simulate_logs, write_logs
 from .text import Vocab, build_vocab
 from .train import continuous_finetune, finetune_run, pretrain_run
+from .types import ImpressionGroup
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,7 +54,7 @@ def cmd_gen_data(cfg: RunConfig, ec: EvalConfig, args) -> int:
     records = simulate_logs(world)
     path = os.path.join(args.out, "logs.ndjson")
     write_logs(world, records, path)
-    n_imp = sum(1 for r in records if not hasattr(r, "event"))
+    n_imp = sum(1 for r in records if isinstance(r, ImpressionGroup))
     print(f"gen-data: wrote {len(records)} records ({n_imp} impressions) to {path}")
     return EXIT_OK
 

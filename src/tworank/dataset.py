@@ -13,8 +13,7 @@ from bisect import bisect_right
 from collections import defaultdict
 
 from .synth import EventRecord, LogRecord
-from .types import (Event, EventType, ImpressionGroup, PretrainSample,
-                    UserHistory, signal_of)
+from .types import Event, EventType, ImpressionGroup, PretrainSample, UserHistory
 
 
 def _delayed_histories(records: list[LogRecord], requests, delay: int,
@@ -44,11 +43,10 @@ def _delayed_histories(records: list[LogRecord], requests, delay: int,
 
 
 def build_pretrain_samples(records: list[LogRecord]) -> list[PretrainSample]:
-    """One sample per positive interaction (organic and impressed alike),
-    without a history: `attach_history` cuts it."""
-    return [PretrainSample(user_id=r.user_id, day=r.event.day, item_id=r.event.item_id,
-                           signal=signal_of(r.event.event_type))
-            for r in records if isinstance(r, EventRecord) and signal_of(r.event.event_type)]
+    """One sample per positive interaction (an event with an item, organic
+    and impressed alike), without a history: `attach_history` cuts it."""
+    return [PretrainSample(user_id=r.user_id, day=r.event.day, item_id=r.event.item_id)
+            for r in records if isinstance(r, EventRecord) and r.event.item_id is not None]
 
 
 def close_funnel_labels(labels: dict[str, list[int]]) -> dict[str, list[int]]:

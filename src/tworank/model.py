@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .types import EVENT_TYPE_IDS, UserHistory, check_least
+from .types import EVENT_TYPE_IDS, SIGNALS, UserHistory, check_least
 
 CHECKPOINT_MAGIC = b"TT2R"
 CHECKPOINT_VERSION = 1
@@ -204,7 +204,7 @@ def param_layout(config: TowerConfig) -> list[tuple[str, tuple[int, ...], float 
 
     # softplus(tau_raw) = 10 at init
     layout.append(("loss_params.tau_raw", (), float(np.log(np.expm1(10.0)))))
-    for k in ("click", "cart", "fvrt", "prch"):
+    for k in SIGNALS:
         layout += [(f"loss_params.gamma.{k}", (), 1.0), (f"loss_params.gamma_ctx.{k}", (), 1.0),
                    (f"loss_params.beta.{k}", (), 0.0)]
     # context multipliers start at 1 with zero tables: initial predictions

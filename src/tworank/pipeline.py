@@ -15,8 +15,8 @@ from .evaluate import discovery_subset, mean_ndcg
 from .losses import click_logit, temperature
 from .model import (EMBED_BATCH, ModelParams, TowerConfig, batch_histories, init_params,
                     item_context, user_tower_forward_batch)
-from .synth import (EventRecord, SynthConfig, SynthWorld, generate_world,
-                    make_balanced_eval_groups, simulate_logs)
+from .synth import (SynthConfig, SynthWorld, generate_world, make_balanced_eval_groups,
+                    simulate_logs)
 from .text import Vocab, build_vocab, tokenize
 from .train import TrainConfig, finetune_run, item_embeddings_for, pretrain_run
 from .types import ImpressionGroup
@@ -67,8 +67,8 @@ def build_bundle(world_cfg: SynthConfig, vocab_size: int = 2048,
     # one cut for every history the bundle holds; test-window samples get none
     attach_history(pre_train + groups + eval_groups, records, delay, max_history, include_web)
 
-    touches = np.array([(r.user_id, r.event.item_id, r.event.day) for r in records
-                        if isinstance(r, EventRecord) and r.event.item_id is not None],
+    # every item event of the logs is a pre-training sample
+    touches = np.array([(s.user_id, s.item_id, s.day) for s in samples],
                        dtype=np.int64).reshape(-1, 3)
     cfg = world.config
     first_touch = np.full((cfg.n_users, cfg.n_categories), cfg.days)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import SIGNALS, Event, EventType, ImpressionGroup, check_least
+from .types import SIGNALS, Event, EventType, ImpressionGroup, check_least, signal_of
 
 _ADJECTIVES = [
     "alpha", "bravo", "cobalt", "delta", "ember", "frost", "glint", "harbor",
@@ -169,8 +169,7 @@ def generate_world(config: SynthConfig) -> SynthWorld:
 
     # category word templates: each category owns a small pool so items in
     # one category share title words
-    pool = [f"{a} {n}".split() for a in _ADJECTIVES for n in _NOUNS]
-    flat = sorted({w for pair in pool for w in pair})
+    flat = sorted(set(_ADJECTIVES + _NOUNS))
     perm = rng.permutation(len(flat))
     per_cat = max(4, len(flat) // C)
     category_words = []
@@ -278,20 +277,16 @@ def _slate(world: SynthWorld, in_cat: np.ndarray, rng) -> tuple[list[int], dict[
 P_FVRT, P_CART, P_PRCH = 0.12, 0.3, 0.35
 
 
-def _funnel_events(day: int, item: int, title: str, surface, rng):
+def _funnel_events(day: int, item: int, title: str, surface, rng) -> list[Event]:
     """Click plus optional deeper funnel steps, in funnel order."""
     events = [Event(day, EventType.CLICK, title, int(item), surface)]
-    signals = {"click": 1, "cart": 0, "fvrt": 0, "prch": 0}
     if rng.random() < P_FVRT:
         events.append(Event(day, EventType.ADD_TO_FAVORITES, title, int(item), surface))
-        signals["fvrt"] = 1
     if rng.random() < P_CART:
         events.append(Event(day, EventType.ADD_TO_CART, title, int(item), surface))
-        signals["cart"] = 1
         if rng.random() < P_PRCH:
             events.append(Event(day, EventType.PURCHASE, title, int(item), surface))
-            signals["prch"] = 1
-    return events, signals
+    return events
 
 
 def simulate_logs(world: SynthWorld) -> list[LogRecord]:
@@ -319,8 +314,8 @@ def simulate_logs(world: SynthWorld) -> list[LogRecord]:
                     item = int(cand[rng.integers(0, len(cand))])
                 else:
                     item = int(rng.integers(0, cfg.n_items))
-                events, _ = _funnel_events(day, item, world.titles[item], None, rng)
-                records.extend(EventRecord(user, e) for e in events)
+                records.extend(EventRecord(user, e) for e in
+                               _funnel_events(day, item, world.titles[item], None, rng))
 
             # impressions with context bias in the labels
             n_imp = rng.poisson(cfg.impressions_per_day)
@@ -338,11 +333,9 @@ def simulate_logs(world: SynthWorld) -> list[LogRecord]:
                     p_click = _sigmoid(cfg.relevance_scale * float(z_u @ world.item_latents[item])
                                        + b_ctx + cfg.click_offset)
                     if rng.random() < p_click:
-                        events, signals = _funnel_events(
-                            day, item, world.titles[item], surface, rng)
-                        records.extend(EventRecord(user, e) for e in events)
-                        for s, v in signals.items():
-                            labels[s][pos] = v
+                        for e in _funnel_events(day, item, world.titles[item], surface, rng):
+                            records.append(EventRecord(user, e))
+                            labels[signal_of(e.event_type)][pos] = 1
                 records.append(ImpressionGroup(
                     user_id=user, day=day, surface_id=surface, device_id=device,
                     item_ids=items, labels=labels))
@@ -483,9 +476,15 @@ def read_logs(path, world: SynthWorld) -> list[LogRecord]:
                         raise ValueError(f"user {user}'s events go back from day {last_day[user]} "
                                          f"to day {day}; logs must be in day order per user")
                     last_day[user] = day
-                    items = [] if obj["item"] is None else [obj["item"]]
-                    rec = EventRecord(user, Event(day, EventType(obj["event"]), obj["text"],
-                                                  obj["item"], obj["surface"]))
+                    event_type, item = EventType(obj["event"]), obj["item"]
+                    if event_type is EventType.WEB_QUERY:
+                        if item is not None:
+                            raise ValueError("web_query events carry no item_id")
+                    elif item is None or not obj["text"]:
+                        raise ValueError(f"{event_type.value} events need item_id and title")
+                    items = [] if item is None else [item]
+                    rec = EventRecord(user, Event(day, event_type, obj["text"], item,
+                                                  obj["surface"]))
                 else:
                     items = obj["items"]
                     _check_impression(items, obj["signals"])

@@ -45,21 +45,14 @@ def signal_of(event_type: EventType) -> str | None:
 
 @dataclass(frozen=True)
 class Event:
-    """One timestamped user interaction."""
+    """One timestamped user interaction. A web query has no item_id; any
+    other event has one, and its title as text (read_logs checks both)."""
 
     day: int
     event_type: EventType
     text: str
     item_id: int | None = None
     surface_id: int | None = None
-
-    def __post_init__(self):
-        if self.event_type is EventType.WEB_QUERY:
-            if self.item_id is not None:
-                raise ValueError("web_query events carry no item_id")
-        else:
-            if self.item_id is None or not self.text:
-                raise ValueError(f"{self.event_type.value} events need item_id and title")
 
 
 @dataclass
@@ -94,5 +87,4 @@ class PretrainSample:
     user_id: int
     day: int
     item_id: int
-    signal: str
     history: UserHistory | None = None

@@ -3,6 +3,8 @@ group filtering, and the temporal split."""
 
 import hashlib
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -134,39 +136,40 @@ def test_samples_with_one_cut_share_one_history():
 
 
 def _bundle_digest(bundle) -> str:
-    """SHA-256 of what set-up builds: every sample's and group's fields and
-    history events, how many distinct history objects each list holds
-    (score_table and batch_histories share work by object), and each
-    user's first touch day per category."""
-    def events(h):
-        return [[e.day, e.event_type.value, e.text, e.item_id, e.surface_id] for e in h.events]
+    """SHA-256 of what set-up builds: every sample's and group's fields, the
+    events of each distinct history object once and which object each sample
+    and group holds (score_table and batch_histories share work by object),
+    and each user's first touch day per category."""
+    index: dict[int, int] = {}
+    histories = []
+
+    def history(h):
+        if id(h) not in index:
+            index[id(h)] = len(histories)
+            histories.append([[e.day, e.event_type.value, e.text, e.item_id, e.surface_id]
+                              for e in h.events])
+        return index[id(h)]
 
     def groups(gs):
         return [[g.user_id, g.day, g.surface_id, g.device_id, g.item_ids, g.labels,
-                 events(g.history)] for g in gs]
+                 history(g.history)] for g in gs]
 
-    lists = [bundle.pretrain_train, bundle.finetune_train, bundle.finetune_test,
-             bundle.eval_groups]
-    rows = [[[s.user_id, s.day, s.item_id, s.signal, events(s.history)]
-             for s in bundle.pretrain_train],
+    rows = [[[s.user_id, s.day, s.item_id, history(s.history)] for s in bundle.pretrain_train],
             groups(bundle.finetune_train), groups(bundle.finetune_test),
-            groups(bundle.eval_groups),
-            [len({id(x.history) for x in xs}) for xs in lists],
-            bundle.first_touch.tolist()]
+            groups(bundle.eval_groups), histories, bundle.first_touch.tolist()]
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
-# SHA-256 of build_bundle's output at commit 2317c31 (numpy 2.4.6), the
-# first-touch table there derived from its per-user (day, category) lists.
-# A change to how set-up cuts, shares or orders histories moves them.
+# SHA-256 of build_bundle's output at commit d5139ed (numpy 2.4.6). A change
+# to how set-up cuts, shares or orders histories moves them.
 PINNED_BUNDLES = [
     (dict(n_items=60, n_users=20, n_categories=4, days=10, organic_rate=0.8,
           impressions_per_day=0.5, query_rate=0.4, seed=0),
      dict(max_history=5, delay=1, include_web=True, test_days=3),
-     "37b273530ba4fc43e6fbfae520f1d8664cf3a184e4f95b0bde6ce0f3ea13fd09"),
+     "58d847415f70a4dd5ea7671a8e5da9960a16db337d0101a27651790622a96f31"),
     (dict(n_items=300, n_users=30, n_categories=20, days=8, seed=3),
      dict(max_history=64, delay=2, include_web=False, test_days=2, eval_groups_per_user=3),
-     "542cdac10c7705c972da29c472ee89dc8fc6ce74fa8f84e919c925bfc393d965"),
+     "584526288740edfbf86422b38d40fc3e19520ba7fefa1c72b4677f8a8b84c7df"),
 ]
 
 
@@ -177,6 +180,30 @@ def test_bundle_is_pinned(world_kw, data_kw, digest):
     bundle = build_bundle(world.config, vocab_size=64, **data_kw,
                           world=world, records=simulate_logs(world))
     assert _bundle_digest(bundle) == digest
+
+
+# the same digest of the set-up of each benchmark workload at its seed 4049,
+# taken at commit d5139ed (numpy 2.4.6)
+PINNED_WORKLOAD_BUNDLES = {
+    "train-small": "f799eb7b8513ea1cb47af63f4a3ce2d6a8be4c1403cd658fe8df59148848e512",
+    "train-default": "3e445039b1239b44cf8d0bf9d2f8ca17c3a87e6b82dd5ca0df052b7fa4b7be15",
+    "serve-catalog": "3ffe9f5ffce1efaf3294896f5edf2c9eb79f4f352894988766c095671bda121c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WORKLOAD_BUNDLES))
+def test_workload_bundle_is_pinned(name, monkeypatch):
+    """build_bundle as perfbench/lifecycle.py calls it, at benchmark scale."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import lifecycle
+
+    w = lifecycle.WORKLOADS[name]
+    world = generate_world(replace(w.world, seed=4049))
+    bundle = build_bundle(world.config, vocab_size=w.tower.vocab_size,
+                          max_history=w.tower.max_history, test_days=w.test_days,
+                          eval_groups_per_user=w.eval_groups_per_user,
+                          world=world, records=simulate_logs(world))
+    assert _bundle_digest(bundle) == PINNED_WORKLOAD_BUNDLES[name]
 
 
 def test_bundle_cuts_every_history_in_one_pass(small_world, small_logs, monkeypatch):

@@ -3,6 +3,7 @@ serialization."""
 
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from tworank.synth import (_ADJECTIVES, _NOUNS, EventRecord, SynthConfig, _title_draws,
                            generate_world, make_balanced_eval_groups, read_logs,
                            simulate_logs, write_logs)
-from tworank.types import SIGNALS, EventType, ImpressionGroup
+from tworank.types import SIGNALS, Event, EventType, ImpressionGroup, signal_of
 
 from oracles import title_draws_per_item, world_items_per_item, world_per_item
 
@@ -277,6 +278,26 @@ def test_click_events_follow_impression_labels(small_logs):
                     assert (rec.user_id, rec.day, item) in clicks
 
 
+@given(n_items=st.integers(1, 80), n_users=st.integers(1, 20), n_categories=st.integers(2, 20),
+       days=st.integers(2, 12), impressions_per_day=st.sampled_from([0.5, 1.0, 3.0]),
+       group_size=st.integers(2, 8), seed=st.integers(0, 2**31))
+@settings(max_examples=18, deadline=None)
+def test_impression_labels_are_the_funnel_events_before_them(**kw):
+    """An impression group's positive labels are the (item, signal) pairs of
+    the run of surface-carrying events logged just before it: its clicks'
+    funnels. A slate may repeat an item, so the pairs are counted."""
+    run = Counter()
+    for rec in simulate_logs(generate_world(SynthConfig(**kw))):
+        if isinstance(rec, ImpressionGroup):
+            assert run == Counter((rec.item_ids[pos], s) for s in SIGNALS
+                                  for pos, y in enumerate(rec.labels[s]) if y)
+            run = Counter()
+        elif rec.event.surface_id is None:
+            run = Counter()
+        else:
+            run[rec.event.item_id, signal_of(rec.event.event_type)] += 1
+
+
 def test_web_queries_anticipate_interest(small_world, small_logs):
     """Query words are drawn from the category pool active a few days
     ahead, so queries just before a switch use the post-switch pool."""
@@ -370,46 +391,60 @@ def _impression(items, drop=None, extra=None, click=None, surface=0, device=0):
                        "device": device, "items": items, "signals": signals})
 
 
-@pytest.mark.parametrize("line", [
-    '{"type": "impression", "day": 1, "user": 2, "surface": 0, "device": 0, "items": [1]}',
-    '{"type": "event", "day": "1", "user": 2, "event": "click", "text": "a", "item": 1,'
-    ' "surface": 0}',
-    '{"type": "event", "day": 1, "user": true, "event": "click", "text": "a", "item": 1,'
-    ' "surface": 0}',
-    '{"type": "item", "id": 0, "title": "a", "category": null}',
-    '["type", "item"]',
-    '{"type": ["event"]}',
-    '{"type": "event", "day": 1',
-    _impression([1, "2"]),
-    _impression([1, True]),
-    _impression([1, 2], drop="prch"),
-    _impression([1, 2], extra="view"),
-    _impression([1, 2], click=[1]),
-    _impression([1, 2], click=[1, 2]),
-    _impression([1, 2], click=[1, True]),
-    _impression([1, 2], click="10"),
-    _impression([1, 2], surface=-3),
-    _impression([1, 2], device=-1),
-    '{"type": "event", "day": 1, "user": 2, "event": "click", "text": "a", "item": 1,'
-    ' "surface": -2}',
-    '{"type": "item", "id": 1, "title": "\udcff", "category": 0}',  # written as byte 0xff
-    '{"type": "event", "day": 1, "user": 2, "event": "click", "text": "a", "item": null,'
-    ' "surface": 0}',
-    '{"type": "event", "day": 1, "user": 2, "event": "purchase", "text": "", "item": 1,'
-    ' "surface": 0}',
-    '{"type": "event", "day": 1, "user": 2, "event": "web_query", "text": "a", "item": 1,'
-    ' "surface": null}',
+@pytest.mark.parametrize("line, message", [
+    ('{"type": "impression", "day": 1, "user": 2, "surface": 0, "device": 0, "items": [1]}',
+     r"impression line lacks or mistypes field\(s\) \['signals'\]"),
+    ('{"type": "event", "day": "1", "user": 2, "event": "click", "text": "a", "item": 1,'
+     ' "surface": 0}', r"event line lacks or mistypes field\(s\) \['day'\]"),
+    ('{"type": "event", "day": 1, "user": true, "event": "click", "text": "a", "item": 1,'
+     ' "surface": 0}', r"event line lacks or mistypes field\(s\) \['user'\]"),
+    ('{"type": "item", "id": 0, "title": "a", "category": null}',
+     r"item line lacks or mistypes field\(s\) \['category'\]"),
+    ('["type", "item"]', "unknown log record type None"),
+    ('{"type": ["event"]}', r"unknown log record type \['event'\]"),
+    ('{"type": "event", "day": 1', ""),  # the message is json's
+    (_impression([1, "2"]), "impression items must be integer ids"),
+    (_impression([1, True]), "impression items must be integer ids"),
+    (_impression([1, 2], drop="prch"), r"impression signals \['cart', 'click', 'fvrt'\] are not"),
+    (_impression([1, 2], extra="view"), r"impression signals \[.*'view'\] are not"),
+    (_impression([1, 2], click=[1]), "impression signal 'click' must be 2 0/1 ints"),
+    (_impression([1, 2], click=[1, 2]), "impression signal 'click' must be 2 0/1 ints"),
+    (_impression([1, 2], click=[1, True]), "impression signal 'click' must be 2 0/1 ints"),
+    (_impression([1, 2], click="10"), "impression signal 'click' must be 2 0/1 ints"),
+    (_impression([1, 2], surface=-3), r"impression line has negative context id\(s\) \['surface'"),
+    (_impression([1, 2], device=-1), r"impression line has negative context id\(s\) \['device'"),
+    ('{"type": "event", "day": 1, "user": 2, "event": "click", "text": "a", "item": 1,'
+     ' "surface": -2}', r"event line has negative context id\(s\) \['surface'\]"),
+    # written as byte 0xff; the message is the codec's
+    ('{"type": "item", "id": 1, "title": "\udcff", "category": 0}', ""),
+    ('{"type": "event", "day": 1, "user": 2, "event": "click", "text": "a", "item": null,'
+     ' "surface": 0}', "click events need item_id and title"),
+    ('{"type": "event", "day": 1, "user": 2, "event": "purchase", "text": "", "item": 1,'
+     ' "surface": 0}', "purchase events need item_id and title"),
+    ('{"type": "event", "day": 1, "user": 2, "event": "web_query", "text": "a", "item": 1,'
+     ' "surface": null}', "web_query events carry no item_id"),
 ], ids=["missing", "string-day", "bool-user", "null-category", "not-object", "list-type",
         "not-json", "string-item", "bool-item", "signal-missing", "signal-extra",
         "signal-short", "signal-not-binary", "signal-bool", "signal-not-list",
         "negative-surface", "negative-device", "negative-event-surface", "not-utf8",
         "click-no-item", "purchase-no-title", "web-query-item"])
-def test_read_logs_names_the_bad_line(small_world, tmp_path, line):
+def test_read_logs_names_the_bad_line(small_world, tmp_path, line, message):
     path = tmp_path / "bad.ndjson"
     path.write_text(_item_line(small_world, 0) + "\n" + line + "\n",
                     encoding="utf-8", errors="surrogateescape")
-    with pytest.raises(ValueError, match=r"bad.ndjson line 2: "):
+    with pytest.raises(ValueError, match=rf"bad.ndjson line 2: {message}"):
         read_logs(path, small_world)
+
+
+def test_read_logs_loads_a_web_query_without_text(small_world, tmp_path):
+    """Only item events need a title: a web query's text may be empty."""
+    path = tmp_path / "logs.ndjson"
+    path.write_text("".join(_item_line(small_world, i) + "\n"
+                            for i in range(small_world.config.n_items))
+                    + json.dumps({"type": "event", "day": 1, "user": 2, "event": "web_query",
+                                  "text": "", "item": None, "surface": None}) + "\n")
+    [rec] = read_logs(path, small_world)
+    assert rec.user_id == 2 and rec.event == Event(1, EventType.WEB_QUERY, "")
 
 
 def _event(user=2, day=1, item=1):
