@@ -1,6 +1,7 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-Tensors are immutable value wrappers; every primitive application may
+Tensors are value wrappers that no primitive writes into (the optimizer
+updates parameters in place, between steps); every primitive application may
 record itself on the output tensor so that a Tape (the linearized graph
 below a scalar root) can replay vector-Jacobian products in reverse
 topological order. A central finite-difference gradcheck serves as the
@@ -32,6 +33,7 @@ ATTN_MASK_VALUE = -1e9
 GRADCHECK_STEP = 1e-5  # central-difference step of gradcheck
 
 _state = threading.local()
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 def _grad_enabled() -> bool:
@@ -68,7 +70,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -150,33 +152,51 @@ def _primitive(name):
 def apply_primitive(name: str, inputs: Sequence[Tensor], attrs: dict | None = None) -> Tensor:
     """Apply a named primitive; records the application for backward when
     any input requires grad and grad mode is on."""
-    if name not in PRIMITIVES:
+    fwd = PRIMITIVES.get(name)
+    if fwd is None:
         raise KeyError(f"unknown primitive {name!r}")
-    attrs = attrs or {}
-    inputs = tuple(_as_tensor(x) for x in inputs)
-    out_data, vjp = PRIMITIVES[name](inputs, attrs)
-    needs = _grad_enabled() and any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=needs)
-    if needs:
-        out._inputs = inputs
-        out._vjp = vjp
+    for t in inputs:
+        if not isinstance(t, Tensor):
+            inputs = tuple(_as_tensor(x) for x in inputs)
+            break
+    out_data, vjp = fwd(inputs, attrs or {})
+    needs = False
+    if _grad_enabled():
+        for t in inputs:
+            if t.requires_grad:
+                needs = True
+                break
+    if type(out_data) is np.ndarray and out_data.dtype in _FLOAT_DTYPES:
+        out = Tensor.__new__(Tensor)  # skips the conversion Tensor.__init__ makes
+        out.data = out_data
+        out.requires_grad = needs
+    else:
+        out = Tensor(out_data, requires_grad=needs)
+    out._inputs, out._vjp = (inputs, vjp) if needs else ((), None)
     return out
 
 
 @_primitive("matmul")
 def _p_matmul(inputs, attrs):
-    a, b = inputs
+    """a @ w, plus a (m,) bias broadcast over the rows when a third
+    operand is given: the bits of add(matmul(a, w), bias) in one dispatch."""
+    a, b = inputs[0], inputs[1]
     if a.ndim < 2 or b.ndim != 2:
         raise ShapeError("matmul", "expects (..., n, k) @ (k, m)", (a.shape, b.shape))
     if a.shape[-1] != b.shape[0]:
         raise ShapeError("matmul", "inner dimensions differ", (a.shape, b.shape))
+    bias = inputs[2] if len(inputs) > 2 else None
+    if bias is not None and bias.shape != b.shape[1:]:
+        raise ShapeError("matmul", "bias must be (m,)", (a.shape, b.shape, bias.shape))
     ad, bd = a.data, b.data
     out = ad @ bd
+    if bias is not None:
+        out += bias.data
 
     def vjp(g):
         ga = g @ bd.T
         gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        return ga, gb
+        return (ga, gb) if bias is None else (ga, gb, _unbroadcast(g, bias.shape))
 
     return out, vjp
 
@@ -458,8 +478,8 @@ def _p_attention(inputs, attrs):
 
 # functional wrappers --------------------------------------------------------
 
-def matmul(a, b):
-    return apply_primitive("matmul", (a, b))
+def matmul(a, b, bias=None):
+    return apply_primitive("matmul", (a, b) if bias is None else (a, b, bias))
 
 
 def add(a, b):

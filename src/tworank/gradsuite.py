@@ -55,6 +55,8 @@ def primitive_cases(seed: int = 0):
         ("attention", _scalarize(
             lambda q, k, v: ad.attention(q, k, v, mask=np.array([[1.0, 1.0, 1.0, 0.0]]))),
          [n(size=(1, 2, 4, 3)), n(size=(1, 2, 4, 3)), n(size=(1, 2, 4, 3))]),
+        # last, so that the draws of the cases above do not depend on it
+        ("matmul_bias", _scalarize(ad.matmul), [n(size=(2, 3, 4)), n(size=(4, 2)), n(size=(2,))]),
     ]
     return cases
 

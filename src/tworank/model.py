@@ -297,7 +297,7 @@ def item_tower_forward_batch(title_embeddings: Tensor, params: ModelParams) -> T
     x = title_embeddings
     for i in range(params.config.item_layers):
         pre = f"candidate_tower.L{i}."
-        h = ad.relu(ad.matmul(x, params[pre + "w"]) + params[pre + "b"])
+        h = ad.relu(ad.matmul(x, params[pre + "w"], params[pre + "b"]))
         x = ad.layer_norm(h + x, params[pre + "ln_gain"], params[pre + "ln_bias"])
     return ad.l2_normalize(x)
 
@@ -354,20 +354,20 @@ def user_tower_forward_batch(batch: HistoryBatch, params: ModelParams) -> Tensor
     x = seq
     for i in range(cfg.user_layers):
         pre = f"transformer.L{i}."
-        k = _split_heads(ad.matmul(x, params[pre + "wk"]) + params[pre + "bk"], B, S, H, dh)
-        v = _split_heads(ad.matmul(x, params[pre + "wv"]) + params[pre + "bv"], B, S, H, dh)
+        k = _split_heads(ad.matmul(x, params[pre + "wk"], params[pre + "bk"]), B, S, H, dh)
+        v = _split_heads(ad.matmul(x, params[pre + "wv"], params[pre + "bv"]), B, S, H, dh)
         if i < cfg.user_layers - 1:
-            q = _split_heads(ad.matmul(x, params[pre + "wq"]) + params[pre + "bq"], B, S, H, dh)
+            q = _split_heads(ad.matmul(x, params[pre + "wq"], params[pre + "bq"]), B, S, H, dh)
             att = ad.attention(q, k, v, mask=mask)
             att = ad.reshape(ad.transpose(att, (0, 2, 1, 3)), (B, S, cfg.d))
         else:
             x = _cls_rows(x)  # (B, d)
-            q = ad.reshape(ad.matmul(x, params[pre + "wq"]) + params[pre + "bq"], (B, H, 1, dh))
+            q = ad.reshape(ad.matmul(x, params[pre + "wq"], params[pre + "bq"]), (B, H, 1, dh))
             att = ad.reshape(ad.attention(q, k, v, mask=mask), (B, cfg.d))
-        att = ad.matmul(att, params[pre + "wo"]) + params[pre + "bo"]
+        att = ad.matmul(att, params[pre + "wo"], params[pre + "bo"])
         x = ad.layer_norm(x + att, params[pre + "ln1_gain"], params[pre + "ln1_bias"])
-        ffn = ad.relu(ad.matmul(x, params[pre + "ffn_w1"]) + params[pre + "ffn_b1"])
-        ffn = ad.matmul(ffn, params[pre + "ffn_w2"]) + params[pre + "ffn_b2"]
+        ffn = ad.relu(ad.matmul(x, params[pre + "ffn_w1"], params[pre + "ffn_b1"]))
+        ffn = ad.matmul(ffn, params[pre + "ffn_w2"], params[pre + "ffn_b2"])
         x = ad.layer_norm(x + ffn, params[pre + "ln2_gain"], params[pre + "ln2_bias"])
     if cfg.user_layers == 0:
         x = _cls_rows(x)

@@ -383,27 +383,36 @@ def make_balanced_eval_groups(world: SynthWorld, start_day: int, end_day: int,
 # ---------------------------------------------------------------------------
 
 
+# json.dumps' own string encoder, so that each line has the bytes json.dumps
+# gives its fields
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_ints(values) -> str:
+    return "[" + ", ".join(map(str, values)) + "]"
+
+
 def write_logs(world: SynthWorld, records: list[LogRecord], path) -> None:
+    """One JSON line per catalog item, then one per record, each line
+    built directly with json.dumps' separators and string encoding."""
+    s = _json_str
     with open(path, "w", encoding="utf-8") as fh:
-        for item_id, title in enumerate(world.titles):
-            fh.write(json.dumps({
-                "type": "item", "id": item_id, "title": title,
-                "category": int(world.item_categories[item_id]),
-            }) + "\n")
+        fh.writelines(f'{{"type": "item", "id": {i}, "title": {s(title)}, "category": {c}}}\n'
+                      for i, (title, c) in enumerate(zip(world.titles,
+                                                         world.item_categories.tolist())))
         for rec in records:
             if isinstance(rec, EventRecord):
                 e = rec.event
-                fh.write(json.dumps({
-                    "type": "event", "day": e.day, "user": rec.user_id,
-                    "event": e.event_type.value, "text": e.text,
-                    "item": e.item_id, "surface": e.surface_id,
-                }) + "\n")
+                item = "null" if e.item_id is None else e.item_id
+                surface = "null" if e.surface_id is None else e.surface_id
+                fh.write(f'{{"type": "event", "day": {e.day}, "user": {rec.user_id}, '
+                         f'"event": {s(e.event_type.value)}, "text": {s(e.text)}, '
+                         f'"item": {item}, "surface": {surface}}}\n')
             else:
-                fh.write(json.dumps({
-                    "type": "impression", "day": rec.day, "user": rec.user_id,
-                    "surface": rec.surface_id, "device": rec.device_id,
-                    "items": rec.item_ids, "signals": rec.labels,
-                }) + "\n")
+                signals = ", ".join(f"{s(k)}: {_json_ints(v)}" for k, v in rec.labels.items())
+                fh.write(f'{{"type": "impression", "day": {rec.day}, "user": {rec.user_id}, '
+                         f'"surface": {rec.surface_id}, "device": {rec.device_id}, '
+                         f'"items": {_json_ints(rec.item_ids)}, "signals": {{{signals}}}}}\n')
 
 
 _OPT_INT = (int, type(None))

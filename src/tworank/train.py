@@ -46,15 +46,15 @@ def lr_at(step: int, schedule: Schedule, base: float) -> float:
     return base * (schedule.total_steps - step) / tail
 
 
-def clip_group(grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Scale a parameter group's gradients so their joint L2 norm is at
-    most CLIP_NORM."""
-    sq = sum(float((g * g).sum()) for g in grads.values())
-    norm = np.sqrt(sq)
-    if norm <= CLIP_NORM:
-        return grads
-    factor = CLIP_NORM / norm
-    return {k: g * factor for k, g in grads.items()}
+def _merged(spans: list[slice]) -> list[slice]:
+    """The slices, each joined to the one before it where they touch."""
+    out: list[slice] = []
+    for span in spans:
+        if out and out[-1].stop == span.start:
+            out[-1] = slice(out[-1].start, span.stop)
+        else:
+            out.append(span)
+    return out
 
 
 @dataclass
@@ -81,34 +81,89 @@ class TrainConfig:
 
 class AdamOptimizer:
     """Adaptive moment estimation with per-group learning rates,
-    groupwise clipping, and a shared schedule."""
+    groupwise clipping, and a shared schedule.
+
+    The optimizer owns the parameters' storage: it copies every tensor, in
+    `params.tensors` order, into one flat buffer and rebinds each tensor's
+    `.data` to a view of its slice. The two moments and the gradient live in
+    buffers of the same layout, and a step updates them all in place with
+    the per-tensor formula's operations in its order, so its bits. A tensor
+    that gets no gradient in a step keeps its value and moments: its slices
+    are put back after the update."""
 
     def __init__(self, params: ModelParams, config: TrainConfig, schedule: Schedule):
-        self.params = params
         self.config = config
         self.schedule = schedule
         self.step_count = 0
-        self.m = {n: np.zeros_like(t.data) for n, t in params.tensors.items()}
-        self.v = {n: np.zeros_like(t.data) for n, t in params.tensors.items()}
+        tensors = params.tensors
+        size = sum(t.data.size for t in tensors.values())
+        dtype = np.result_type(*(t.data.dtype for t in tensors.values()))
+        self._flat = np.empty(size, dtype)
+        self._grad = np.zeros(size, dtype)
+        self.m, self.v = np.zeros(size, dtype), np.zeros(size, dtype)
+        self._scratch = (np.empty(size, dtype), np.empty(size, dtype))
+        self._group = {n: params.group_of(n) for n in tensors}
+        self._spans: dict[str, slice] = {}
+        self._grad_views: dict[str, np.ndarray] = {}
+        start = 0
+        for name, t in tensors.items():
+            span = self._spans[name] = slice(start, start + t.data.size)
+            view = self._flat[span].reshape(t.data.shape)
+            view[...] = t.data
+            t.data = view
+            self._grad_views[name] = self._grad[span].reshape(view.shape)
+            start = span.stop
+        self._group_runs = {g: _merged([s for n, s in self._spans.items() if self._group[n] == g])
+                           for g in GROUP_NAMES}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
-        cfg = self.config
-        self.step_count += 1
-        by_group: dict[str, dict[str, np.ndarray]] = {g: {} for g in GROUP_NAMES}
-        for name, g in grads.items():
-            by_group[self.params.group_of(name)][name] = g
-        for group, group_grads in by_group.items():
-            if not group_grads:
+        """One Adam step on `grads` (name -> gradient). A non-finite
+        gradient raises ValueError before anything changes."""
+        cfg, flat, g, m, v = self.config, self._flat, self._grad, self.m, self.v
+        t = self.step_count + 1
+        idle = _merged([s for n, s in self._spans.items() if n not in grads])
+        for span in idle:
+            g[span] = 0.0
+        sq: dict[str, float] = {}  # each group's squared gradient norm
+        for name, grad in grads.items():
+            np.copyto(self._grad_views[name], grad)
+            group = self._group[name]
+            sq[group] = sq.get(group, 0) + float((grad * grad).sum())
+        if not np.isfinite(g).all():
+            bad = [grp for grp in GROUP_NAMES if any(
+                self._group[n] == grp and not np.isfinite(x).all() for n, x in grads.items())]
+            raise ValueError(f"step {t}: non-finite gradients in groups {bad}")
+        self.step_count = t
+        lrs = []
+        for group in GROUP_NAMES:
+            if group not in sq:
                 continue
-            clipped = clip_group(group_grads)
-            lr = lr_at(self.step_count, self.schedule, getattr(cfg, f"lr_{group}"))
-            for name, g in clipped.items():
-                m = self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
-                v = self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
-                mhat = m / (1 - ADAM_BETA1 ** self.step_count)
-                vhat = v / (1 - ADAM_BETA2 ** self.step_count)
-                p = self.params.tensors[name]
-                p.data = p.data - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            norm = np.sqrt(sq[group])
+            if norm > CLIP_NORM:  # clip the group's joint norm to CLIP_NORM
+                factor = CLIP_NORM / norm
+                for span in self._group_runs[group]:
+                    g[span] *= factor
+            lrs.append((group, lr_at(t, self.schedule, getattr(cfg, f"lr_{group}"))))
+        kept = [(span, flat[span].copy(), m[span].copy(), v[span].copy()) for span in idle]
+        s, r = self._scratch
+        m *= ADAM_BETA1
+        np.multiply(g, 1 - ADAM_BETA1, out=s)
+        m += s
+        v *= ADAM_BETA2
+        np.multiply(g, 1 - ADAM_BETA2, out=s)
+        s *= g
+        v += s
+        np.divide(m, 1 - ADAM_BETA1 ** t, out=s)  # mhat
+        for group, lr in lrs:
+            for span in self._group_runs[group]:
+                s[span] *= lr
+        np.divide(v, 1 - ADAM_BETA2 ** t, out=r)  # vhat
+        np.sqrt(r, out=r)
+        r += ADAM_EPS
+        s /= r
+        flat -= s
+        for span, p0, m0, v0 in kept:
+            flat[span], m[span], v[span] = p0, m0, v0
 
 
 def _grads_by_name(loss, params: ModelParams) -> dict[str, np.ndarray]:

@@ -221,6 +221,14 @@ def test_matmul_shape_error():
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
 
 
+@pytest.mark.parametrize("bias_shape", [(3,), (5,), (1, 2), ()])
+def test_matmul_bias_shape_error(bias_shape):
+    """A bias must be (m,) for (..., n, k) @ (k, m): one of the inner
+    width, a longer one, a row that would broadcast and a scalar all raise."""
+    with pytest.raises(ShapeError, match="bias must be"):
+        ad.matmul(Tensor(np.zeros((4, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(bias_shape)))
+
+
 def test_layer_norm_needs_width_two():
     with pytest.raises(ShapeError):
         ad.layer_norm(Tensor(np.zeros((3, 1))), Tensor(np.zeros(1)), Tensor(np.zeros(1)))
@@ -446,12 +454,49 @@ def test_relu_matches_mask_formula(case):
         assert got.tobytes() == (g * (a > 0)).tobytes()
 
 
+@st.composite
+def _matmul_bias_cases(draw):
+    """a of 2 or 3 axes, w, a bias and an output gradient."""
+    lead = draw(st.lists(st.integers(1, 5), min_size=1, max_size=2))
+    k, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    floats = st.floats(-1e3, 1e3)
+    return tuple(draw(arrays(np.float64, s, elements=floats))
+                 for s in ((*lead, k), (k, m), (m,), (*lead, m)))
+
+
+def _normal_matmul_case(*a_shape, m):
+    rng = np.random.default_rng(0)
+    k = a_shape[-1]
+    return tuple(rng.normal(size=s) for s in (a_shape, (k, m), (m,), (*a_shape[:-1], m)))
+
+
+@given(_matmul_bias_cases())
+@example(_normal_matmul_case(64, 65, 32, m=32))
+@example(_normal_matmul_case(64, 1, 32, m=32))
+@example(_normal_matmul_case(64, 32, m=128))
+@example(_normal_matmul_case(3, 1, 4, m=2))
+@settings(max_examples=100, deadline=None)
+def test_matmul_bias_matches_matmul_then_add(case):
+    """matmul(a, w, bias) has the bytes of add(matmul(a, w), bias), forward
+    and every VJP output."""
+    a, w, bias, g = case
+    ta, tw, tb = (Tensor(x, requires_grad=True) for x in (a, w, bias))
+    out, vjp = ad.PRIMITIVES["matmul"]((ta, tw, tb), {})
+    mm_out, mm_vjp = ad.PRIMITIVES["matmul"]((ta, tw), {})
+    want_out, add_vjp = ad.PRIMITIVES["add"]((Tensor(mm_out, requires_grad=True), tb), {})
+    g_mm, g_bias = add_vjp(g)
+    assert out.tobytes() == want_out.tobytes()
+    for got, want in zip(vjp(g), (*mm_vjp(g_mm), g_bias), strict=True):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 _SQUARE, _ONE_QUERY = (_tower_attention_case(4, 2, tq, 5, 4, 0.2) for tq in (5, 1))
 _HYGIENE_CASES = {
     "attention": (_SQUARE[:3], {}),
     "attention-mask": (_SQUARE[:3], {"mask": _SQUARE[3]}),
     "attention-one-query": (_ONE_QUERY[:3], {"mask": _ONE_QUERY[3]}),
     "layer_norm": (_normal_case(4, 5, 6)[:3], {}),
+    "matmul-bias": (_normal_matmul_case(4, 5, 6, m=3)[:3], {}),
     "relu": ((np.random.default_rng(0).normal(size=(4, 5, 6)),), {}),
 }
 

@@ -10,7 +10,7 @@ from unittest.mock import Mock
 import numpy as np
 import pytest
 
-from tworank import cli, gradsuite, pipeline
+from tworank import autodiff, cli, gradsuite, pipeline, train
 from tworank.autodiff import GradcheckReport, Tensor
 from tworank.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_MISSING, EXIT_OK, main
 from tworank.config import load_config
@@ -609,6 +609,23 @@ def test_diverged_finetune_saves_nothing_exit_code(workspace, tmp_path, capsys, 
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert "transformer.L0.wq" in captured.err
+    assert not (out / "finetune.ckpt").exists()
+
+
+def test_nonfinite_gradient_exit_code(workspace, tmp_path, capsys, monkeypatch):
+    """A fine-tune whose loss turns NaN stops at its first step: it exits 4
+    naming the step and writes no checkpoint."""
+    out = tmp_path / "nan-loss"
+    out.mkdir()
+    for name in ("logs.ndjson", "vocab.txt", "pretrain.ckpt"):
+        (out / name).write_bytes((workspace / name).read_bytes())
+    objective = train.finetune_objective
+    monkeypatch.setattr(train, "finetune_objective",
+                        lambda *args: autodiff.scale(objective(*args), np.nan))
+    assert run("finetune", out) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "step 1: non-finite gradients in groups" in captured.err
     assert not (out / "finetune.ckpt").exists()
 
 

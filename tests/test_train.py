@@ -14,8 +14,8 @@ from tworank.autodiff import Tensor
 from tworank.dataset import attach_history, build_finetune_groups, build_pretrain_samples
 from tworank.losses import finetune_objective
 from tworank.model import FROZEN_IN_CONTINUOUS, GROUP_NAMES, TowerConfig, init_params
-from tworank.train import (ADAM_EPS, AdamOptimizer, Schedule, TrainConfig,
-                           clip_group, continuous_finetune, finetune_run, lr_at,
+from tworank.train import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamOptimizer, Schedule,
+                           TrainConfig, continuous_finetune, finetune_run, lr_at,
                            pretrain_run)
 from tworank.types import SIGNALS
 
@@ -76,18 +76,24 @@ def test_lr_constant_mode():
 # ---------------------------------------------------------------------------
 
 
-def test_clip_group_scales_to_max_norm():
-    grads = {"a": np.array([3.0, 0.0]), "b": np.array([0.0, 4.0])}  # joint norm 5
-    clipped = clip_group(grads)
-    joint = np.sqrt(sum(float((g * g).sum()) for g in clipped.values()))
-    assert joint == pytest.approx(train.CLIP_NORM, abs=1e-12)
-    # direction preserved
-    assert clipped["a"][0] / clipped["b"][1] == pytest.approx(0.75, abs=1e-12)
+def test_step_clips_a_group_to_max_norm():
+    """After one step the first moment is (1 - beta1) times the clipped
+    gradient: joint norm CLIP_NORM, direction kept."""
+    params = init_params(TINY, seed=0)
+    opt = AdamOptimizer(params, TrainConfig(), Schedule(0, 10, constant=True))
+    a, b = "loss_params.gamma.click", "loss_params.beta.click"
+    opt.step({a: np.asarray(3.0), b: np.asarray(-4.0)})  # joint norm 5
+    clipped = [float(opt.m[opt._spans[n]][0]) / (1 - ADAM_BETA1) for n in (a, b)]
+    assert np.hypot(*clipped) == pytest.approx(train.CLIP_NORM, abs=1e-12)
+    assert clipped[0] / clipped[1] == pytest.approx(-0.75, abs=1e-12)
 
 
-def test_clip_group_leaves_small_gradients():
-    grads = {"a": np.array([0.1, 0.1])}
-    assert clip_group(grads) is grads
+def test_step_leaves_small_gradients_unclipped():
+    params = init_params(TINY, seed=0)
+    opt = AdamOptimizer(params, TrainConfig(), Schedule(0, 10, constant=True))
+    g = np.full(TINY.d, 0.1)  # joint norm 0.28
+    opt.step({"embeddings.cls": g})
+    assert opt.m[opt._spans["embeddings.cls"]].tobytes() == ((1 - ADAM_BETA1) * g).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +126,102 @@ def test_adam_respects_group_clip():
     lr = cfg.lr_loss_params
     expect = before - lr * train.CLIP_NORM / (train.CLIP_NORM + ADAM_EPS)
     assert float(params[name].data) == pytest.approx(expect, rel=1e-9)
+
+
+class _PerTensorAdam:
+    """The per-tensor Adam step the flat optimizer replaced, kept as its
+    reference: moments in a dict by name and a fresh array per operation."""
+
+    def __init__(self, params, config, schedule):
+        self.params, self.config, self.schedule = params, config, schedule
+        self.step_count = 0
+        self.m = {n: np.zeros_like(t.data) for n, t in params.tensors.items()}
+        self.v = {n: np.zeros_like(t.data) for n, t in params.tensors.items()}
+
+    def step(self, grads):
+        self.step_count += 1
+        by_group = {g: {} for g in GROUP_NAMES}
+        for name, g in grads.items():
+            by_group[self.params.group_of(name)][name] = g
+        for group, group_grads in by_group.items():
+            if not group_grads:
+                continue
+            norm = np.sqrt(sum(float((g * g).sum()) for g in group_grads.values()))
+            if norm > train.CLIP_NORM:
+                group_grads = {k: g * (train.CLIP_NORM / norm) for k, g in group_grads.items()}
+            lr = lr_at(self.step_count, self.schedule, getattr(self.config, f"lr_{group}"))
+            for name, g in group_grads.items():
+                m = self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
+                v = self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
+                mhat = m / (1 - ADAM_BETA1 ** self.step_count)
+                vhat = v / (1 - ADAM_BETA2 ** self.step_count)
+                p = self.params.tensors[name]
+                p.data = p.data - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+
+
+def test_flat_adam_matches_the_per_tensor_step():
+    """Over warmup and decay, the flat optimizer's parameters and moments
+    have the reference's bytes, for a group whose gradients are clipped, a
+    group that is not, a tensor that goes idle with non-zero moments and a
+    frozen tensor that never gets a gradient."""
+    params = init_params(TINY, seed=0)
+    params["embeddings.cls"].requires_grad = False
+    ref_params = params.copy()
+    cfg = TrainConfig(lr_embeddings=1e-3, lr_transformer=2e-3, lr_candidate_tower=4e-3,
+                      lr_loss_params=8e-3)
+    schedule = Schedule(warmup_steps=2, total_steps=6)
+    opt = AdamOptimizer(params, cfg, schedule)
+    ref = _PerTensorAdam(ref_params, cfg, schedule)
+    rng = np.random.default_rng(5)
+    idle_after = 2  # loss_params.tau_raw gets gradients at steps 1 and 2 only
+    for step in range(1, 6):
+        grads = {}
+        for name, t in params.tensors.items():
+            if not t.requires_grad or (name == "loss_params.tau_raw" and step > idle_after):
+                continue
+            scale = 10.0 if name.startswith("transformer.") else 1e-3  # clipped, unclipped
+            grads[name] = rng.normal(scale=scale, size=t.shape)
+        opt.step(grads)
+        ref.step(grads)
+        for name, t in params.tensors.items():
+            span = opt._spans[name]
+            assert t.data.tobytes() == ref_params[name].data.tobytes(), (step, name)
+            assert opt.m[span].tobytes() == ref.m[name].tobytes(), (step, name)
+            assert opt.v[span].tobytes() == ref.v[name].tobytes(), (step, name)
+    assert np.any(ref.m["loss_params.tau_raw"]) and np.any(ref.v["loss_params.tau_raw"])
+    assert not np.any(opt.m[opt._spans["embeddings.cls"]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_gradient_raises_before_anything_changes(bad):
+    """A step whose gradients hold NaN or an infinity raises ValueError
+    naming the step and each group that holds one; the parameters and
+    both moments keep their bytes."""
+    params = init_params(TINY, seed=0)
+    opt = AdamOptimizer(params, TrainConfig(), Schedule(0, 10, constant=True))
+    rng = np.random.default_rng(0)
+    grads = {n: rng.normal(size=t.shape) for n, t in params.tensors.items()}
+    opt.step(grads)
+
+    def state():
+        return ([t.data.tobytes() for t in params.tensors.values()],
+                opt.m.tobytes(), opt.v.tobytes())
+
+    before = state()
+    grads["transformer.L0.wq"][1, 2] = bad
+    grads["loss_params.tau_raw"] = np.asarray(bad)
+    with pytest.raises(ValueError, match=r"^step 2: non-finite gradients in groups "
+                                         r"\['transformer', 'loss_params'\]$"):
+        opt.step(grads)
+    assert state() == before
+
+
+def test_finetune_with_a_nan_loss_raises_at_step_one(training_data, word_tokenizer):
+    _, groups, titles = training_data
+    init = init_params(TINY, seed=0)
+    init["loss_params.alpha_cl"].data = np.asarray(np.nan)
+    with pytest.raises(ValueError, match=r"^step 1: non-finite gradients in groups"):
+        finetune_run(groups, init, _run_cfg(), word_tokenizer, titles)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +306,8 @@ def test_signal_without_pairs_leaves_its_scalars_and_moments_alone():
     names = [f"loss_params.{k}.{s}" for k in ("gamma", "gamma_ctx", "beta") for s in SIGNALS]
 
     def state():
-        return {n: (params[n].data.tobytes(), opt.m[n].tobytes(), opt.v[n].tobytes())
-                for n in names}
+        return {n: (params[n].data.tobytes(), opt.m[opt._spans[n]].tobytes(),
+                    opt.v[opt._spans[n]].tobytes()) for n in names}
 
     before = state()
     # fvrt has no positive, prch no negative
@@ -411,7 +513,7 @@ def test_primitive_calls_per_step_are_pinned(training_data, word_tokenizer, monk
     pretrain_calls = len(calls)
     finetune_run(groups[:16], init_params(ACCEPTANCE_TOWER, seed=0), _run_cfg(max_steps=1),
                  word_tokenizer, titles)
-    assert (pretrain_calls, len(calls) - pretrain_calls) == (65, 98)
+    assert (pretrain_calls, len(calls) - pretrain_calls) == (58, 91)
 
 
 def test_runs_tokenize_only_their_own_titles(training_data, word_tokenizer):
