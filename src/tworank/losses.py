@@ -2,7 +2,7 @@
 calibrated BPR, and the combined fine-tuning objective.
 
 All terms are expressed through the autodiff primitives so gradients flow
-to the towers and to the calibration scalars.
+to the towers and to the calibration vectors.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import ModelParams
+from .model import CALIBRATED, ModelParams
 from .types import SIGNALS
 
 
@@ -37,32 +37,23 @@ def pretrain_loss_matrix(scores: Tensor, tau: Tensor) -> Tensor:
     return ad.tmean(lse - diag)
 
 
-def click_logit(r_ui: Tensor, r_ctx: Tensor, params: ModelParams) -> Tensor:
-    """alpha_cl * r + alpha_ctx * r_ctx + beta_cl, the logit of the click
-    probability."""
-    return (ad.mul(params["loss_params.alpha_cl"], r_ui)
-            + ad.mul(params["loss_params.alpha_ctx"], r_ctx)
-            + params["loss_params.beta_cl"])
-
-
-def bce_click(r_ui: Tensor, r_ctx: Tensor, y, params: ModelParams) -> Tensor:
-    """Per-item pointwise click loss on f = sigmoid(alpha_cl*r +
-    alpha_ctx*r_ctx + beta_cl), computed stably from logits: softplus(z) -
-    y*z. Not reduced; the caller weights the items."""
-    z = click_logit(r_ui, r_ctx, params)
-    y_t = Tensor(np.asarray(y, dtype=np.float64))
-    return ad.softplus(z) - ad.mul(y_t, z)
+def bce_click(z: Tensor, y) -> Tensor:
+    """Pointwise click loss -y log f - (1 - y) log(1 - f) of f = sigmoid(z),
+    computed stably from the logits: softplus(z) - y*z. Not reduced; the
+    caller weights the items."""
+    return ad.softplus(z) - ad.mul(Tensor(np.asarray(y, dtype=np.float64)), z)
 
 
 def calibrated_logits(r: Tensor, r_ctx: Tensor, params: ModelParams) -> Tensor:
-    """(N, S) logits gamma_s * r + gamma_ctx_s * r_ctx + beta_s of the
-    calibrated probabilities f, one column per signal of SIGNALS: the rows
-    [r, r_ctx, 1] times the (3, S) matrix of the calibration scalars."""
-    coeffs = ad.concat([ad.reshape(params[f"loss_params.{kind}.{signal}"], (1,))
-                        for kind in ("gamma", "gamma_ctx", "beta") for signal in SIGNALS])
+    """(N, S + 1) logits w_r * r + w_ctx * r_ctx + b of the calibrated
+    probabilities f: the rows [r, r_ctx, 1] times the (3, S + 1) matrix of
+    the vectors loss_params.calib.<k> of CALIBRATED. Column 0 is the
+    pointwise click's, column 1 + s that of SIGNALS[s]."""
+    w = ad.concat([params[f"loss_params.calib.{k}"] for k in CALIBRATED])
+    w = ad.transpose(ad.reshape(w, (len(CALIBRATED), 3)), (1, 0))
     rows = ad.concat([ad.reshape(r, (-1, 1)), ad.reshape(r_ctx, (-1, 1)),
                       Tensor(np.ones((r.shape[0], 1)))], axis=1)
-    return ad.matmul(rows, ad.reshape(coeffs, (3, len(SIGNALS))))
+    return ad.matmul(rows, w)
 
 
 def bpr_calibrated(z_up: Tensor, z_un: Tensor) -> Tensor:
@@ -87,19 +78,20 @@ def finetune_objective(r_items: Tensor, r_ctx: Tensor, labels: list[dict],
     sizes = np.array([len(g["click"]) for g in labels])
     owner = np.repeat(np.arange(len(labels)), sizes)
     up, un, weights = [], [], []
-    for s, signal in enumerate(SIGNALS):
+    for s, signal in enumerate(SIGNALS, start=1):
         y = np.concatenate([g[signal] for g in labels])
         pos, neg = np.flatnonzero(y), np.flatnonzero(y == 0)
         # every (positive, negative) pair within a group, group by group
         pi, ni = np.nonzero(owner[pos, None] == owner[None, neg])
         pair_owner = owner[pos[pi]]
-        # cells (item, signal) of the flattened (N, S) logits
-        up.append(pos[pi] * len(SIGNALS) + s)
-        un.append(neg[ni] * len(SIGNALS) + s)
+        # cells (item, column) of the flattened (N, S + 1) logits
+        up.append(pos[pi] * len(CALIBRATED) + s)
+        un.append(neg[ni] * len(CALIBRATED) + s)
         weights.append(1.0 / np.bincount(pair_owner)[pair_owner])  # 1 / pairs of the group
     z = ad.reshape(calibrated_logits(r_items, r_ctx, params), (-1, 1))
     pairs = bpr_calibrated(ad.gather(z, np.concatenate(up)), ad.gather(z, np.concatenate(un)))
     total = ad.tsum(ad.mul(pairs, Tensor(np.concatenate(weights).reshape(-1, 1))))
-    bce = bce_click(r_items, r_ctx, np.concatenate([g["click"] for g in labels]), params)
-    total = total + ad.tsum(ad.mul(bce, Tensor(pointwise_weight / sizes[owner])))
+    clicks = np.concatenate([g["click"] for g in labels]).reshape(-1, 1)
+    bce = bce_click(ad.gather(z, np.arange(len(owner)) * len(CALIBRATED)), clicks)
+    total = total + ad.tsum(ad.mul(bce, Tensor((pointwise_weight / sizes[owner]).reshape(-1, 1))))
     return ad.scale(total, 1.0 / len(labels))

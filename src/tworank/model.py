@@ -21,14 +21,15 @@ from .autodiff import Tensor
 from .types import EVENT_TYPE_IDS, SIGNALS, UserHistory, check_least
 
 CHECKPOINT_MAGIC = b"TT2R"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 GROUP_NAMES = ("embeddings", "transformer", "candidate_tower", "loss_params")
 EMBED_BATCH = 64  # chunk size of the no-grad embedding passes of scoring and export
 
-# calibration scalars frozen during continuous fine-tuning (sigmoid inner
-# parameters of the pointwise and pairwise losses)
-FROZEN_IN_CONTINUOUS = ("loss_params.alpha", "loss_params.beta", "loss_params.gamma")
+# the calibrated logits w_r * r + w_ctx * r_ctx + b, one vector (w_r, w_ctx, b)
+# each, loss_params.calib.<k>; continuous fine-tuning freezes the vectors
+CALIBRATED = ("pointwise", *SIGNALS)
+FROZEN_IN_CONTINUOUS = "loss_params.calib."
 
 
 @dataclass
@@ -110,7 +111,8 @@ class ModelParams:
 
     @classmethod
     def load(cls, path) -> "ModelParams":
-        """Read a checkpoint. Any fault, a cut file or bytes after the last
+        """Read a checkpoint of this version or of version 1, its tensors in
+        param_layout order. Any fault, a cut file or bytes after the last
         tensor among them, raises ValueError naming `path`."""
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -135,15 +137,16 @@ class ModelParams:
         if buf.read(4) != CHECKPOINT_MAGIC:
             raise ValueError("not a model checkpoint (bad magic)")
         (version,) = unpack("<I")
-        if version != CHECKPOINT_VERSION:
+        if version not in (1, CHECKPOINT_VERSION):
             raise ValueError(f"unsupported checkpoint version {version}")
         (cfg_len,) = unpack("<I")
         block = read(cfg_len)
         try:
             block = dict(json.loads(block.decode("utf-8")))
-            # blocks written before the item width and the position rows were
-            # derived name them too; each must hold the one value the tower takes
-            old = {k: block.pop(k) for k in ("item_hidden", "max_positions") if k in block}
+            # version-1 blocks may name the item width and the position rows
+            # too; each must hold the one value the tower takes
+            old = {k: block.pop(k) for k in ("item_hidden", "max_positions")
+                   if version == 1 and k in block}
             cfg = TowerConfig(**block)
             for key, value in (("item_hidden", cfg.d), ("max_positions", cfg.max_history + 1)):
                 if old.get(key, value) != value:
@@ -161,6 +164,8 @@ class ModelParams:
             params.tensors[name] = Tensor(data.astype(np.float64), requires_grad=True)
         if buf.tell() != len(raw):
             raise ValueError(f"{len(raw) - buf.tell()} bytes after the last tensor")
+        if version == 1:
+            params.tensors = _upgrade_v1(params.tensors)
         layout = {n: shape for n, shape, _init in param_layout(cfg)}
         shapes = {n: t.shape for n, t in params.tensors.items()}
         misfits = sorted(n for n in layout.keys() | shapes.keys() if layout.get(n) != shapes.get(n))
@@ -170,16 +175,35 @@ class ModelParams:
         nonfinite = [n for n, t in params.tensors.items() if not np.isfinite(t.data).all()]
         if nonfinite:
             raise ValueError(f"non-finite values in {nonfinite}")
+        params.tensors = {n: params.tensors[n] for n in layout}
         return params
+
+
+# version 1 held each calibrated logit as its three scalars, and a key bias
+# in each user layer
+_V1_SCALARS = {"pointwise": ("alpha_cl", "alpha_ctx", "beta_cl"),
+               **{k: (f"gamma.{k}", f"gamma_ctx.{k}", f"beta.{k}") for k in SIGNALS}}
+
+
+def _upgrade_v1(tensors: dict[str, Tensor]) -> dict[str, Tensor]:
+    """A version-1 tensor map as version 2: each logit's three scalars
+    stacked into its calibration vector, and no key bias, which the softmax
+    cancels whatever its value. A logit missing a scalar keeps the others,
+    for the layout check to name."""
+    for k, olds in _V1_SCALARS.items():
+        if all(f"loss_params.{o}" in tensors for o in olds):
+            tensors[f"loss_params.calib.{k}"] = Tensor(np.hstack(
+                [tensors.pop(f"loss_params.{o}").data for o in olds]), requires_grad=True)
+    return {n: t for n, t in tensors.items() if not n.endswith(".bk")}
 
 
 NORMAL = "normal"  # a Normal(0, 0.02) draw; any other init is a constant fill
 
 
-def param_layout(config: TowerConfig) -> list[tuple[str, tuple[int, ...], float | str]]:
+def param_layout(config: TowerConfig) -> list[tuple[str, tuple[int, ...], float | tuple | str]]:
     """Every parameter as (name, shape, init), in the order init_params
     fills them: Normal(0, 0.02) embeddings and linears, identity layer
-    norms, identity-like calibration scalars."""
+    norms, identity-like calibration vectors."""
     d, ffn = config.d, config.user_ffn_hidden
     layout = [("embeddings.content", (config.vocab_size, d), NORMAL),
               ("embeddings.position", (config.max_history + 1, d), NORMAL),
@@ -191,7 +215,8 @@ def param_layout(config: TowerConfig) -> list[tuple[str, tuple[int, ...], float 
     for i in range(config.user_layers):
         pre = f"transformer.L{i}."
         layout += [(pre + w, (d, d), NORMAL) for w in ("wq", "wk", "wv", "wo")]
-        layout += [(pre + b, (d,), 0.0) for b in ("bq", "bk", "bv", "bo")]
+        # no key bias: the softmax cancels the q . bk it adds to a query's logits
+        layout += [(pre + b, (d,), 0.0) for b in ("bq", "bv", "bo")]
         layout += [(pre + "ln1_gain", (d,), 1.0), (pre + "ln1_bias", (d,), 0.0),
                    (pre + "ffn_w1", (d, ffn), NORMAL), (pre + "ffn_b1", (ffn,), 0.0),
                    (pre + "ffn_w2", (ffn, d), NORMAL), (pre + "ffn_b2", (d,), 0.0),
@@ -204,15 +229,11 @@ def param_layout(config: TowerConfig) -> list[tuple[str, tuple[int, ...], float 
 
     # softplus(tau_raw) = 10 at init
     layout.append(("loss_params.tau_raw", (), float(np.log(np.expm1(10.0)))))
-    for k in SIGNALS:
-        layout += [(f"loss_params.gamma.{k}", (), 1.0), (f"loss_params.gamma_ctx.{k}", (), 1.0),
-                   (f"loss_params.beta.{k}", (), 0.0)]
-    # context multipliers start at 1 with zero tables: initial predictions
-    # are unchanged but gradients can reach the context tables
-    layout += [("loss_params.alpha_cl", (), 1.0), ("loss_params.alpha_ctx", (), 1.0),
-               ("loss_params.beta_cl", (), 0.0),
-               # +1 row: reserved UNKNOWN id (last)
-               ("loss_params.ctx_surface", (config.n_surfaces + 1, 1), 0.0),
+    # every logit starts as r + r_ctx: context weights at 1 with zero tables
+    # leave initial predictions unchanged but let gradients reach the tables
+    layout += [(f"loss_params.calib.{k}", (3,), (1.0, 1.0, 0.0)) for k in CALIBRATED]
+    # +1 row: reserved UNKNOWN id (last)
+    layout += [("loss_params.ctx_surface", (config.n_surfaces + 1, 1), 0.0),
                ("loss_params.ctx_device", (config.n_devices + 1, 1), 0.0)]
     return layout
 
@@ -354,7 +375,7 @@ def user_tower_forward_batch(batch: HistoryBatch, params: ModelParams) -> Tensor
     x = seq
     for i in range(cfg.user_layers):
         pre = f"transformer.L{i}."
-        k = _split_heads(ad.matmul(x, params[pre + "wk"], params[pre + "bk"]), B, S, H, dh)
+        k = _split_heads(ad.matmul(x, params[pre + "wk"]), B, S, H, dh)
         v = _split_heads(ad.matmul(x, params[pre + "wv"], params[pre + "bv"]), B, S, H, dh)
         if i < cfg.user_layers - 1:
             q = _split_heads(ad.matmul(x, params[pre + "wq"], params[pre + "bq"]), B, S, H, dh)

@@ -12,7 +12,7 @@ from .autodiff import Tensor, no_grad
 from .dataset import (attach_history, build_finetune_groups,
                       build_pretrain_samples, time_split)
 from .evaluate import discovery_subset, mean_ndcg
-from .losses import click_logit, temperature
+from .losses import calibrated_logits, temperature
 from .model import (EMBED_BATCH, ModelParams, TowerConfig, batch_histories, init_params,
                     item_context, user_tower_forward_batch)
 from .synth import (SynthConfig, SynthWorld, generate_world, make_balanced_eval_groups,
@@ -129,8 +129,8 @@ def calibration_report(bundle: Bundle, params: ModelParams, groups,
     scores = score_table(bundle, params, groups)
     owner = np.repeat(np.arange(len(groups)), [len(g.item_ids) for g in groups])
     with no_grad():
-        z = click_logit(Tensor(np.concatenate(scores)),
-                        item_context(groups, owner, params, use_context), params).data
+        z = calibrated_logits(Tensor(np.concatenate(scores)),
+                              item_context(groups, owner, params, use_context), params).data[:, 0]
     preds = 1.0 / (1.0 + np.exp(-z))
     ys = np.concatenate([g.labels["click"] for g in groups])
     return {"mean_predicted": float(np.mean(preds)),

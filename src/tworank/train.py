@@ -256,7 +256,7 @@ def finetune_run(groups: list[ImpressionGroup], init: ModelParams,
 
 def continuous_finetune(prev: ModelParams, new_groups: list[ImpressionGroup],
                         config: TrainConfig, tokenize_fn, titles: dict[int, str]) -> ModelParams:
-    """Continuous fine-tuning contract: sigmoid inner scalars frozen (a
+    """Continuous fine-tuning contract: the calibration vectors frozen (a
     constant gets no gradient), constant learning rate, fresh optimizer
     state, fine-tune objective only. Every returned tensor trains again."""
     start = prev.copy()

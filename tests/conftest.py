@@ -1,6 +1,9 @@
 """Shared fixtures: a tiny model, a toy whitespace tokenizer, and one
-small simulated world reused by the data-dependent tests."""
+small simulated world reused by the data-dependent tests; and two helpers:
+the digest that parameter pins take, and a version-1 checkpoint writer."""
 
+import hashlib
+import struct
 import sys
 
 import numpy as np
@@ -16,8 +19,49 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in verdicts:
             terminalreporter.write_line(line)
 
-from tworank.model import TowerConfig, init_params
+from tworank.autodiff import Tensor
+from tworank.model import ModelParams, TowerConfig, init_params
 from tworank.synth import SynthConfig, generate_world, simulate_logs
+from tworank.types import SIGNALS
+
+
+def params_digest(params: ModelParams) -> str:
+    """SHA-256 over each tensor's name, shape and <f8 bytes, in `tensors`
+    order."""
+    h = hashlib.sha256()
+    for name, t in params.tensors.items():
+        h.update(name.encode())
+        h.update(repr(t.data.shape).encode())
+        h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+# each calibration vector's entries under their version-1 names
+_V1_SCALARS = {"pointwise": ("alpha_cl", "alpha_ctx", "beta_cl"),
+              **{k: (f"gamma.{k}", f"gamma_ctx.{k}", f"beta.{k}") for k in SIGNALS}}
+
+
+def save_v1_checkpoint(params: ModelParams, path, key_bias=0.0, drop=()) -> None:
+    """Write `params` as a version-1 checkpoint: the version-1 tensor order,
+    each calibration vector as its three scalars (the signals' before the
+    pointwise click's), and `key_bias` filling a key bias `bk` in every user
+    layer. The tensors named in `drop` are left out."""
+    tensors = {}
+    for name, t in params.tensors.items():
+        if name == "loss_params.ctx_surface":
+            for key in (*SIGNALS, "pointwise"):
+                vector = params[f"loss_params.calib.{key}"].data
+                tensors.update((f"loss_params.{n}", Tensor(np.asarray(x)))
+                               for n, x in zip(_V1_SCALARS[key], vector))
+        elif name.startswith("loss_params.calib."):
+            continue
+        elif name.endswith(".bv"):
+            tensors[name[:-2] + "bk"] = Tensor(np.full(t.shape, key_bias))
+        tensors[name] = t
+    kept = {n: t for n, t in tensors.items() if n not in drop}
+    ModelParams(params.config, kept).save(path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
 
 
 @pytest.fixture

@@ -74,15 +74,14 @@ def finetune_objective_bruteforce(r_items: np.ndarray, r_ctx: float,
     def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
 
-    def scalar(name):
-        return float(params[name].data)
+    def scalars(key):
+        """The weights of r and r_ctx and the offset of one calibrated logit."""
+        return [float(x) for x in params[f"loss_params.calib.{key}"].data]
 
     total = 0.0
     for signal in SIGNALS:
         y = list(labels[signal])
-        g = scalar(f"loss_params.gamma.{signal}")
-        gc = scalar(f"loss_params.gamma_ctx.{signal}")
-        b = scalar(f"loss_params.beta.{signal}")
+        g, gc, b = scalars(signal)
         pair_vals = []
         for i, yi in enumerate(y):
             if not yi:
@@ -95,9 +94,7 @@ def finetune_objective_bruteforce(r_items: np.ndarray, r_ctx: float,
                 pair_vals.append(-np.log(f_p / (f_p + f_n)))
         if pair_vals:
             total += float(np.mean(pair_vals))
-    a_cl = scalar("loss_params.alpha_cl")
-    a_ctx = scalar("loss_params.alpha_ctx")
-    b_cl = scalar("loss_params.beta_cl")
+    a_cl, a_ctx, b_cl = scalars("pointwise")
     bce_vals = []
     for i, yi in enumerate(labels["click"]):
         f = sigmoid(a_cl * r_items[i] + a_ctx * r_ctx + b_cl)

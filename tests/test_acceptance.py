@@ -98,11 +98,10 @@ def test_criterion_2_analytic_loss_values():
         got = float(pretrain_loss(Tensor(np.asarray(0.3)),
                                   Tensor(np.full(n_neg, 0.3)), tau).data)
         errs.append(abs(got - np.log(n_neg + 1)))
-    params = init_params(TOWER, seed=0)
     zero = Tensor(np.asarray(0.0))
     ln2 = np.log(2.0)
     errs.append(abs(float(bpr_original(zero, zero, Tensor(np.asarray(1.0))).data) - ln2))
-    errs.append(abs(float(bce_click(zero, zero, 1.0, params).data) - ln2))
+    errs.append(abs(float(bce_click(zero, 1.0).data) - ln2))
     errs.append(abs(float(bpr_calibrated(zero, zero).data) - ln2))
     # two-class softmax == sigmoid form across the logit range
     for z in np.linspace(-20.0, 20.0, 161):
@@ -249,8 +248,8 @@ def test_criterion_9_objective_vs_bruteforce():
     rng = np.random.default_rng(5)
     params = init_params(TOWER, seed=1)
     for n in params.names():
-        if n.startswith("loss_params.") and params[n].data.ndim == 0:
-            params[n].data = params[n].data + rng.normal(scale=0.3)
+        if n == "loss_params.tau_raw" or n.startswith("loss_params.calib."):
+            params[n].data = params[n].data + rng.normal(scale=0.3, size=params[n].shape)
     worst = 0.0
     for _ in range(1000):
         n = int(rng.integers(2, 7))

@@ -439,6 +439,31 @@ def test_attention_matches_plain_formula(case):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@st.composite
+def _key_bias_cases(draw):
+    """q, k, v of shape (B, H, T, Dh), a key mask that keeps key 0 of each
+    row (the user tower's [CLS] slot), and a key bias of shape (Dh,)."""
+    b, h, tq, tk, dh = (draw(st.integers(1, n)) for n in (3, 3, 5, 6, 4))
+    floats = st.floats(-3, 3)
+    q = draw(arrays(np.float64, (b, h, tq, dh), elements=floats))
+    k, v = (draw(arrays(np.float64, (b, h, tk, dh), elements=floats)) for _ in range(2))
+    mask = draw(arrays(np.float64, (b, tk), elements=st.sampled_from([0.0, 1.0])))
+    mask[:, 0] = 1.0
+    return q, k, v, mask, draw(arrays(np.float64, (dh,), elements=floats))
+
+
+@given(_key_bias_cases())
+@settings(max_examples=100, deadline=None)
+def test_attention_ignores_a_key_bias(case):
+    """A key bias b adds q . b to every logit of a query row, and the
+    softmax cancels it: why the user tower has no key bias, and why a
+    version-1 checkpoint's may be dropped whatever its value."""
+    q, k, v, mask, bias = case
+    plain = ad.attention(Tensor(q), Tensor(k), Tensor(v), mask=mask).data
+    shifted = ad.attention(Tensor(q), Tensor(k + bias), Tensor(v), mask=mask).data
+    assert np.max(np.abs(shifted - plain)) <= 1e-12
+
+
 @given(arrays(np.float64, array_shapes(min_dims=0, max_dims=3, max_side=6)).flatmap(
     lambda a: st.tuples(st.just(a), arrays(np.float64, a.shape))))
 @example((np.array([-1.0, -0.0, 0.0, 5e-324, np.nan, np.inf, -np.inf]), np.arange(7.0) - 3))

@@ -21,6 +21,8 @@ from tworank.synth import generate_world
 from tworank.text import Vocab, build_vocab
 from tworank.types import SIGNALS
 
+from conftest import save_v1_checkpoint
+
 FAST = [
     "world.n_items=120", "world.n_users=30", "world.days=10",
     "world.organic_rate=0.8", "world.impressions_per_day=0.5",
@@ -195,15 +197,63 @@ _BAD_MEMBERS = {"config-key": {"bogus": 1}, "item-hidden-half": {"item_hidden": 
 
 
 def test_checkpoint_naming_derived_members_loads(workspace, tmp_path):
-    """Config blocks once named the item width and the position rows; a
-    block that gives each its one value loads as the same model."""
+    """Version-1 config blocks once named the item width and the position
+    rows; a block that gives each its one value loads as the same model.
+    A version-2 block may not name them."""
+    a = ModelParams.load(workspace / "finetune.ckpt")
     old = tmp_path / "old.ckpt"
-    old.write_bytes(_with_config_members((workspace / "finetune.ckpt").read_bytes(),
-                                         item_hidden=16, max_positions=13))
-    a, b = ModelParams.load(workspace / "finetune.ckpt"), ModelParams.load(old)
+    save_v1_checkpoint(a, old)
+    old.write_bytes(_with_config_members(old.read_bytes(), item_hidden=16, max_positions=13))
+    b = ModelParams.load(old)
     assert b.config == a.config
     assert b.names() == a.names()
     assert all(np.array_equal(a[n].data, b[n].data) for n in a.names())
+    new = tmp_path / "new.ckpt"
+    new.write_bytes(_with_config_members((workspace / "finetune.ckpt").read_bytes(),
+                                         item_hidden=16))
+    with pytest.raises(ValueError, match="item_hidden"):
+        ModelParams.load(new)
+
+
+def _chain_dir(workspace, path, write):
+    """A directory holding the workspace's logs and vocabulary and the
+    finetune.ckpt that `write(path)` writes."""
+    path.mkdir()
+    for name in ("logs.ndjson", "vocab.txt"):
+        (path / name).write_bytes((workspace / name).read_bytes())
+    write(path / "finetune.ckpt")
+    return path
+
+
+def test_version_1_checkpoint_exports_and_evaluates(workspace, tmp_path):
+    """export and evaluate read a version-1 finetune.ckpt, key bias and
+    all: its EMB files are byte-equal, and its nDCG and calibration equal,
+    to those of its version-2 re-save."""
+    tuned = ModelParams.load(workspace / "finetune.ckpt")
+    v1 = _chain_dir(workspace, tmp_path / "v1",
+                    lambda path: save_v1_checkpoint(tuned, path, key_bias=0.3))
+    v2 = _chain_dir(workspace, tmp_path / "v2",
+                    lambda path: ModelParams.load(v1 / "finetune.ckpt").save(path))
+    for out in (v1, v2):
+        for command in ("export", "evaluate"):
+            assert run(command, out) == EXIT_OK
+    for name in ("users.emb", "items.emb"):
+        assert (v1 / name).read_bytes() == (v2 / name).read_bytes(), name
+    m1, m2 = (json.loads((out / "metrics.json").read_text()) for out in (v1, v2))
+    assert (m1["ndcg"], m1["calibration"]) == (m2["ndcg"], m2["calibration"])
+
+
+def test_version_1_checkpoint_missing_a_scalar_exit_code(workspace, tmp_path, capsys):
+    tuned = ModelParams.load(workspace / "finetune.ckpt")
+    out = _chain_dir(workspace, tmp_path / "cut", lambda path: save_v1_checkpoint(
+        tuned, path, drop=("loss_params.gamma_ctx.cart",)))
+    assert run("evaluate", out) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    # the vector the scalars would make is missing, and its other two are left over
+    assert str(out / "finetune.ckpt") in captured.err
+    assert "['loss_params.beta.cart', 'loss_params.calib.cart', 'loss_params.gamma.cart']" \
+        in captured.err
 
 
 @pytest.mark.parametrize("how", ["missing-tensor", "extra-tensor", "wrong-shape", "nan",

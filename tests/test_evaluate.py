@@ -271,14 +271,14 @@ def test_calibration_report_values(small_world, small_logs, use_context):
     assert groups
     params = init_params(tower, seed=0)
     draw = np.random.default_rng(5)
-    for name in ("alpha_cl", "alpha_ctx", "beta_cl", "tau_raw", "ctx_surface", "ctx_device"):
+    for name in ("calib.pointwise", "tau_raw", "ctx_surface", "ctx_device"):
         t = params[f"loss_params.{name}"]
         t.data = draw.normal(size=t.data.shape)
 
     # the formula the report applies, written out
     scores = score_table(bundle, params, groups)
-    a_cl, a_ctx, b_cl, tau_raw = (float(params[f"loss_params.{n}"].data)
-                                  for n in ("alpha_cl", "alpha_ctx", "beta_cl", "tau_raw"))
+    a_cl, a_ctx, b_cl = params["loss_params.calib.pointwise"].data
+    tau_raw = float(params["loss_params.tau_raw"].data)
     surf = params["loss_params.ctx_surface"].data[:, 0]
     dev = params["loss_params.ctx_device"].data[:, 0]
     preds, ys = [], []
@@ -309,19 +309,21 @@ def _small_eval(small_world, small_logs):
 
 
 def test_evaluation_is_pinned(small_world, small_logs):
-    """eval_metrics and calibration_report to the last bit, as taken at
-    commit 2317c31 (numpy 2.4.6), where discovery copied each kept group
-    and scores were keyed by group object."""
+    """eval_metrics and calibration_report to the last bit (numpy 2.4.6).
+    Taken when the calibration scalars became vectors and the key bias
+    went, which moved the noise draws; the earlier layout's noisy
+    parameters, brought to this layout as a version-1 checkpoint is, gave
+    the earlier pins to the last bit."""
     bundle, params = _small_eval(small_world, small_logs)
     got = eval_metrics(bundle, params)
-    assert (got["retargeting"], got["discovery"]) == (0.829607753979715, 0.7469912297957659)
+    assert (got["retargeting"], got["discovery"]) == (0.8345375022240333, 0.6656322476834606)
     assert got["groups"]["retargeting"] == len(bundle.eval_groups) == 40
     assert calibration_report(bundle, params, bundle.finetune_test) == {
-        "mean_predicted": 0.5599012119607429, "empirical_rate": 0.6216216216216216,
-        "temperature": 10.2768330617366}
+        "mean_predicted": 0.47970340730154915, "empirical_rate": 0.6216216216216216,
+        "temperature": 10.084834388747284}
     assert calibration_report(bundle, params, bundle.finetune_test, use_context=False) == {
-        "mean_predicted": 0.47691913852062673, "empirical_rate": 0.6216216216216216,
-        "temperature": 10.2768330617366}
+        "mean_predicted": 0.46024667199221325, "empirical_rate": 0.6216216216216216,
+        "temperature": 10.084834388747284}
 
 
 def test_discovery_mean_averages_every_kept_group(small_world, small_logs, monkeypatch):

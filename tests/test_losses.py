@@ -97,30 +97,40 @@ def test_softmax_sigmoid_identity_over_logit_grid():
 # ---------------------------------------------------------------------------
 
 
-def test_bce_zero_logit_is_log_two(params):
+def test_bce_zero_logit_is_log_two():
     zero = Tensor(np.asarray(0.0))
     for y in (0.0, 1.0):
-        loss = bce_click(zero, zero, y, params)
+        loss = bce_click(zero, y)
         assert float(loss.data) == pytest.approx(LN2, abs=1e-9)
 
 
-def test_bce_matches_direct_formula(params):
-    r = np.array([0.3, -1.2, 2.0])
+def test_bce_matches_direct_formula():
+    z = np.array([0.3, -1.2, 2.0])
     y = np.array([1.0, 0.0, 1.0])
-    r_ctx = 0.4
-    a_cl = float(params["loss_params.alpha_cl"].data)
-    a_ctx = float(params["loss_params.alpha_ctx"].data)
-    z = a_cl * r + a_ctx * r_ctx
     f = _sigmoid(z)
     expect = -y * np.log(f) - (1 - y) * np.log(1 - f)
-    loss = bce_click(Tensor(r), Tensor(np.asarray(r_ctx)), y, params)
+    loss = bce_click(Tensor(z), y)
     assert loss.shape == (3,)  # per item, not reduced
     assert np.allclose(loss.data, expect, rtol=0.0, atol=1e-9)
 
 
-def test_bce_stable_at_extreme_logits(params):
-    loss = bce_click(Tensor(np.asarray(800.0)), Tensor(np.asarray(0.0)), 0.0, params)
+def test_bce_stable_at_extreme_logits():
+    loss = bce_click(Tensor(np.asarray(800.0)), 0.0)
     assert np.isfinite(float(loss.data))
+
+
+def test_calibrated_logit_columns_match_their_vectors(params):
+    """Column 0 is the pointwise click logit and column 1 + s that of
+    SIGNALS[s], each w_r * r + w_ctx * r_ctx + b of its own vector."""
+    rng = np.random.default_rng(2)
+    for k in ("pointwise", *SIGNALS):
+        params[f"loss_params.calib.{k}"].data = rng.normal(size=3)
+    r, r_ctx = rng.normal(size=5), rng.normal(size=5)
+    z = calibrated_logits(Tensor(r), Tensor(r_ctx), params).data
+    assert z.shape == (5, 1 + len(SIGNALS))
+    for col, k in enumerate(("pointwise", *SIGNALS)):
+        w_r, w_ctx, b = params[f"loss_params.calib.{k}"].data
+        assert np.allclose(z[:, col], w_r * r + w_ctx * r_ctx + b, rtol=0.0, atol=1e-15), k
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +155,7 @@ def _pair_loss(r_up, r_un, r_ctx, params, signal="click"):
     """Calibrated BPR of one pair sharing the context score r_ctx, through
     `calibrated_logits`."""
     z = calibrated_logits(Tensor(np.array([r_up, r_un])), Tensor(np.full(2, r_ctx)), params)
-    z_up, z_un = z.data[:, SIGNALS.index(signal)]
+    z_up, z_un = z.data[:, 1 + SIGNALS.index(signal)]
     return float(bpr_calibrated(Tensor(z_up), Tensor(z_un)).data)
 
 
@@ -167,7 +177,7 @@ def test_bpr_calibrated_context_shifts_both_items(params):
     base = _pair_loss(1.0, 0.0, 0.0, params)
     shifted = _pair_loss(1.0, 0.0, -8.0, params)
     bpr = float(bpr_original(Tensor(np.asarray(1.0)), Tensor(np.asarray(0.0)),
-                             params["loss_params.gamma.click"]).data)
+                             Tensor(params["loss_params.calib.click"].data[0])).data)
     assert abs(shifted - bpr) < abs(base - bpr)
 
 
@@ -237,18 +247,18 @@ def test_objective_gradients_reach_calibration_scalars(params):
               "fvrt": [0, 0, 0, 0], "prch": [0, 0, 0, 0]}
     loss = finetune_objective(r, r_ctx, [labels], params)
     grads = backward(loss, list(params.tensors.values()))
-    for name in ("loss_params.gamma.click", "loss_params.beta.click",
-                 "loss_params.gamma_ctx.click", "loss_params.alpha_cl",
-                 "loss_params.alpha_ctx", "loss_params.beta_cl"):
-        assert np.any(grads[params[name]]), name
+    for key in ("pointwise", "click", "cart"):
+        assert np.all(grads[params[f"loss_params.calib.{key}"]]), key
+    for key in ("fvrt", "prch"):  # no pair
+        assert not np.any(grads[params[f"loss_params.calib.{key}"]]), key
 
 
 def _perturbed(params, rng):
-    """Calibration scalars moved off their identity init, so that every
-    one of them matters."""
+    """Calibration vectors moved off their identity init, so that every
+    entry matters."""
     for n in params.names():
-        if n.startswith("loss_params.") and params[n].data.ndim == 0:
-            params[n].data = params[n].data + rng.normal(scale=0.3)
+        if n.startswith("loss_params.calib."):
+            params[n].data = params[n].data + rng.normal(scale=0.3, size=3)
     return params
 
 
@@ -288,24 +298,22 @@ def test_batched_objective_is_mean_of_group_oracles(params):
 
 def _objective_and_point(params, rng):
     """The batched objective as a function of the item scores, the context
-    scores and the calibration scalars, and a random point for it."""
+    scores and the calibration vectors, and a random point for it."""
     r, group_ctx, sizes, labels = _random_batch(rng, 5)
-    scalars = [n for n in params.names()
-               if n.startswith("loss_params.") and n != "loss_params.tau_raw"
-               and params[n].data.ndim == 0]
+    vectors = [n for n in params.names() if n.startswith("loss_params.calib.")]
 
     def objective(r_items, r_ctx, *values):
         p = params.copy()
-        for name, value in zip(scalars, values):
+        for name, value in zip(vectors, values):
             p.tensors[name] = value
         return finetune_objective(r_items, r_ctx, labels, p)
 
-    return objective, [r, np.repeat(group_ctx, sizes)] + [params[n].data for n in scalars]
+    return objective, [r, np.repeat(group_ctx, sizes)] + [params[n].data for n in vectors]
 
 
 def test_batched_objective_gradcheck(params):
     """Gradients with respect to the item scores, the context scores and
-    the calibration scalars match central finite differences."""
+    the calibration vectors match central finite differences."""
     rng = np.random.default_rng(12)
     report = gradcheck(*_objective_and_point(_perturbed(params, rng), rng))
     assert report.passed, report
@@ -325,13 +333,13 @@ def test_batched_objective_gradcheck_at_extreme_logits(params):
 
 
 def _extreme(params, rng):
-    """Calibration scalars that put every signal's logits far below -745,
+    """Calibration vectors that put every signal's logits far below -745,
     where each sigmoid underflows to 0, and one signal's spread over
     (-1600, 0)."""
     params = _perturbed(params, rng)
     for signal in SIGNALS:
-        params[f"loss_params.beta.{signal}"].data = np.asarray(-800.0 + rng.normal())
-    params["loss_params.gamma.cart"].data = np.asarray(400.0)
+        params[f"loss_params.calib.{signal}"].data[2] = -800.0 + rng.normal()
+    params["loss_params.calib.cart"].data[0] = 400.0
     return params
 
 
@@ -340,21 +348,19 @@ def _objective_closed_form(r, r_ctx, labels, params, pointwise_weight=0.1):
     tensor machinery: log f = -logaddexp(0, -z), a pair's loss is
     logaddexp(log f_p, log f_n) - log f_p, and the click BCE is
     logaddexp(0, z) - y * z. Finite at any logit."""
-    def scalar(name):
-        return float(params[name].data)
+    def logit(key):
+        w_r, w_ctx, b = params[f"loss_params.calib.{key}"].data
+        return w_r * r + w_ctx * r_ctx + b
 
     total = 0.0
     for signal in SIGNALS:
         y = np.asarray(labels[signal])
-        z = (scalar(f"loss_params.gamma.{signal}") * r
-             + scalar(f"loss_params.gamma_ctx.{signal}") * r_ctx
-             + scalar(f"loss_params.beta.{signal}"))
+        z = logit(signal)
         log_f = -np.logaddexp(0.0, -z)
         lp, ln = np.meshgrid(log_f[y != 0], log_f[y == 0], indexing="ij")
         if lp.size:
             total += float(np.mean(np.logaddexp(lp, ln) - lp))
-    z = (scalar("loss_params.alpha_cl") * r + scalar("loss_params.alpha_ctx") * r_ctx
-         + scalar("loss_params.beta_cl"))
+    z = logit("pointwise")
     y = np.asarray(labels["click"])
     return total + pointwise_weight * float(np.mean(np.logaddexp(0.0, z) - y * z))
 

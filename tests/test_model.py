@@ -1,7 +1,7 @@
 """Featurization, tower forward passes, parameter bookkeeping, and
 checkpointing."""
 
-import hashlib
+import struct
 from collections import Counter
 from dataclasses import fields
 from types import SimpleNamespace
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from tworank import autodiff as ad
 from tworank.autodiff import Tensor
-from tworank.model import (FROZEN_IN_CONTINUOUS, GROUP_NAMES, ModelParams,
+from tworank.model import (CALIBRATED, FROZEN_IN_CONTINUOUS, GROUP_NAMES, ModelParams,
                            TowerConfig, batch_histories, content_embed_batch,
                            context_score, encode_events_batch, init_params,
                            item_tower_forward_batch, pad_tokens, param_layout,
@@ -21,6 +21,7 @@ from tworank.model import (FROZEN_IN_CONTINUOUS, GROUP_NAMES, ModelParams,
 from tworank.train import item_embeddings_for
 from tworank.types import EVENT_TYPE_IDS, Event, EventType, UserHistory
 
+from conftest import params_digest, save_v1_checkpoint
 from oracles import content_embed, similarity
 
 
@@ -55,22 +56,14 @@ def test_config_rejects_indivisible_heads():
 # ---------------------------------------------------------------------------
 
 
-def _init_digest(params):
-    h = hashlib.sha256()
-    for name, t in params.tensors.items():
-        h.update(name.encode())
-        h.update(repr(t.data.shape).encode())
-        h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-    return h.hexdigest()
-
-
-# computed before the layout became a table; filling the table must draw
+# taken when the calibration scalars became vectors and the key bias went;
+# every Normal draw kept its bytes, and filling the layout table must draw
 # the same numbers in the same order
 INIT_DIGESTS = {
-    ("tiny", 0): "353ba0bad0eac9c712f9cfb3ffa2ceb9d006363122284945a4b2bb260d847bc4",
-    ("tiny", 3): "a60a3d6ad58ec9991af107f64f55b6d7ecdbaf67142d7d5afc913f63226b46f0",
-    ("default", 0): "2e4087d4130ccde7662958b39269972ea4fb5521a026890304f1dbe349eb0e5d",
-    ("default", 3): "a3475ea7f291cdf16770db061bcbe1f08592d41231be0fbe7d50e6c84f414f97",
+    ("tiny", 0): "0c05ed978bda2a489704242f6d1fb6c24a4983838f810cea0b2ac6adc46a7cf6",
+    ("tiny", 3): "e1b56919e261aaccaa9d534ed3ac7f0e7089a9ab81fac2a0c2c7e4a06b49d89d",
+    ("default", 0): "b8c7709eac6efadba9fc9698ccdcddb8b0a5b73dbb33d6ae8d02cc9886312bb9",
+    ("default", 3): "77237246ff9e6b4c694ef5f135495ea706d48c3502652af8a2b889d3da249efe",
 }
 
 
@@ -78,7 +71,7 @@ INIT_DIGESTS = {
 def test_init_params_values_are_pinned(tiny_config, name, seed):
     cfg = tiny_config if name == "tiny" else TowerConfig()
     params = init_params(cfg, seed=seed)
-    assert _init_digest(params) == INIT_DIGESTS[name, seed]
+    assert params_digest(params) == INIT_DIGESTS[name, seed]
     assert [(n, t.shape) for n, t in params.tensors.items()] == \
         [(n, shape) for n, shape, _init in param_layout(cfg)]
     assert params["embeddings.position"].shape == (cfg.max_history + 1, cfg.d)
@@ -101,14 +94,16 @@ def test_every_param_belongs_to_a_group(tiny_params):
 
 
 def test_frozen_prefixes_exist(tiny_params):
-    for prefix in FROZEN_IN_CONTINUOUS:
-        assert any(n.startswith(prefix) for n in tiny_params.names()), prefix
+    """Continuous fine-tuning freezes the five calibration vectors, 15
+    numbers, and nothing else."""
+    frozen = [n for n in tiny_params.names() if n.startswith(FROZEN_IN_CONTINUOUS)]
+    assert frozen == [f"loss_params.calib.{k}" for k in CALIBRATED]
+    assert sum(tiny_params[n].data.size for n in frozen) == 15
 
 
 def test_calibration_init_values(tiny_params):
-    assert float(tiny_params["loss_params.alpha_cl"].data) == 1.0
-    assert float(tiny_params["loss_params.gamma.click"].data) == 1.0
-    assert float(tiny_params["loss_params.beta.click"].data) == 0.0
+    for key in CALIBRATED:  # every logit starts as r + r_ctx
+        assert tiny_params[f"loss_params.calib.{key}"].data.tolist() == [1.0, 1.0, 0.0]
     # softplus(tau_raw) == 10 at init
     raw = float(tiny_params["loss_params.tau_raw"].data)
     assert np.log1p(np.exp(raw)) == pytest.approx(10.0, abs=1e-9)
@@ -169,11 +164,48 @@ def test_checkpoint_cut_at_every_byte_names_its_file(tmp_path):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_checkpoint_save_refuses_non_finite(tiny_params, tmp_path, bad):
     path = tmp_path / "model.ckpt"
-    tiny_params["loss_params.beta.click"].data = np.array(bad)
+    tiny_params["loss_params.calib.click"].data[2] = bad
     tiny_params["embeddings.cls"].data[3] = bad
-    with pytest.raises(ValueError, match="embeddings.cls.*loss_params.beta.click"):
+    with pytest.raises(ValueError, match="embeddings.cls.*loss_params.calib.click"):
         tiny_params.save(path)
     assert not path.exists()
+
+
+def _distinct_calibration(params):
+    """Each calibration entry its own value, exact in float32, so that a
+    reader that moves one shows."""
+    for i, key in enumerate(CALIBRATED):
+        params[f"loss_params.calib.{key}"].data = np.array([2.0 + i, -0.5 - i, 0.125 * i + 0.25])
+    return params
+
+
+def test_version_1_checkpoint_loads_into_the_layout(tiny_params, tmp_path):
+    """A version-1 file loads with each logit's three scalars stacked into
+    its vector in order and no key bias left, non-zero though it is; every
+    other tensor is byte-equal to the version-2 file's, and all come in
+    param_layout order."""
+    params = _distinct_calibration(tiny_params)
+    params.save(tmp_path / "v2.ckpt")
+    save_v1_checkpoint(params, tmp_path / "v1.ckpt", key_bias=0.7)
+    raw = (tmp_path / "v1.ckpt").read_bytes()
+    assert raw[4:8] == struct.pack("<I", 1)
+    assert b"transformer.L0.bk" in raw and b"loss_params.gamma_ctx.prch" in raw
+    v1, v2 = ModelParams.load(tmp_path / "v1.ckpt"), ModelParams.load(tmp_path / "v2.ckpt")
+    assert v1.names() == v2.names() == [n for n, _shape, _init in param_layout(params.config)]
+    for n in v2.names():
+        assert v1[n].data.tobytes() == v2[n].data.tobytes(), n
+    for key in CALIBRATED:
+        name = f"loss_params.calib.{key}"
+        assert v1[name].data.tolist() == params[name].data.tolist(), name
+
+
+@pytest.mark.parametrize("dropped", ["loss_params.beta_cl", "loss_params.gamma.prch"])
+def test_version_1_checkpoint_missing_a_scalar_names_its_file(tiny_params, tmp_path, dropped):
+    path = tmp_path / "v1.ckpt"
+    save_v1_checkpoint(tiny_params, path, drop=(dropped,))
+    with pytest.raises(ValueError, match="missing, unexpected or misshapen") as info:
+        ModelParams.load(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +498,9 @@ def _full_sequence_tower(batch, params):
     x = seq
     for i in range(cfg.user_layers):
         pre = f"transformer.L{i}."
-        q, k, v = (heads(ad.matmul(x, params[pre + "w" + n]) + params[pre + "b" + n])
-                   for n in "qkv")
+        q, v = (heads(ad.matmul(x, params[pre + "w" + n]) + params[pre + "b" + n])
+                for n in "qv")
+        k = heads(ad.matmul(x, params[pre + "wk"]))
         att = ad.attention(q, k, v, mask=mask)
         att = ad.reshape(ad.transpose(att, (0, 2, 1, 3)), (B, S, cfg.d))
         att = ad.matmul(att, params[pre + "wo"]) + params[pre + "bo"]
@@ -485,8 +518,8 @@ def _full_sequence_tower(batch, params):
 def test_user_tower_matches_full_sequence_layers(histories, layers, heads, seed):
     """Querying the last layer from [CLS] alone gives the full-sequence
     tower's output and every parameter gradient, up to summation order.
-    The bound is absolute below 1: the bk gradients are rounding noise
-    around an exact 0 (a key bias shifts every logit of a row equally)."""
+    The bound is absolute below 1, so that entries near 0 compare by
+    their size."""
     cfg = TowerConfig(d=8, user_layers=layers, user_heads=heads, item_layers=0,
                       max_history=ORACLE_CONFIG.max_history, vocab_size=32)
     params = init_params(cfg, seed=seed)
