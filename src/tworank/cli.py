@@ -189,7 +189,8 @@ def cmd_evaluate(cfg: RunConfig, ec: EvalConfig, args) -> int:
                                use_context=cfg.finetune.use_context)
     kept = metrics["groups"]  # filter -> evaluation groups it kept
     payload = {"ndcg": {f: _json_metric(metrics[f]) for f in kept}, "groups": kept,
-               "calibration": calib, "config": asdict(cfg)}
+               "near_ties": metrics["near_ties"], "calibration": calib,
+               "config": asdict(cfg)}
     path = os.path.join(args.out, "metrics.json")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)

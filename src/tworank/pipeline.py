@@ -5,13 +5,14 @@ the ablation matrix. Shared by the CLI and the acceptance suite."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
 from .autodiff import Tensor, no_grad
 from .dataset import (attach_history, build_finetune_groups,
                       build_pretrain_samples, time_split)
-from .evaluate import discovery_subset, mean_ndcg
+from .evaluate import discovery_subset, length_blocks, mean_ndcg, near_tie_groups
 from .losses import calibrated_logits, temperature
 from .model import (EMBED_BATCH, ModelParams, TowerConfig, batch_histories, init_params,
                     item_context, user_tower_forward_batch)
@@ -99,16 +100,27 @@ def score_table(bundle: Bundle, params: ModelParams, groups) -> list[np.ndarray]
             chunk = unique_items[lo: lo + EMBED_BATCH]
             item_vecs[lo: lo + len(chunk)] = item_embeddings_for(
                 chunk, bundle.titles, bundle.tokenize_fn, params).data
-    item_row = {item: r for r, item in enumerate(unique_items)}
-    return [item_vecs[[item_row[i] for i in g.item_ids]] @ user_vecs[user_row[id(g.history)]]
-            for g in groups]
+    sizes = np.fromiter((len(g.item_ids) for g in groups), np.intp, len(groups))
+    item_rows = np.searchsorted(np.array(unique_items, dtype=np.int64), np.fromiter(
+        chain.from_iterable(g.item_ids for g in groups), np.int64, int(sizes.sum())))
+    users = user_vecs[[user_row[id(g.history)] for g in groups]][:, :, None]
+    out = [None] * len(groups)
+    # one stacked product per group length: (G_n, n, d) @ (G_n, d, 1) runs
+    # each group's own matrix-vector product, so it keeps that product's bits
+    for rows, at in length_blocks(np.cumsum(sizes) - sizes, sizes):
+        block = np.matmul(item_vecs[item_rows[at]], users[rows])[..., 0]
+        for r, row in zip(rows.tolist(), block):
+            out[r] = row
+    return out
 
 
 def eval_metrics(bundle: Bundle, params: ModelParams) -> dict[str, float]:
     """Test nDCG on the context-balanced evaluation groups, for the
     retargeting-like (all items) and discovery-like (previously
     undiscovered categories) filters, and under "groups" how many groups
-    each filter kept. Discovery is NaN when it keeps none."""
+    each filter kept, and under "near_ties" how many groups hold two items
+    of different relevance scored within `evaluate.NEAR_TIE` of each other.
+    Discovery is NaN when it keeps none."""
     groups = bundle.eval_groups
     scores = score_table(bundle, params, groups)
     retarget = mean_ndcg(groups, scores)
@@ -117,7 +129,8 @@ def eval_metrics(bundle: Bundle, params: ModelParams) -> dict[str, float]:
     kept = [(g, s, keep) for g, s, keep in zip(groups, scores, keeps) if keep is not None]
     discovery = mean_ndcg(*zip(*kept)) if kept else float("nan")
     return {"retargeting": retarget, "discovery": discovery,
-            "groups": {"retargeting": len(groups), "discovery": len(kept)}}
+            "groups": {"retargeting": len(groups), "discovery": len(kept)},
+            "near_ties": near_tie_groups(groups, scores)}
 
 
 def calibration_report(bundle: Bundle, params: ModelParams, groups,

@@ -1,10 +1,13 @@
-"""Shared fixtures: a tiny model, a toy whitespace tokenizer, and one
-small simulated world reused by the data-dependent tests; and two helpers:
-the digest that parameter pins take, and a version-1 checkpoint writer."""
+"""Shared fixtures: a tiny model, a toy whitespace tokenizer, one small
+simulated world reused by the data-dependent tests, and the benchmark
+workloads' bundles; and two helpers: the digest that parameter pins take,
+and a version-1 checkpoint writer."""
 
 import hashlib
 import struct
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 from tworank.autodiff import Tensor
 from tworank.model import ModelParams, TowerConfig, init_params
+from tworank.pipeline import build_bundle
 from tworank.synth import SynthConfig, generate_world, simulate_logs
 from tworank.types import SIGNALS
 
@@ -97,6 +101,25 @@ def small_world():
 @pytest.fixture(scope="session")
 def small_logs(small_world):
     return simulate_logs(small_world)
+
+
+@pytest.fixture
+def workload_bundle(monkeypatch):
+    """Builds a benchmark workload's bundle as perfbench/lifecycle.py does,
+    at seed 4049: name -> (the workload, its bundle)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import lifecycle
+
+    def build(name):
+        w = lifecycle.WORKLOADS[name]
+        world = generate_world(replace(w.world, seed=4049))
+        bundle = build_bundle(world.config, vocab_size=w.tower.vocab_size,
+                              max_history=w.tower.max_history, test_days=w.test_days,
+                              eval_groups_per_user=w.eval_groups_per_user,
+                              world=world, records=simulate_logs(world))
+        return w, bundle
+
+    return build
 
 
 @pytest.fixture(scope="session")

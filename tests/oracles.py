@@ -6,10 +6,13 @@ from __future__ import annotations
 import numpy as np
 
 from tworank import autodiff as ad
-from tworank.autodiff import Tensor
-from tworank.model import ModelParams
+from tworank.autodiff import Tensor, no_grad
+from tworank.evaluate import group_relevance
+from tworank.model import (EMBED_BATCH, ModelParams, batch_histories,
+                           user_tower_forward_batch)
 from tworank.synth import _ADJECTIVES, _COMMON, _NOUNS
 from tworank.text import Vocab, _segment_word
+from tworank.train import item_embeddings_for
 from tworank.types import SIGNALS
 
 
@@ -165,3 +168,60 @@ def title_draws_per_item(rng, per_cat: int, n_items: int) -> tuple[np.ndarray, n
         picks[i] = rng.choice(per_cat, size=3, replace=False)
         common[i] = rng.integers(0, len(_COMMON))
     return picks, common
+
+
+def ndcg_one(scores, relevances, item_ids) -> float:
+    """nDCG of one group, ranked by itself: the reference for each row of
+    `evaluate.ndcg`."""
+    scores = np.asarray(scores, dtype=np.float64)
+    rel = np.asarray(relevances, dtype=np.float64)
+    ids = np.asarray(item_ids)
+    if not np.any(rel > 0):
+        raise ValueError("ndcg needs at least one positive relevance")
+    order = np.lexsort((ids, -scores))
+
+    def dcg(ranked_rel):
+        ranks = np.arange(1, len(ranked_rel) + 1)
+        return float(((2.0 ** ranked_rel - 1.0) / np.log2(ranks + 1)).sum())
+
+    got = dcg(rel[order])
+    ideal = dcg(np.sort(rel)[::-1])
+    return got / ideal
+
+
+def mean_ndcg_per_group(groups, scores, keep=None) -> float:
+    """`ndcg_one` of each group with a positive, averaged in group order:
+    the reference for `evaluate.mean_ndcg`."""
+    vals = []
+    for k, (g, s) in enumerate(zip(groups, scores)):
+        rel, ids = group_relevance(g), np.asarray(g.item_ids)
+        if keep is not None:
+            rel, ids, s = rel[keep[k]], ids[keep[k]], s[keep[k]]
+        if np.any(rel > 0):
+            vals.append(ndcg_one(s, rel, ids))
+    if not vals:
+        raise ValueError("no scorable groups")
+    return float(np.mean(vals))
+
+
+def score_table_per_group(bundle, params: ModelParams, groups) -> list[np.ndarray]:
+    """The user and item vectors of `pipeline.score_table`, each group
+    scored by its own matrix-vector product: the reference for its stacked
+    products."""
+    histories = list({id(g.history): g.history for g in groups}.values())
+    user_row = {id(h): r for r, h in enumerate(histories)}
+    with no_grad():
+        user_vecs = np.empty((len(histories), params.config.d))
+        for lo in range(0, len(histories), EMBED_BATCH):
+            chunk = histories[lo: lo + EMBED_BATCH]
+            hb = batch_histories(chunk, bundle.tokenize_fn, params.config)
+            user_vecs[lo: lo + len(chunk)] = user_tower_forward_batch(hb, params).data
+        unique_items = sorted({i for g in groups for i in g.item_ids})
+        item_vecs = np.empty((len(unique_items), params.config.d))
+        for lo in range(0, len(unique_items), EMBED_BATCH):
+            chunk = unique_items[lo: lo + EMBED_BATCH]
+            item_vecs[lo: lo + len(chunk)] = item_embeddings_for(
+                chunk, bundle.titles, bundle.tokenize_fn, params).data
+    item_row = {item: r for r, item in enumerate(unique_items)}
+    return [item_vecs[[item_row[i] for i in g.item_ids]] @ user_vecs[user_row[id(g.history)]]
+            for g in groups]

@@ -68,6 +68,7 @@ def test_metrics_file_contents(workspace):
     payload = json.loads((workspace / "metrics.json").read_text())
     assert 0.0 < payload["ndcg"]["retargeting"] <= 1.0
     assert "calibration" in payload and "config" in payload
+    assert isinstance(payload["near_ties"], int) and payload["near_ties"] >= 0
     assert payload["config"]["world"]["n_items"] == 120
 
 

@@ -3,8 +3,6 @@ group filtering, and the temporal split."""
 
 import hashlib
 import json
-from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -192,17 +190,9 @@ PINNED_WORKLOAD_BUNDLES = {
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_WORKLOAD_BUNDLES))
-def test_workload_bundle_is_pinned(name, monkeypatch):
+def test_workload_bundle_is_pinned(name, workload_bundle):
     """build_bundle as perfbench/lifecycle.py calls it, at benchmark scale."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    import lifecycle
-
-    w = lifecycle.WORKLOADS[name]
-    world = generate_world(replace(w.world, seed=4049))
-    bundle = build_bundle(world.config, vocab_size=w.tower.vocab_size,
-                          max_history=w.tower.max_history, test_days=w.test_days,
-                          eval_groups_per_user=w.eval_groups_per_user,
-                          world=world, records=simulate_logs(world))
+    _, bundle = workload_bundle(name)
     assert _bundle_digest(bundle) == PINNED_WORKLOAD_BUNDLES[name]
 
 

@@ -1,19 +1,24 @@
 """Metrics: nDCG analytic values, discovery filtering, the score table,
 the evaluation metrics and the calibration report."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tworank import evaluate, pipeline
-from tworank.evaluate import discovery_subset, group_relevance, mean_ndcg, ndcg
+from tworank.evaluate import (discovery_subset, group_relevance, mean_ndcg, ndcg,
+                              near_tie_groups)
 from tworank.model import TowerConfig, batch_histories, init_params, user_tower_forward_batch
 from tworank.pipeline import build_bundle, calibration_report, eval_metrics, score_table
 from tworank.synth import EventRecord, SynthConfig, generate_world
 from tworank.text import build_vocab
 from tworank.train import item_embeddings_for
 from tworank.types import Event, EventType, ImpressionGroup
+
+from oracles import mean_ndcg_per_group, ndcg_one, score_table_per_group
 
 SIGNALS = ("click", "cart", "fvrt", "prch")
 
@@ -33,7 +38,8 @@ def _group(item_ids, clicks, day=0, user_id=0, **extra_labels):
 
 
 def test_ndcg_perfect_ranking():
-    assert ndcg([2.0, 1.0], [1, 0], [10, 11]) == pytest.approx(1.0)
+    got = ndcg([2.0, 1.0], [1, 0], [10, 11])
+    assert isinstance(got, float) and got == pytest.approx(1.0)
 
 
 def test_ndcg_positive_at_second_of_two():
@@ -70,6 +76,8 @@ def test_ndcg_graded_gains():
 def test_ndcg_requires_a_positive():
     with pytest.raises(ValueError):
         ndcg([1.0, 2.0], [0, 0], [1, 2])
+    with pytest.raises(ValueError):  # in every row
+        ndcg([[1.0, 2.0], [1.0, 2.0]], [[1, 0], [0, 0]], [[1, 2], [1, 2]])
 
 
 def test_group_relevance_is_binary():
@@ -96,6 +104,98 @@ def test_mean_ndcg_no_scorable_groups():
         mean_ndcg([], [])
     with pytest.raises(ValueError):
         mean_ndcg([_group([1, 2], [1, 0])], [np.zeros(2)], [np.array([1])])
+
+
+def test_mean_ndcg_names_the_group_its_inputs_miss():
+    """A missing scores or keep entry and a score array of the wrong length
+    raise, naming the group, where zip would drop groups or numpy fail
+    later."""
+    groups = [_group([1, 2], [1, 0]), _group([3, 4], [0, 1])]
+    scores = [np.array([2.0, 1.0])] * 2
+    assert mean_ndcg(groups, scores) == pytest.approx(0.8155, abs=1e-4)
+    with pytest.raises(ValueError, match="group 1 has no scores entry"):
+        mean_ndcg(groups, scores[:1])
+    with pytest.raises(ValueError, match="3 scores entries for 2 groups"):
+        mean_ndcg(groups, (scores * 2)[:3])
+    with pytest.raises(ValueError, match="group 1 has no keep entry"):
+        mean_ndcg(groups, scores, [np.array([0, 1])])
+    with pytest.raises(ValueError, match="group 0 has 3 scores for 2 items"):
+        mean_ndcg(groups, [np.array([2.0, 1.0, 0.0]), scores[1]])
+    with pytest.raises(ValueError, match="group 1 keeps position 2 of 2 items"):
+        mean_ndcg(groups, scores, [[0], [1, 2]])
+    with pytest.raises(ValueError, match="integer positions"):
+        mean_ndcg(groups, scores, [np.array([True, False])] * 2)
+
+
+# tied scores are drawn often, and lengths cross 8, where numpy's pairwise
+# sum starts to split a row
+_SCORE = st.one_of(st.sampled_from([0.0, 0.25, -0.5]),
+                   st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False))
+
+
+@st.composite
+def _scored_groups(draw):
+    """Groups of 1 to 20 items with sparse positives (some with none) and
+    repeated item ids, their scores, and kept positions of mixed lengths
+    (empty, repeated, unsorted)."""
+    groups, scores, keep = [], [], []
+    for _ in range(draw(st.integers(1, 8))):
+        n = draw(st.integers(1, 20))
+        column = st.lists(st.sampled_from([0, 0, 0, 1]), min_size=n, max_size=n)
+        groups.append(_group(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)),
+                             draw(column), prch=draw(column)))
+        scores.append(np.array(draw(st.lists(_SCORE, min_size=n, max_size=n))))
+        keep.append(draw(st.lists(st.integers(0, n - 1), max_size=n + 2)))
+    return groups, scores, keep
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scored_groups())
+def test_mean_ndcg_is_the_per_group_mean_to_the_bit(case):
+    groups, scores, keep = case
+    for k in (None, keep):
+        try:
+            want = mean_ndcg_per_group(groups, scores, k)
+        except ValueError:
+            with pytest.raises(ValueError, match="no scorable groups"):
+                mean_ndcg(groups, scores, k)
+        else:
+            assert mean_ndcg(groups, scores, k).hex() == want.hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 20).flatmap(lambda n: st.lists(
+    st.tuples(st.lists(_SCORE, min_size=n, max_size=n),
+              st.lists(st.integers(0, 3), min_size=n, max_size=n),
+              st.lists(st.integers(0, 5), min_size=n, max_size=n)), min_size=1, max_size=6)))
+def test_ndcg_rows_are_each_row_alone_to_the_bit(rows):
+    rows = [(s, [1] + r[1:], i) for s, r, i in rows]  # graded, at least one positive
+    got = ndcg(*map(np.array, zip(*rows)))
+    assert [v.hex() for v in got.tolist()] == [ndcg_one(*row).hex() for row in rows]
+
+
+def test_near_tie_groups_counts_close_pairs_of_different_relevance():
+    groups = [_group([1, 2, 3], [1, 0, 0]),      # positive 1e-12 below a negative
+              _group([4, 5, 6, 7], [1, 1, 0, 0]),  # ties only between equal relevance
+              _group([8, 9], [0, 0]),              # no positive
+              _group([1, 2], [1, 0])]              # far apart
+    scores = [np.array([0.5, 0.5 + 1e-12, 0.1]), np.array([0.3, 0.3, 0.9, 0.9]),
+              np.zeros(2), np.array([1.0, 0.0])]
+    assert near_tie_groups(groups, scores) == 1
+    assert near_tie_groups(groups[1:], scores[1:]) == 0
+
+
+def test_eval_metrics_counts_near_ties(small_world, small_logs, monkeypatch):
+    """One group shows item 43 twice, clicked once: an exact tie. With every
+    score equal, each evaluation group that holds a positive and a negative
+    is near-tied."""
+    bundle, params = _small_eval(small_world, small_logs)
+    assert eval_metrics(bundle, params)["near_ties"] == 1
+    monkeypatch.setattr(pipeline, "score_table",
+                        lambda bundle, params, groups: [np.zeros(len(g.item_ids))
+                                                        for g in groups])
+    mixed = sum(0 < group_relevance(g).sum() < len(g.item_ids) for g in bundle.eval_groups)
+    assert 0 < mixed == eval_metrics(bundle, params)["near_ties"]
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +326,18 @@ def test_first_touch_rule_matches_set_rule(stream):
 
 def test_score_table_encodes_each_history_once(small_world, small_logs, monkeypatch):
     """One user-tower row per distinct history object, in chunks of at most
-    batch_size rows, and every group scored as if alone."""
+    batch_size rows; the bits of scoring each group by its own
+    matrix-vector product, at every group length; and every group scored
+    as if alone, up to the last bits that the towers' batch sizes move."""
     tower = TowerConfig(d=8, user_layers=1, user_heads=2, item_layers=1,
                         max_history=6, vocab_size=64)
     bundle = build_bundle(small_world.config, vocab_size=64, max_history=6,
                           test_days=3, world=small_world, records=small_logs)
     groups = bundle.eval_groups + bundle.finetune_test
+    # and groups of every length from 1 to 12, on histories that others share
+    groups += [replace(g, item_ids=[(g.item_ids[0] + 7 * j) % 60 for j in range(n)],
+                       labels={}) for n, g in zip(range(1, 13), groups[::3])]
+    assert len({len(g.item_ids) for g in groups}) >= 12
     distinct = {id(g.history) for g in groups}
     assert len(distinct) < len(groups)  # groups share histories, so there is work to save
     params = init_params(tower, seed=0)
@@ -252,13 +358,42 @@ def test_score_table_encodes_each_history_once(small_world, small_logs, monkeypa
     assert sum(rows) == len(distinct) and max(rows) <= 8
 
     assert len(scores) == len(groups)
-    for g, got in zip(groups, scores):
+    for g, got, own in zip(groups, scores, score_table_per_group(bundle, params, groups)):
+        assert got.tobytes() == own.tobytes()
         hb = batch_histories([g.history], bundle.tokenize_fn, tower)
         user = user_tower_forward_batch(hb, params).data[0]
         want = item_embeddings_for(g.item_ids, bundle.titles, bundle.tokenize_fn,
                                    params).data @ user
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
+
+
+@pytest.fixture(scope="module")
+def scored_bundle(small_world, small_logs):
+    """A small bundle and noisy parameters of d = 16."""
+    tower = TowerConfig(d=16, user_layers=1, user_heads=2, item_layers=1,
+                        max_history=6, vocab_size=64)
+    bundle = build_bundle(small_world.config, vocab_size=64, max_history=6,
+                          test_days=3, world=small_world, records=small_logs)
+    params = init_params(tower, seed=0)
+    draw = np.random.default_rng(3)
+    for t in params.tensors.values():
+        t.data = t.data + draw.normal(scale=0.2, size=t.data.shape)
+    return bundle, params
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 39), st.lists(st.integers(0, 59), min_size=1,
+                                                        max_size=20)),
+                min_size=1, max_size=12))
+def test_score_table_is_each_group_alone_to_the_bit(scored_bundle, picks):
+    """Groups of 1 to 20 items, repeated ids and shared histories among
+    them: the stacked products give each group's own matrix-vector bits."""
+    bundle, params = scored_bundle
+    groups = [replace(bundle.eval_groups[h], item_ids=ids, labels={}) for h, ids in picks]
+    got = score_table(bundle, params, groups)
+    want = score_table_per_group(bundle, params, groups)
+    assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
 
 
 @pytest.mark.parametrize("use_context", [True, False])
@@ -328,7 +463,7 @@ def test_evaluation_is_pinned(small_world, small_logs):
 
 def test_discovery_mean_averages_every_kept_group(small_world, small_logs, monkeypatch):
     """Each non-None discovery_subset return during eval_metrics is one row
-    of the discovery mean, and the count is what eval_metrics reports. The
+    of the discovery mean (a row of a batched ndcg call), and the count is what eval_metrics reports. The
     benchmark counts those returns as its kept discovery groups."""
     bundle, params = _small_eval(small_world, small_logs)
     returns, rows, in_keep_mean = [], [], []
@@ -345,9 +480,9 @@ def test_discovery_mean_averages_every_kept_group(small_world, small_logs, monke
         finally:
             in_keep_mean.pop()
 
-    def spy_ndcg(*args):
-        rows.append(in_keep_mean[-1])
-        return one(*args)
+    def spy_ndcg(scores, *args):
+        rows.extend([in_keep_mean[-1]] * len(np.atleast_2d(scores)))
+        return one(scores, *args)
 
     monkeypatch.setattr(pipeline, "discovery_subset", spy_subset)
     monkeypatch.setattr(pipeline, "mean_ndcg", spy_mean)
@@ -357,3 +492,36 @@ def test_discovery_mean_averages_every_kept_group(small_world, small_logs, monke
     assert len(returns) == len(bundle.eval_groups)
     assert 0 < kept == rows.count(True) == got["groups"]["discovery"]
     assert rows.count(False) == len(bundle.eval_groups)
+
+
+# eval_metrics and calibration_report of each benchmark workload's bundle
+# with init_params at seed 4049 (numpy 2.4.6): (retargeting, discovery,
+# groups kept by each filter) and (mean predicted, empirical rate,
+# temperature). Taken at commit bca79d9, which ranked and scored one group
+# at a time.
+PINNED_WORKLOAD_EVALUATIONS = {
+    "serve-catalog": ((0.828996257686362, 0.8680209608185249, 197, 25),
+                      (0.4989178815098795, 0.6402582159624414, 10.0)),
+    "train-default": ((0.8777920025605623, float("nan"), 128, 0),
+                      (0.4935231615225253, 0.7616846430405753, 10.0)),
+    "train-small": ((0.8698240121395522, 0.8853659633840564, 399, 27),
+                    (0.5143377232778839, 0.7263843648208469, 10.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WORKLOAD_EVALUATIONS))
+def test_workload_evaluation_is_pinned(name, workload_bundle):
+    """The evaluate phase of perfbench/lifecycle.py to the last bit, at
+    benchmark scale; no group of these holds a near-tie."""
+    w, bundle = workload_bundle(name)
+    params = init_params(w.tower, seed=4049)
+    got = eval_metrics(bundle, params)
+    calib = calibration_report(bundle, params, bundle.finetune_test,
+                               use_context=w.finetune.use_context)
+    ndcgs, calibs = PINNED_WORKLOAD_EVALUATIONS[name]
+    assert (got["retargeting"].hex(), got["discovery"].hex()) == tuple(
+        x.hex() for x in ndcgs[:2])
+    assert got["groups"] == {"retargeting": ndcgs[2], "discovery": ndcgs[3]}
+    assert got["near_ties"] == 0
+    assert [calib[k].hex() for k in ("mean_predicted", "empirical_rate", "temperature")] == [
+        x.hex() for x in calibs]
