@@ -44,10 +44,16 @@ class EvalConfig:
         if not seeds or min(seeds) < 0:
             raise ValueError(f"seeds must be one or more comma-separated integers >= 0, "
                              f"got {self.seeds!r}")
-        unknown = [c for c in self.cell_list() or () if c not in ABLATION_CELLS]
+        cells = self.cell_list() or []
+        unknown = [c for c in cells if c not in ABLATION_CELLS]
         if unknown:
             raise ValueError(f"unknown cells {unknown}; valid cells are "
                              f"{', '.join(ABLATION_CELLS)}")
+        # ablate trains each cell once per seed and writes one row for each
+        for name, values in (("seeds", seeds), ("cells", cells)):
+            repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+            if repeated is not None:
+                raise ValueError(f"{name} name {repeated!r} more than once")
 
     def seed_list(self) -> list[int]:
         return [int(s) for s in self.seeds.split(",") if s.strip() != ""]

@@ -34,6 +34,8 @@ class EmbeddingTable:
     def __init__(self, kind: int, dim: int, ids: np.ndarray, vectors: np.ndarray):
         if kind not in KIND_NAMES:
             raise ValueError(f"kind {kind} is neither {KIND_USER} (user) nor {KIND_ITEM} (item)")
+        if dim < 1:
+            raise ValueError(f"dim {dim} holds no vector; a table's dim is at least 1")
         self.kind = kind
         self.dim = dim
         # contiguous, so that searchsorted reads it without a copy per lookup

@@ -105,55 +105,28 @@ def _title_draws(rng: np.random.Generator, per_cat: int,
     rounds of `rng.choice(per_cat, 3, replace=False)` then
     `rng.integers(0, len(_COMMON))`, with `rng` left where those calls leave it.
 
-    A round takes six 32-bit values of the PCG64 stream (low half of each
-    64-bit output first), each through numpy's bounded draw for ranges below
-    2**32 (Lemire): x in [0, n) is x * n >> 32, drawn again when
-    x * n mod 2**32 < 2**32 mod n. They are Floyd's three draws over [0, j],
-    j = per_cat-3 .. per_cat-1 (a value already drawn becomes j), the
-    swaps of a 3-element shuffle at i = 2 and i = 1, then the common word.
-    Rounds up to the first with a redrawn value come from the raw stream in
-    one pass; that round is drawn by `rng` itself."""
-    ranges = np.array([per_cat - 2, per_cat - 1, per_cat, 3, 2, len(_COMMON)], dtype=np.uint64)
-    floor = (1 << 32) % ranges
+    A round is six bounded draws, made in this order by one `rng.integers`
+    call with a bound per column, by the same rule and from the same 32-bit
+    stream as those calls: Floyd's three draws over [0, j],
+    j = per_cat-3 .. per_cat-1 (a value already drawn becomes j), the swaps of
+    a 3-element shuffle at i = 2 and i = 1, then the common word. The dtype
+    must stay 32 or 64 bits wide: `np.uint8` and `np.uint16` draw another
+    stream."""
+    bounds = [per_cat - 2, per_cat - 1, per_cat, 3, 2, len(_COMMON)]
     picks = np.empty((n_items, 3), dtype=np.intp)
     common = np.empty(n_items, dtype=np.intp)
-    bg = rng.bit_generator
-    done = 0
-    while done < n_items:
-        # passes of at most 4096 rounds keep the temporaries, and so the
-        # resident memory of set-up, small
-        n, state = min(n_items - done, 4096), bg.state
-        head = [state["uinteger"]] if state["has_uint32"] else []
-        raw = np.random.PCG64()
-        raw.state = state
-        stream = raw.random_raw((6 * n - len(head) + 1) // 2).view("<u4")
-        x = stream[:6 * n - len(head)]
-        if head:
-            x = np.concatenate([np.array(head, dtype=np.uint32), x])
-        prod = np.multiply(x.reshape(n, 6), ranges, dtype=np.uint64)
-        redrawn = np.flatnonzero((prod.astype(np.uint32) < floor).any(axis=1))
-        k = int(redrawn[0]) if len(redrawn) else n
-        d = prod[:k]
-        d >>= 32
-        p = d[:, :3].astype(np.intp)
+    # passes of at most 4096 rounds keep the temporaries, and so the resident
+    # memory of set-up, small
+    for lo in range(0, n_items, 4096):
+        d = rng.integers(0, bounds, size=(min(n_items - lo, 4096), 6), dtype=np.uint32)
+        p = picks[lo:lo + len(d)]
+        p[:] = d[:, :3]
         p[p[:, 1] == p[:, 0], 1] = per_cat - 2
         p[(p[:, 2] == p[:, 0]) | (p[:, 2] == p[:, 1]), 2] = per_cat - 1
-        rows = np.arange(k)
+        rows = np.arange(len(d))
         for i, j in ((2, d[:, 3]), (1, d[:, 4])):
             p[rows, i], p[rows, j] = p[rows, j], p[:, i].copy()
-        picks[done:done + k], common[done:done + k] = p, d[:, 5]
-        if k:
-            used = 6 * k - len(head)
-            outputs = (used + 1) // 2
-            state = bg.advance(outputs).state
-            # the high half of the last output stays in the buffer, spent or not
-            state["has_uint32"], state["uinteger"] = used % 2, int(stream[2 * outputs - 1])
-            bg.state = state
-        done += k
-        if done < n_items:
-            picks[done] = rng.choice(per_cat, size=3, replace=False)
-            common[done] = rng.integers(0, len(_COMMON))
-            done += 1
+        common[lo:lo + len(d)] = d[:, 5]
     return picks, common
 
 
@@ -189,7 +162,8 @@ def generate_world(config: SynthConfig) -> SynthWorld:
             word_vectors[w] = v / np.linalg.norm(v)
 
     # the titles' draws are those of a per-item rng.choice/rng.integers loop,
-    # value for value; should numpy's draws change, the loop reference in
+    # value for value, made by one bounded rng.integers call per pass; should
+    # numpy's draws change, the loop reference in
     # test_world_items_match_the_per_item_loop fails
     picks, common = _title_draws(rng, per_cat, config.n_items)
     titles = []

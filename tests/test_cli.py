@@ -16,7 +16,7 @@ from tworank.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_MISSING, EXIT_OK, main
 from tworank.config import load_config
 from tworank.model import ModelParams
 from tworank.pipeline import build_bundle, eval_metrics
-from tworank.serving import KIND_ITEM, EmbeddingTable
+from tworank.serving import KIND_ITEM, KIND_USER, EmbeddingTable
 from tworank.synth import generate_world
 from tworank.text import Vocab, build_vocab
 from tworank.types import SIGNALS
@@ -163,6 +163,22 @@ def test_embedding_dim_mismatch_exit_code(workspace, tmp_path, monkeypatch, caps
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert str(out / "users.emb") in captured.err and str(out / "items.emb") in captured.err
+
+
+def test_embedding_dim_0_exit_code(workspace, tmp_path, monkeypatch, capsys):
+    """EMB files of dim 0, whose every score would read 0, exit 4 naming
+    the first one loaded."""
+    out = tmp_path / "dim0"
+    out.mkdir()
+    for name, kind in (("users.emb", KIND_USER), ("items.emb", KIND_ITEM)):
+        ids = EmbeddingTable.load(workspace / name).ids
+        header = struct.pack("<BIQ", kind, 0, len(ids))
+        (out / name).write_bytes(b"EMB1" + header + ids.astype("<u8").tobytes())
+    monkeypatch.setattr("sys.stdin", io.StringIO("3\n"))
+    assert run("score", out, "--user", "1") == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert str(out / "users.emb") in captured.err and "dim 0" in captured.err
 
 
 # a float32 value that `save` writes once and the "nan" case then turns

@@ -220,10 +220,22 @@ def test_tower_edge_sizes_that_build_a_tower_are_accepted():
 @pytest.mark.parametrize("key, value", [
     ("eval.cells", "bogus"), ("eval.cells", "both, both_no_webb"),
     ("eval.seeds", "1,x"), ("eval.seeds", "1.5"), ("eval.seeds", ""), ("eval.seeds", " , "),
-    ("eval.seeds", "0,-1"),
+    ("eval.seeds", "0,-1"), ("eval.seeds", "0,0"), ("eval.seeds", "2,1,02"),
+    ("eval.cells", "both,both"), ("eval.cells", "both, pretrain_only , both"),
 ])
 def test_eval_values_that_cannot_run_are_rejected(tmp_path, key, value):
     _rejected_everywhere(tmp_path, key, value)
+
+
+@pytest.mark.parametrize("override, first", [
+    ("eval.seeds=3,1,3,1", "seeds name 3 more"), ("eval.seeds=0,1,2,1", "seeds name 1 more"),
+    ("eval.cells=both_no_web,both,both_no_web,both", "cells name 'both_no_web' more"),
+])
+def test_repeated_seed_or_cell_error_names_the_first_repeat(override, first):
+    """`ablate` would train a repeated seed or cell twice and write its rows
+    twice; the error names the first value seen again."""
+    with pytest.raises(ConfigError, match=first):
+        load_config(None, overrides=[override])
 
 
 def test_unknown_cell_error_names_it_and_the_valid_cells():

@@ -120,6 +120,13 @@ def test_table_rejects_vectors_of_another_width(width):
         EmbeddingTable(KIND_USER, 4, np.arange(3), np.zeros((3, width)))
 
 
+@pytest.mark.parametrize("ids", [[], [1, 4]], ids=["empty", "two-ids"])
+def test_table_rejects_dim_0(ids):
+    """A table of dim 0 holds no vector: every score would read 0."""
+    with pytest.raises(ValueError, match="dim 0 holds no vector"):
+        EmbeddingTable(KIND_USER, 0, np.array(ids), np.zeros((len(ids), 0)))
+
+
 @pytest.mark.parametrize("kind", [2, 7, 255])
 def test_table_rejects_unknown_kind(kind):
     with pytest.raises(ValueError, match=f"kind {kind}"):

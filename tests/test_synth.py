@@ -84,6 +84,8 @@ _N_WORDS = len(set(_ADJECTIVES) | set(_NOUNS))
        seed=st.integers(0, 2**63), prior=st.integers(0, 1))
 @example(n_items=4096 * 2 + 5, n_categories=8, seed=4049, prior=0)
 @example(n_items=4096 * 2 + 5, n_categories=8, seed=4049, prior=1)
+@example(n_items=4096, n_categories=8, seed=4049, prior=0)
+@example(n_items=4097, n_categories=8, seed=4049, prior=1)
 @settings(max_examples=80, deadline=None)
 def test_title_draws_match_the_per_item_loop(n_items, n_categories, seed, prior):
     """Picks, common words and the generator's state afterwards equal the
@@ -125,11 +127,11 @@ def _pcg64_state_with(inc, position, value, rng):
 def test_title_draws_redraw_like_the_loop(slot, item, buffered, per_cat):
     """A 32-bit value of 0 in one item's draw slot is rejected (0 * n mod
     2**32 is below 2**32 mod n) and drawn again, except in the shuffle's
-    draw over two values, where 2**32 mod 2 is 0. The round with it goes
-    through the generator's own calls, and the rounds after it resume from
-    its state. A full buffer holds 0 too, which rejects item 0's first draw,
-    so every later draw reads the raw stream one place on: the forced value
-    sits at the same raw index."""
+    draw over two values, where 2**32 mod 2 is 0. The redraw takes the next
+    value of the stream, so every later round reads the stream one place on,
+    as in the per-item loop. A full buffer holds 0 too, which rejects item
+    0's first draw, so every later draw reads the raw stream one place on:
+    the forced value sits at the same raw index."""
     n_items, rng = 12, np.random.default_rng([slot, item, per_cat])
     inc = np.random.default_rng(per_cat).bit_generator.state["state"]["inc"]
     first = buffered and item == slot == 0  # the buffer already rejects this draw
