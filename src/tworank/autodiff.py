@@ -652,22 +652,19 @@ def gradcheck(f: Callable, point: Sequence[np.ndarray], tol: float = 1e-4) -> Gr
     analytic = backward(out, inputs)
     errors = []
     for t in inputs:
-        base = t.data.copy()
-        num = np.zeros_like(base)
-        flat = base.reshape(-1)
+        work = t.data.copy()  # each element is moved in place, then restored
+        args = [work if u is t else u.data for u in inputs]
+        flat = work.reshape(-1)  # a view: the copy is contiguous
+        num = np.zeros_like(work)
         nflat = num.reshape(-1)
         for i in range(flat.size):
-            orig = flat[i]
-            up = base.copy().reshape(-1)
-            up[i] = orig + GRADCHECK_STEP
-            down = base.copy().reshape(-1)
-            down[i] = orig - GRADCHECK_STEP
-            args_up = [u.data if u is not t else up.reshape(base.shape) for u in inputs]
-            args_down = [u.data if u is not t else down.reshape(base.shape) for u in inputs]
-            with no_grad():
-                fp = float(f(*[Tensor(a) for a in args_up]).data)
-                fm = float(f(*[Tensor(a) for a in args_down]).data)
-            nflat[i] = (fp - fm) / (2.0 * GRADCHECK_STEP)
+            orig, fs = flat[i], []
+            for x in (orig + GRADCHECK_STEP, orig - GRADCHECK_STEP):
+                flat[i] = x
+                with no_grad():
+                    fs.append(float(f(*[Tensor(a) for a in args]).data))
+            flat[i] = orig
+            nflat[i] = (fs[0] - fs[1]) / (2.0 * GRADCHECK_STEP)
         a = analytic[t]
         denom = np.maximum(np.abs(a) + np.abs(num), 1.0)
         errors.append(float(np.max(np.abs(a - num) / denom)) if a.size else 0.0)

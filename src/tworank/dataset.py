@@ -1,10 +1,10 @@
 """Log stream -> training records.
 
 Turns raw logs into pre-training samples (one per positive interaction)
-and packed fine-tuning impression groups (filtered to groups with at least
-one positive, with funnel label closure). Both are built bare;
-`attach_history` then cuts every history by the delayed-history rule in
-one pass. Splits are strictly temporal.
+and fine-tuning impression groups (the logged groups with at least one
+positive; their labels come funnel-closed, as `synth.read_logs` holds
+them). Both are built bare; `attach_history` then cuts every history by
+the delayed-history rule in one pass. Splits are strictly temporal.
 """
 
 from __future__ import annotations
@@ -49,25 +49,12 @@ def build_pretrain_samples(records: list[LogRecord]) -> list[PretrainSample]:
             for r in records if isinstance(r, EventRecord) and r.event.item_id is not None]
 
 
-def close_funnel_labels(labels: dict[str, list[int]]) -> dict[str, list[int]]:
-    """Downward label closure: a purchase marks cart and click positive,
-    a cart marks click positive, a favorite marks click positive."""
-    n = len(labels["click"])
-    out = {k: list(v) for k, v in labels.items()}
-    for i in range(n):
-        if out["prch"][i]:
-            out["cart"][i] = 1
-        if out["cart"][i] or out["fvrt"][i]:
-            out["click"][i] = 1
-    return out
-
-
 def build_finetune_groups(records: list[LogRecord]) -> list[ImpressionGroup]:
-    """The logged impression groups with at least one positive signal,
-    labels closed, without a history: `attach_history` cuts it."""
+    """One group per logged impression group with at least one positive
+    signal, sharing its item and label lists, without a history:
+    `attach_history` cuts it."""
     return [ImpressionGroup(user_id=rec.user_id, day=rec.day, surface_id=rec.surface_id,
-                            device_id=rec.device_id, item_ids=list(rec.item_ids),
-                            labels=close_funnel_labels(rec.labels))
+                            device_id=rec.device_id, item_ids=rec.item_ids, labels=rec.labels)
             for rec in records if isinstance(rec, ImpressionGroup) and rec.has_positive()]
 
 

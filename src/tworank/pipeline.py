@@ -31,7 +31,7 @@ class Bundle:
 
     world: SynthWorld
     records: list
-    titles: dict[int, str]
+    titles: list[str]  # world.titles itself: item i's title is titles[i]
     vocab: Vocab
     pretrain_train: list
     finetune_train: list
@@ -53,7 +53,6 @@ def build_bundle(world_cfg: SynthConfig, vocab_size: int = 2048,
                  delay: int = 1, test_days: int = TEST_DAYS,
                  eval_groups_per_user: int = 2, *, world: SynthWorld, records,
                  vocab: Vocab | None = None) -> Bundle:
-    titles = dict(enumerate(world.titles))
     if vocab is None:
         vocab = build_vocab(world.title_corpus(), vocab_size)
     boundary = world_cfg.days - test_days
@@ -76,7 +75,7 @@ def build_bundle(world_cfg: SynthConfig, vocab_size: int = 2048,
     np.minimum.at(first_touch, (touches[:, 0], world.item_categories[touches[:, 1]]),
                   touches[:, 2])
 
-    return Bundle(world=world, records=records, titles=titles, vocab=vocab,
+    return Bundle(world=world, records=records, titles=world.titles, vocab=vocab,
                   pretrain_train=pre_train, finetune_train=ft_train,
                   finetune_test=ft_test, eval_groups=eval_groups,
                   first_touch=first_touch, include_web=include_web)

@@ -105,9 +105,10 @@ class EmbeddingTable:
 
 
 def export_embeddings(params: ModelParams, user_histories: dict[int, UserHistory],
-                      titles: dict[int, str],
+                      titles: list[str],
                       tokenize_fn) -> tuple[EmbeddingTable, EmbeddingTable]:
-    """Compute every user and item embedding with the frozen model.
+    """Compute every user and item embedding with the frozen model; item i's
+    title is titles[i], and the items are 0 .. len(titles) - 1.
 
     Histories must already obey the serving delay rule (the exporter does
     not re-filter). Deterministic given checkpoint and inputs.
@@ -121,19 +122,18 @@ def export_embeddings(params: ModelParams, user_histories: dict[int, UserHistory
             hb = batch_histories([user_histories[u] for u in chunk], tokenize_fn, cfg)
             user_vecs[lo: lo + len(chunk)] = user_tower_forward_batch(hb, params).data
 
-        item_ids = sorted(titles)
-        item_vecs = np.empty((len(item_ids), cfg.d), dtype=np.float32)
+        item_vecs = np.empty((len(titles), cfg.d), dtype=np.float32)
         # a title is one event's text, so a batch of EMBED_BATCH * max_history
         # titles holds no more tokens than a full user batch
         item_batch = EMBED_BATCH * cfg.max_history
-        for lo in range(0, len(item_ids), item_batch):
-            chunk = item_ids[lo: lo + item_batch]
+        for lo in range(0, len(titles), item_batch):
+            chunk = range(lo, min(lo + item_batch, len(titles)))
             ids, mask = pad_tokens([tokenize_fn(titles[i]) for i in chunk])
             content = content_embed_batch(ids, mask, params)
             item_vecs[lo: lo + len(chunk)] = item_tower_forward_batch(content, params).data
 
     users = EmbeddingTable(KIND_USER, cfg.d, np.array(user_ids), user_vecs)
-    items = EmbeddingTable(KIND_ITEM, cfg.d, np.array(item_ids), item_vecs)
+    items = EmbeddingTable(KIND_ITEM, cfg.d, np.arange(len(titles)), item_vecs)
     return users, items
 
 

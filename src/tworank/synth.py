@@ -249,6 +249,8 @@ def _slate(world: SynthWorld, in_cat: np.ndarray, rng) -> tuple[list[int], dict[
 
 # a click's chance to go on to favorites, to the cart, and from the cart to a purchase
 P_FVRT, P_CART, P_PRCH = 0.12, 0.3, 0.35
+# the funnel as labels: each (signal, the signal it needs at the same position)
+_FUNNEL_NEEDS = (("cart", "click"), ("fvrt", "click"), ("prch", "cart"))
 
 
 def _funnel_events(day: int, item: int, title: str, surface, rng) -> list[Event]:
@@ -404,7 +406,7 @@ def _is_int(x) -> bool:
 
 def _check_impression(items: list, signals: dict) -> None:
     """Item ids are ints; `signals` holds one 0/1 int list per signal, as
-    long as `items`."""
+    long as `items`, closed under the funnel of `_funnel_events`."""
     if not all(_is_int(i) for i in items):
         raise ValueError("impression items must be integer ids")
     if set(signals) != set(SIGNALS):
@@ -413,6 +415,18 @@ def _check_impression(items: list, signals: dict) -> None:
         if (not isinstance(ys, list) or len(ys) != len(items)
                 or not all(_is_int(y) and y in (0, 1) for y in ys)):
             raise ValueError(f"impression signal {name!r} must be {len(items)} 0/1 ints")
+    for name, need in _FUNNEL_NEEDS:
+        if 1 in signals[name]:  # most slates hold no positive of a deeper step
+            pos = next((p for p, (y, z) in enumerate(zip(signals[name], signals[need]))
+                        if y > z), None)
+            if pos is not None:
+                raise ValueError(f"impression signal {name!r} is positive at position {pos} "
+                                 f"without {need!r}; labels must be funnel-closed")
+
+
+def _made_item(world: SynthWorld, i: int) -> tuple[str, int]:
+    """Item `i`'s (title, category), as an item line logs them."""
+    return world.titles[i], int(world.item_categories[i])
 
 
 def read_logs(path, world: SynthWorld) -> list[LogRecord]:
@@ -420,7 +434,6 @@ def read_logs(path, world: SynthWorld) -> list[LogRecord]:
     line that is not UTF-8 JSON with write_logs' fields and types, or that
     breaks a rule of `world` or of day order, raises ValueError naming it."""
     cfg = world.config
-    catalog = list(zip(world.titles, world.item_categories.tolist()))
     seen = [False] * cfg.n_items
     last_day: dict[int, int] = {}
     records: list[LogRecord] = []
@@ -441,7 +454,7 @@ def read_logs(path, world: SynthWorld) -> list[LogRecord]:
                 if kind == "item":
                     # the towers read titles from the world, so the logs must come from it
                     i, logged = obj["id"], (obj["title"], obj["category"])
-                    made = catalog[i] if 0 <= i < cfg.n_items else None
+                    made = _made_item(world, i) if 0 <= i < cfg.n_items else None
                     if logged != made:
                         raise ValueError(f"logged item {i} is {logged}, but the [world] "
                                          f"config (seed {cfg.seed}) makes it {made}")
@@ -484,5 +497,5 @@ def read_logs(path, world: SynthWorld) -> list[LogRecord]:
     if not all(seen):
         i = seen.index(False)
         raise ValueError(f"{path}: the logs lack item {i}, which the [world] config "
-                         f"(seed {cfg.seed}) makes {catalog[i]}")
+                         f"(seed {cfg.seed}) makes {_made_item(world, i)}")
     return records

@@ -174,7 +174,7 @@ def _grads_by_name(loss, params: ModelParams) -> dict[str, np.ndarray]:
             if (g := grads.get(id(t))) is not None and np.any(g)}
 
 
-def item_embeddings_for(item_ids, titles: dict[int, str], tokenize_fn,
+def item_embeddings_for(item_ids, titles: list[str], tokenize_fn,
                         params: ModelParams) -> Tensor:
     """Item tower outputs (B, d) over the padded CBOW of each item's title."""
     ids, mask = pad_tokens([tokenize_fn(titles[i]) for i in item_ids])
@@ -204,7 +204,7 @@ def _train(params: ModelParams, config: TrainConfig, n: int, batch_size: int,
 
 
 def pretrain_run(samples: list[PretrainSample], config: TrainConfig,
-                 tower_config: TowerConfig, tokenize_fn, titles: dict[int, str]) -> ModelParams:
+                 tower_config: TowerConfig, tokenize_fn, titles: list[str]) -> ModelParams:
     """Retrieval pre-training: each sample's in-batch negatives are the
     other samples' positive items; sampled softmax over cosine scores.
     Only full batches of `config.batch_size` samples are taken.
@@ -228,7 +228,7 @@ def pretrain_run(samples: list[PretrainSample], config: TrainConfig,
 
 
 def finetune_run(groups: list[ImpressionGroup], init: ModelParams,
-                 config: TrainConfig, tokenize_fn, titles: dict[int, str],
+                 config: TrainConfig, tokenize_fn, titles: list[str],
                  group_batch: int = 16, *, constant_lr: bool = False) -> ModelParams:
     """Ranking fine-tuning on impression groups, `group_batch` groups a
     step; the last batch of an epoch may be short. The learning rate warms
@@ -255,7 +255,7 @@ def finetune_run(groups: list[ImpressionGroup], init: ModelParams,
 
 
 def continuous_finetune(prev: ModelParams, new_groups: list[ImpressionGroup],
-                        config: TrainConfig, tokenize_fn, titles: dict[int, str]) -> ModelParams:
+                        config: TrainConfig, tokenize_fn, titles: list[str]) -> ModelParams:
     """Continuous fine-tuning contract: the calibration vectors frozen (a
     constant gets no gradient), constant learning rate, fresh optimizer
     state, fine-tune objective only. Every returned tensor trains again."""

@@ -66,7 +66,9 @@ class UserHistory:
 
 @dataclass
 class ImpressionGroup:
-    """Co-impressed items on one surface with per-signal binary labels."""
+    """Co-impressed items on one surface with per-signal binary labels,
+    closed under the funnel. Groups built from one logged group share its
+    item and label lists; no code mutates them."""
 
     user_id: int
     day: int

@@ -342,6 +342,8 @@ def _impression_line(items, labels=(0, 1), signals=SIGNALS, surface=0, device=0,
     pytest.param(_event_line(3, day=0), id="event-goes-back-in-day"),
     pytest.param(_event_line(3, day=10), id="event-day-at-days"),
     pytest.param(_impression_line([3, 4], day=-1), id="impression-day-negative"),
+    pytest.param(_impression_line([3, 4]).replace('"cart": [0, 1]', '"cart": [0, 0]'),
+                 id="impression-purchase-without-cart"),
 ])
 def test_bad_log_record_exit_code(workspace, tmp_path, capsys, line):
     """Every command that reads the logs refuses a line that breaks a log

@@ -8,8 +8,7 @@ import pytest
 
 from tworank import dataset
 from tworank.dataset import (attach_history, build_finetune_groups,
-                             build_pretrain_samples, close_funnel_labels,
-                             serving_histories, time_split)
+                             build_pretrain_samples, serving_histories, time_split)
 from tworank.pipeline import build_bundle
 from tworank.synth import (EventRecord, SynthConfig, generate_world,
                            make_balanced_eval_groups, simulate_logs)
@@ -219,15 +218,6 @@ def test_bundle_cuts_every_history_in_one_pass(small_world, small_logs, monkeypa
 # ---------------------------------------------------------------------------
 # funnel closure
 # ---------------------------------------------------------------------------
-
-
-def test_close_funnel_labels():
-    labels = {"click": [0, 0, 0], "cart": [0, 1, 0],
-              "fvrt": [0, 0, 1], "prch": [1, 0, 0]}
-    closed = close_funnel_labels(labels)
-    assert closed["cart"] == [1, 1, 0]   # purchase implies cart
-    assert closed["click"] == [1, 1, 1]  # cart and favorite imply click
-    assert labels["click"] == [0, 0, 0]  # input untouched
 
 
 def test_finetune_groups_funnel_closed(small_logs):

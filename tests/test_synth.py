@@ -371,6 +371,31 @@ def test_log_roundtrip(small_world, small_logs, tmp_path):
             assert a.item_ids == b.item_ids and a.labels == b.labels
 
 
+def _funnel_closed(labels) -> bool:
+    """Purchase implies cart, and cart and favorite imply click, at each position."""
+    return all(p <= a <= c and f <= c for c, a, f, p in
+               zip(labels["click"], labels["cart"], labels["fvrt"], labels["prch"]))
+
+
+@given(n_items=st.integers(1, 30), n_users=st.integers(1, 8), n_categories=st.integers(2, 20),
+       days=st.integers(2, 8), organic_rate=st.sampled_from([0.0, 4.0]),
+       impressions_per_day=st.sampled_from([0.0, 4.0]), query_rate=st.sampled_from([0.0, 2.0]),
+       group_size=st.integers(2, 8), seed=st.integers(0, 2**31))
+@settings(max_examples=25, deadline=None)
+def test_read_logs_accepts_what_the_simulator_writes(tmp_path_factory, **kw):
+    """Every line of simulated logs passes the log door, funnel rule and all,
+    and reads back as the simulated records; evaluation labels are
+    funnel-closed too. Worlds may have fewer items than categories."""
+    world = generate_world(SynthConfig(**kw))
+    records = simulate_logs(world)
+    path = tmp_path_factory.mktemp("logs") / "logs.ndjson"
+    write_logs(world, records, path)
+    assert read_logs(path, world) == records
+    assert all(_funnel_closed(r.labels) for r in records if isinstance(r, ImpressionGroup))
+    for g in make_balanced_eval_groups(world, 0, world.config.days):
+        assert _funnel_closed(g.labels)
+
+
 def test_read_logs_rejects_unknown_record(small_world, tmp_path):
     path = tmp_path / "bad.ndjson"
     path.write_text('{"type": "mystery"}\n')
@@ -383,12 +408,11 @@ def _item_line(world, i):
                        "category": int(world.item_categories[i])})
 
 
-def _impression(items, drop=None, extra=None, click=None, surface=0, device=0):
+def _impression(items, drop=None, extra=None, surface=0, device=0, **set_signals):
     signals = {s: [0] * len(items) for s in SIGNALS if s != drop}
     if extra:
         signals[extra] = [0] * len(items)
-    if click is not None:
-        signals["click"] = click
+    signals.update(set_signals)
     return json.dumps({"type": "impression", "day": 1, "user": 2, "surface": surface,
                        "device": device, "items": items, "signals": signals})
 
@@ -415,6 +439,13 @@ def _impression(items, drop=None, extra=None, click=None, surface=0, device=0):
     (_impression([1, 2], click="10"), "impression signal 'click' must be 2 0/1 ints"),
     (_impression([1, 2], surface=-3), r"impression line has negative context id\(s\) \['surface'"),
     (_impression([1, 2], device=-1), r"impression line has negative context id\(s\) \['device'"),
+    (_impression([1, 2], cart=[0, 1]),
+     "impression signal 'cart' is positive at position 1 without 'click'; labels must be "
+     "funnel-closed"),
+    (_impression([1, 2], click=[0, 1], fvrt=[1, 1]),
+     "impression signal 'fvrt' is positive at position 0 without 'click'"),
+    (_impression([1, 2], click=[1, 0], prch=[1, 0]),
+     "impression signal 'prch' is positive at position 0 without 'cart'"),
     ('{"type": "event", "day": 1, "user": 2, "event": "click", "text": "a", "item": 1,'
      ' "surface": -2}', r"event line has negative context id\(s\) \['surface'\]"),
     # written as byte 0xff; the message is the codec's
@@ -428,7 +459,8 @@ def _impression(items, drop=None, extra=None, click=None, surface=0, device=0):
 ], ids=["missing", "string-day", "bool-user", "null-category", "not-object", "list-type",
         "not-json", "string-item", "bool-item", "signal-missing", "signal-extra",
         "signal-short", "signal-not-binary", "signal-bool", "signal-not-list",
-        "negative-surface", "negative-device", "negative-event-surface", "not-utf8",
+        "negative-surface", "negative-device", "cart-without-click", "fvrt-without-click",
+        "prch-without-cart", "negative-event-surface", "not-utf8",
         "click-no-item", "purchase-no-title", "web-query-item"])
 def test_read_logs_names_the_bad_line(small_world, tmp_path, line, message):
     path = tmp_path / "bad.ndjson"
